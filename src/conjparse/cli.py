@@ -11,11 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from typing import List, Optional
 
 from . import corpus_stats, evaluation, training
-from .model import Hyperparams, Model, ModelIOError, Vocabulary
+from .model import (
+    HYPERPARAM_TYPES,
+    Hyperparams,
+    Model,
+    ModelIOError,
+    Vocabulary,
+    check_hyperparams,
+)
 from .parser import greedy_parse
 from .resources import (
     EmbeddingTable,
@@ -38,10 +44,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
 EXIT_OTHER = 1
-
-_HP_FLOAT_FIELDS = {
-    f.name for f in fields(Hyperparams) if f.type in ("float", float)
-}
 
 
 def _add_resource_flags(sub):
@@ -143,33 +145,35 @@ def load_resources(args) -> FeatureResources:
                             embeddings=embeddings)
 
 
-def _apply_hyper_overrides(hp: Hyperparams, pairs: List[str]) -> None:
-    valid = {f.name for f in fields(Hyperparams)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
+
+
+def _parse_hyper_flags(pairs: List[str]) -> dict:
+    """``--hyper NAME=VALUE`` strings as checked hyperparameter values."""
+    values = {}
     for pair in pairs:
-        if "=" not in pair:
+        name, sep, text = pair.partition("=")
+        if not sep:
             raise ValueError(f"--hyper expects NAME=VALUE, got {pair!r}")
-        name, value = pair.split("=", 1)
-        if name not in valid:
-            raise ValueError(f"unknown hyperparameter {name!r}")
-        current = getattr(hp, name)
-        if isinstance(current, bool):
-            setattr(hp, name, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(hp, name, int(value))
-        else:
-            setattr(hp, name, float(value))
+        kind = HYPERPARAM_TYPES.get(name, str)  # unknown names fail the check
+        try:
+            values[name] = _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"hyperparameter {name!r} must be {kind.__name__}, "
+                             f"got {text!r}") from None
+    return check_hyperparams(values)
 
 
 def cmd_train(args) -> int:
-    hp = Hyperparams()
+    config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            overrides = json.load(handle)
-        for name, value in overrides.items():
-            if not hasattr(hp, name):
-                raise ValueError(f"unknown hyperparameter {name!r} in config file")
-            setattr(hp, name, value)
-    _apply_hyper_overrides(hp, args.hyper)
+            try:
+                config = check_hyperparams(json.load(handle))
+            except ValueError as exc:
+                raise ValueError(f"config file {args.config}: {exc}") from None
+    hp = Hyperparams(**{**config, **_parse_hyper_flags(args.hyper)})
     if args.no_conj_features:
         hp.use_conj_features = False
     if args.no_single_root:

@@ -1,16 +1,20 @@
-"""Pure-numpy LSTM cell kernels, the fallback backend.
+"""LSTM cell kernels: the per-token gate math of one LSTM step, in numpy.
 
-Semantics of both backends are identical; see the package __init__ for how
-one is selected.  Gate layout inside the preactivation vector is
+Gate layout inside the preactivation vector is
 ``[input, forget, output, candidate]``, each a block of H values.  The
 cache rows are ``i, f, o, g, tanh(c)`` as produced by the forward pass.
+Both functions write their results into caller-owned output arrays:
+
+``cell_forward(preact, c_prev, h_out, c_out, cache_out)``
+``cell_backward(dh, dc, cache, c_prev, dpreact_out, dc_prev_out)``
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BACKEND_NAME = "python"
+# Recorded with the benchmark's machine facts.
+BACKEND = "python"
 
 
 def cell_forward(preact: np.ndarray, c_prev: np.ndarray, h_out: np.ndarray,
@@ -19,7 +23,7 @@ def cell_forward(preact: np.ndarray, c_prev: np.ndarray, h_out: np.ndarray,
     hidden = c_prev.shape[0]
     gates = preact.reshape(4, hidden)
     # exp may overflow to inf for very negative gates; the sigmoid still
-    # comes out as an exact 0.0, matching the compiled kernel.
+    # comes out as an exact 0.0.
     with np.errstate(over="ignore"):
         i = 1.0 / (1.0 + np.exp(-gates[0]))
         f = 1.0 / (1.0 + np.exp(-gates[1]))

@@ -14,13 +14,14 @@ every parameter bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels, network
+from . import network
 from .resources import EmbeddingTable
 from .transitions import ParseConfiguration, TransitionCodec
 from .treebank import LabelInventory, Sentence
@@ -57,8 +58,47 @@ class Hyperparams:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Hyperparams":
-        return cls(**data)
+    def from_dict(cls, data) -> "Hyperparams":
+        """Inverse of ``to_dict``: every field present, each well typed."""
+        checked = check_hyperparams(data)
+        missing = [name for name in HYPERPARAM_TYPES if name not in checked]
+        if missing:
+            raise ValueError(f"missing hyperparameter {missing[0]!r}")
+        return cls(**checked)
+
+
+# Declared type of every hyperparameter; the annotations are strings.
+HYPERPARAM_TYPES = {
+    f.name: {"int": int, "float": float, "bool": bool}[f.type]
+    for f in fields(Hyperparams)
+}
+
+
+def check_hyperparams(values) -> dict:
+    """Validate hyperparameter values by name and type.
+
+    Returns a copy in which integers given for float fields become floats.
+    Raises ``ValueError`` naming the first unknown or mistyped key.
+    """
+    if not isinstance(values, dict):
+        raise ValueError("hyperparameters must be a JSON object, "
+                         f"got {type(values).__name__}")
+    checked = {}
+    for name, value in values.items():
+        kind = HYPERPARAM_TYPES.get(name)
+        if kind is None:
+            raise ValueError(f"unknown hyperparameter {name!r}")
+        # bool is a subclass of int, so it is matched exactly.
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind:
+            raise ValueError(f"hyperparameter {name!r} must be {kind.__name__}, "
+                             f"got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"hyperparameter {name!r} must be finite, "
+                             f"got {value!r}")
+        checked[name] = value
+    return checked
 
 
 class Vocabulary:
@@ -120,6 +160,51 @@ class EncodedSentence:
         return self.vectors[node_id]
 
 
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(type(item) is kind for item in value)
+
+
+def _check_meta(meta) -> None:
+    """Raise ``ModelIOError`` unless the header has every key, well typed."""
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ModelIOError(f"corrupt model metadata: {what}")
+
+    require(isinstance(meta, dict), "header is not a JSON object")
+    for key in ("arrays", "hyperparams", "labels", "vocab", "trainable",
+                "pretrained_words"):
+        require(key in meta, f"missing key {key!r}")
+    require(_is_list_of(meta["labels"], str), "'labels' must be a list of strings")
+    require(_is_list_of(meta["trainable"], str),
+            "'trainable' must be a list of strings")
+    require(meta["pretrained_words"] is None
+            or _is_list_of(meta["pretrained_words"], str),
+            "'pretrained_words' must be null or a list of strings")
+    vocab = meta["vocab"]
+    require(isinstance(vocab, dict)
+            and _is_list_of(vocab.get("forms"), str)
+            and _is_list_of(vocab.get("pos_tags"), str)
+            and isinstance(vocab.get("counts"), dict)
+            and _is_list_of(list(vocab["counts"].values()), int),
+            "'vocab' must hold 'forms', 'pos_tags' and 'counts'")
+    arrays = meta["arrays"]
+    require(isinstance(arrays, list), "'arrays' must be a list")
+    names = set()
+    for spec in arrays:
+        require(isinstance(spec, dict) and type(spec.get("name")) is str,
+                "every array spec needs a string 'name'")
+        name = spec["name"]
+        require(name not in names, f"array {name!r} listed twice")
+        names.add(name)
+        require(spec.get("dtype") == "float64",
+                f"array {name!r} must have dtype 'float64'")
+        shape = spec.get("shape")
+        require(_is_list_of(shape, int) and all(n >= 0 for n in shape),
+                f"array {name!r} needs a 'shape' of non-negative integers")
+    for name in meta["trainable"]:
+        require(name in names, f"trainable array {name!r} is not stored")
+
+
 class Model:
     """All trainable state plus the label inventory and vocabulary."""
 
@@ -138,7 +223,6 @@ class Model:
             if pretrained_words is not None
             else None
         )
-        self.kernel = kernels
 
     # ------------------------------------------------------------------
     # construction
@@ -244,9 +328,8 @@ class Model:
             parts.append(self.params["pre_emb"][pre_ids])
         parts.append(self.params["pos_emb"][pos_ids])
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
-        vectors, caches = network.bilstm_forward(
-            inputs, self.params, self.hp.lstm_layers, kernel=self.kernel
-        )
+        vectors, caches = network.bilstm_forward(inputs, self.params,
+                                                 self.hp.lstm_layers)
         return EncodedSentence(vectors, word_ids, pos_ids, pre_ids, inputs, caches)
 
     # ------------------------------------------------------------------
@@ -358,15 +441,15 @@ class Model:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ModelIOError(f"corrupt model metadata: {exc}") from None
         offset += meta_len
+        _check_meta(meta)
         params: Dict[str, np.ndarray] = {}
         for spec in meta["arrays"]:
-            dtype = np.dtype(spec["dtype"])
             shape = tuple(spec["shape"])
-            n_bytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            count = math.prod(shape)
+            n_bytes = 8 * count
             if offset + n_bytes > len(data):
                 raise ModelIOError(f"truncated model file (array {spec['name']})")
-            flat = np.frombuffer(data, dtype=dtype, count=n_bytes // dtype.itemsize,
-                                 offset=offset)
+            flat = np.frombuffer(data, dtype=np.float64, count=count, offset=offset)
             params[spec["name"]] = flat.reshape(shape).copy()
             offset += n_bytes
         if offset != len(data):
@@ -374,11 +457,14 @@ class Model:
         for name, array in params.items():
             if not np.all(np.isfinite(array)):
                 raise ModelIOError(f"non-finite values in parameter {name}")
-        hp = Hyperparams.from_dict(meta["hyperparams"])
+        try:
+            hp = Hyperparams.from_dict(meta["hyperparams"])
+            labels = LabelInventory(tuple(meta["labels"]))
+        except ValueError as exc:
+            raise ModelIOError(f"corrupt model metadata: {exc}") from None
         vocab = Vocabulary(
             meta["vocab"]["forms"], meta["vocab"]["pos_tags"], meta["vocab"]["counts"]
         )
-        labels = LabelInventory(tuple(meta["labels"]))
         return cls(hp, vocab, labels, params, list(meta["trainable"]),
                    meta["pretrained_words"])
 

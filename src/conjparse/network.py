@@ -2,8 +2,8 @@
 
 Everything runs in float64 and is written as explicit forward/backward
 pairs; gradients are derived analytically and verified against central
-finite differences by the test suite.  The per-token gate math is delegated
-to the kernel backend (compiled or pure numpy, see ``kernels``).
+finite differences by the test suite.  The per-token gate math of the LSTM
+cell lives in ``kernels``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class LstmLayerCache:
 
 
 def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
-                 b: np.ndarray, reverse: bool = False,
-                 kernel=kernels) -> Tuple[np.ndarray, LstmLayerCache]:
+                 b: np.ndarray, reverse: bool = False
+                 ) -> Tuple[np.ndarray, LstmLayerCache]:
     """Run one LSTM direction over a (T, D) input sequence.
 
     Returns the (T, H) hidden states in original sequence order plus the
@@ -55,14 +55,14 @@ def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     c_prev = np.zeros(hidden_size)
     for t in order:
         preacts[t] += w_h @ h_prev
-        kernel.cell_forward(preacts[t], c_prev, hidden[t], cells[t], gates[t])
+        kernels.cell_forward(preacts[t], c_prev, hidden[t], cells[t], gates[t])
         h_prev = hidden[t]
         c_prev = cells[t]
     return hidden, LstmLayerCache(inputs, preacts, hidden, cells, gates, reverse)
 
 
 def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
-                  w_h: np.ndarray, kernel=kernels
+                  w_h: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backpropagate through one LSTM direction.
 
@@ -82,8 +82,8 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
             c_prev = np.zeros(hidden_size)
         else:
             c_prev = cache.cells[t + 1 if cache.reverse else t - 1]
-        kernel.cell_backward(dh_total, dc_next, cache.gates[t], c_prev,
-                             d_preacts[t], dc_prev)
+        kernels.cell_backward(dh_total, dc_next, cache.gates[t], c_prev,
+                              d_preacts[t], dc_prev)
         dc_next = dc_prev.copy()
         dh_rec = w_h.T @ d_preacts[t]
     d_w_x = d_preacts.T @ cache.inputs
@@ -99,7 +99,7 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
 
 
 def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
-                   n_layers: int, kernel=kernels
+                   n_layers: int
                    ) -> Tuple[np.ndarray, List[Tuple[LstmLayerCache, LstmLayerCache]]]:
     """Stacked bidirectional LSTM; output is (T, 2H) per layer top."""
     caches = []
@@ -111,7 +111,6 @@ def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
             params[f"lstm.{layer}.fwd.w_h"],
             params[f"lstm.{layer}.fwd.b"],
             reverse=False,
-            kernel=kernel,
         )
         bwd, bwd_cache = lstm_forward(
             current,
@@ -119,7 +118,6 @@ def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
             params[f"lstm.{layer}.bwd.w_h"],
             params[f"lstm.{layer}.bwd.b"],
             reverse=True,
-            kernel=kernel,
         )
         current = np.concatenate([fwd, bwd], axis=1)
         caches.append((fwd_cache, bwd_cache))
@@ -127,8 +125,7 @@ def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
 
 
 def bilstm_backward(d_output: np.ndarray, caches, params: Dict[str, np.ndarray],
-                    grads: Dict[str, np.ndarray], n_layers: int,
-                    kernel=kernels) -> np.ndarray:
+                    grads: Dict[str, np.ndarray], n_layers: int) -> np.ndarray:
     """Backward through the stacked BiLSTM, accumulating into ``grads``."""
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
@@ -139,12 +136,10 @@ def bilstm_backward(d_output: np.ndarray, caches, params: Dict[str, np.ndarray],
         d_in_f, d_wx_f, d_wh_f, d_b_f = lstm_backward(
             d_fwd, fwd_cache,
             params[f"lstm.{layer}.fwd.w_x"], params[f"lstm.{layer}.fwd.w_h"],
-            kernel=kernel,
         )
         d_in_b, d_wx_b, d_wh_b, d_b_b = lstm_backward(
             d_bwd, bwd_cache,
             params[f"lstm.{layer}.bwd.w_x"], params[f"lstm.{layer}.bwd.w_h"],
-            kernel=kernel,
         )
         grads[f"lstm.{layer}.fwd.w_x"] += d_wx_f
         grads[f"lstm.{layer}.fwd.w_h"] += d_wh_f

@@ -166,6 +166,10 @@ class EmbeddingTable:
                     raise ResourceError(
                         f"{path}, line {number}: non-numeric vector value"
                     ) from None
+                if not np.all(np.isfinite(vec)):
+                    raise ResourceError(
+                        f"{path}, line {number}: non-finite vector value"
+                    )
                 vectors.setdefault(word, vec)  # first entry wins
         if dim is None:
             raise ResourceError(f"{path}: no vectors found")

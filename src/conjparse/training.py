@@ -118,8 +118,7 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
     if want_grads and loss > 0.0:
         d_inputs = network.bilstm_backward(
             d_vectors, encoded.lstm_caches, model.params, grads,
-            model.hp.lstm_layers, kernel=model.kernel,
-        )
+            model.hp.lstm_layers)
         word_dim = model.hp.word_dim
         pre_dim = model.hp.pretrained_dim
         np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])

@@ -1,4 +1,6 @@
+import json
 import pathlib
+import struct
 import sys
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from conjparse.model import Hyperparams, Model, Vocabulary
+from conjparse.model import MODEL_MAGIC, MODEL_VERSION, Hyperparams, Model, Vocabulary
 from conjparse.resources import FeatureResources
 from conjparse.transitions import TransitionCodec, apply, initial_config, is_terminal, legal_mask
 from conjparse.treebank import LabelInventory, Sentence, Token, read_conll
@@ -76,6 +78,20 @@ def tiny_model(sentences, seed=3, **hp_overrides) -> Model:
     vocab = Vocabulary.from_corpus(sentences)
     labels = LabelInventory.from_sentences(sentences)
     return Model.build(hp, vocab, labels, seed=seed)
+
+
+def split_model_file(payload: bytes):
+    """(metadata dict, array bytes) of a saved model file."""
+    start = len(MODEL_MAGIC) + 12
+    (meta_len,) = struct.unpack_from("<Q", payload, start - 8)
+    return json.loads(payload[start:start + meta_len]), payload[start + meta_len:]
+
+
+def join_model_file(meta, arrays: bytes) -> bytes:
+    """Inverse of ``split_model_file``."""
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    return (MODEL_MAGIC + struct.pack("<I", MODEL_VERSION)
+            + struct.pack("<Q", len(meta_bytes)) + meta_bytes + arrays)
 
 
 @pytest.fixture(scope="session")

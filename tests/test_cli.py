@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, join_model_file, split_model_file
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Model
 from conjparse.parser import greedy_parse
@@ -192,6 +192,41 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     code = main(["parse", "--model", str(bogus), "--input", str(train_file),
                  "--output", str(tmp_path / "out.conllx")])
     assert code == EXIT_MODEL
+
+
+@pytest.mark.parametrize("config, hyper, key", [
+    ({"lstm_dim": "8"}, [], "lstm_dim"),
+    ({"lstm_size": 8}, [], "lstm_size"),
+    (None, ["--hyper", "lstm_dim=eight"], "lstm_dim"),
+    (None, ["--hyper", "use_conj_features=maybe"], "use_conj_features"),
+])
+def test_bad_hyperparameter_is_a_one_line_error(tmp_path, train_file, capsys,
+                                                config, hyper, key):
+    args = ["train", "--train", str(train_file), "--seed", "1",
+            "--model", str(tmp_path / "model.bin"), *hyper]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main(args) == EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_exit_code_model_with_unknown_hyperparameter(tmp_path, train_file, capsys):
+    model_path = _train(tmp_path, train_file, epochs=1)
+    meta, arrays = split_model_file(model_path.read_bytes())
+    meta["hyperparams"]["attention"] = True
+    model_path.write_bytes(join_model_file(meta, arrays))
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert "'attention'" in err
 
 
 def test_exit_code_malformed_treebank(tmp_path, capsys):

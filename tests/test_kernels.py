@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from conjparse import kernels
-from conjparse.kernels import lstm_py
 
 
 def _random_cell_inputs(rng, hidden):
@@ -11,26 +9,26 @@ def _random_cell_inputs(rng, hidden):
     return preact, c_prev
 
 
-def _run_forward(backend, preact, c_prev):
+def _run_forward(preact, c_prev):
     hidden = c_prev.shape[0]
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     cache = np.zeros((5, hidden))
-    backend.cell_forward(preact, c_prev, h, c, cache)
+    kernels.cell_forward(preact, c_prev, h, c, cache)
     return h, c, cache
 
 
-def _run_backward(backend, dh, dc, cache, c_prev):
+def _run_backward(dh, dc, cache, c_prev):
     hidden = c_prev.shape[0]
     dpre = np.zeros(4 * hidden)
     dcp = np.zeros(hidden)
-    backend.cell_backward(dh, dc, cache, c_prev, dpre, dcp)
+    kernels.cell_backward(dh, dc, cache, c_prev, dpre, dcp)
     return dpre, dcp
 
 
 def test_zero_preactivation_zero_cell_gives_zero_hidden():
     hidden = 6
-    h, c, cache = _run_forward(lstm_py, np.zeros(4 * hidden), np.zeros(hidden))
+    h, c, cache = _run_forward(np.zeros(4 * hidden), np.zeros(hidden))
     np.testing.assert_array_equal(h, 0.0)
     np.testing.assert_array_equal(c, 0.0)
     np.testing.assert_allclose(cache[0], 0.5)  # all gates sit at sigmoid(0)
@@ -40,32 +38,12 @@ def test_forward_matches_direct_formula():
     rng = np.random.default_rng(0)
     hidden = 5
     preact, c_prev = _random_cell_inputs(rng, hidden)
-    h, c, cache = _run_forward(lstm_py, preact, c_prev)
+    h, c, cache = _run_forward(preact, c_prev)
     gates = preact.reshape(4, hidden)
     i, f, o = (1.0 / (1.0 + np.exp(-gates[k])) for k in range(3))
     g = np.tanh(gates[3])
     np.testing.assert_allclose(c, f * c_prev + i * g, atol=1e-15)
     np.testing.assert_allclose(h, o * np.tanh(c), atol=1e-15)
-
-
-@pytest.mark.skipif("cython" not in kernels.available_backends(),
-                    reason="compiled kernels not built")
-def test_backends_agree():
-    compiled = kernels.available_backends()["cython"]
-    rng = np.random.default_rng(42)
-    for hidden in (1, 3, 17, 64):
-        preact, c_prev = _random_cell_inputs(rng, hidden)
-        h_py, c_py, cache_py = _run_forward(lstm_py, preact, c_prev)
-        h_cy, c_cy, cache_cy = _run_forward(compiled, preact, c_prev)
-        np.testing.assert_allclose(h_cy, h_py, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(c_cy, c_py, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(cache_cy, cache_py, rtol=1e-14, atol=1e-15)
-        dh = rng.normal(size=hidden)
-        dc = rng.normal(size=hidden)
-        dpre_py, dcp_py = _run_backward(lstm_py, dh, dc, cache_py, c_prev)
-        dpre_cy, dcp_cy = _run_backward(compiled, dh, dc, cache_cy, c_prev)
-        np.testing.assert_allclose(dpre_cy, dpre_py, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(dcp_cy, dcp_py, rtol=1e-13, atol=1e-15)
 
 
 def test_backward_matches_finite_differences_pointwise():
@@ -75,11 +53,11 @@ def test_backward_matches_finite_differences_pointwise():
     weights = rng.normal(size=hidden)  # loss = weights . h + 0.5*|c|^2
 
     def loss(pre, cp):
-        h, c, _ = _run_forward(lstm_py, pre, cp)
+        h, c, _ = _run_forward(pre, cp)
         return float(weights @ h + 0.5 * (c ** 2).sum())
 
-    h, c, cache = _run_forward(lstm_py, preact, c_prev)
-    dpre, dcp = _run_backward(lstm_py, weights.copy(), c.copy(), cache, c_prev)
+    h, c, cache = _run_forward(preact, c_prev)
+    dpre, dcp = _run_backward(weights.copy(), c.copy(), cache, c_prev)
     eps = 1e-6
     for k in range(4 * hidden):
         probe = preact.copy()
@@ -98,6 +76,6 @@ def test_backward_matches_finite_differences_pointwise():
 
 
 def test_selected_backend_exposes_kernel_api():
-    assert kernels.BACKEND in ("python", "cython")
+    assert kernels.BACKEND == "python"
     assert callable(kernels.cell_forward)
     assert callable(kernels.cell_backward)

@@ -1,10 +1,19 @@
+import functools
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_sentence, tiny_model
-from conjparse.model import Hyperparams, Model, ModelIOError, Vocabulary
+from conftest import join_model_file, make_sentence, split_model_file, tiny_model
+from conjparse.model import (
+    Hyperparams,
+    Model,
+    ModelIOError,
+    Vocabulary,
+    check_hyperparams,
+)
 from conjparse.resources import EmbeddingTable
 from conjparse.transitions import ParseConfiguration
 from conjparse.treebank import LabelInventory
@@ -189,6 +198,93 @@ def test_load_rejects_trailing_bytes(tmp_path, sentences):
     model.save(buffer)
     with pytest.raises(ModelIOError, match="trailing"):
         Model.load(io.BytesIO(buffer.getvalue() + b"xx"))
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_tiny_model() -> bytes:
+    sentences = [make_sentence([2, 0, 2], labels=["nsubj", "root", "dobj"]),
+                 make_sentence([0], labels=["root"])]
+    buffer = io.BytesIO()
+    tiny_model(sentences).save(buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("key", ["arrays", "hyperparams", "labels", "vocab",
+                                 "trainable", "pretrained_words"])
+def test_load_rejects_missing_metadata_key(key):
+    meta, arrays = split_model_file(_saved_tiny_model())
+    del meta[key]
+    with pytest.raises(ModelIOError, match=f"missing key '{key}'"):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda hp: hp.update(attention=True), "unknown hyperparameter 'attention'"),
+    (lambda hp: hp.pop("lstm_dim"), "missing hyperparameter 'lstm_dim'"),
+    (lambda hp: hp.update(lstm_dim="4"), "'lstm_dim' must be int"),
+])
+def test_load_rejects_bad_hyperparameters(edit, message):
+    meta, arrays = split_model_file(_saved_tiny_model())
+    edit(meta["hyperparams"])
+    with pytest.raises(ModelIOError, match=message):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+def _key_paths(node, prefix=()):
+    """Path to every key of every JSON object nested in ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _key_paths(value, prefix + (index,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_header_mutation_loads_or_raises_model_io_error(data):
+    meta, arrays = split_model_file(_saved_tiny_model())
+    path = data.draw(st.sampled_from(sorted(_key_paths(meta), key=repr)))
+    parent = meta
+    for step in path[:-1]:
+        parent = parent[step]
+    key = path[-1]
+    action = data.draw(st.sampled_from(["drop", "add", "retype"]))
+    if action == "drop":
+        del parent[key]
+    elif action == "add":
+        new_key = data.draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k not in parent))
+        parent[new_key] = data.draw(_JSON)
+    else:
+        old_type = type(parent[key])
+        parent[key] = data.draw(_JSON.filter(lambda v: type(v) is not old_type))
+    try:
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+    except ModelIOError:
+        pass
+
+
+def test_check_hyperparams_names_the_bad_key():
+    assert check_hyperparams({"margin": 2, "lstm_dim": 8}) == {
+        "margin": 2.0, "lstm_dim": 8}
+    for bad, key in (({"lstm_dim": "8"}, "lstm_dim"),
+                     ({"use_conj_features": 1}, "use_conj_features"),
+                     ({"batch_size": True}, "batch_size"),
+                     ({"learning_rate": float("inf")}, "learning_rate"),
+                     ({"lstm_size": 8}, "lstm_size")):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            check_hyperparams(bad)
 
 
 def test_pretrained_lookup_and_freeze(sentences):

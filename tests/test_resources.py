@@ -41,6 +41,14 @@ def test_embedding_non_numeric(tmp_path):
         EmbeddingTable.load(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_embedding_non_finite_rejected_with_line_number(tmp_path, bad):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"ok 0.5 1.0\nbad {bad} 2.0\n")
+    with pytest.raises(ResourceError, match=r"vec\.txt, line 2: non-finite"):
+        EmbeddingTable.load(path)
+
+
 def test_embedding_empty_file(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("")
