@@ -74,11 +74,26 @@ HYPERPARAM_TYPES = {
 }
 
 
+# Allowed range of each numeric hyperparameter that has one.
+HYPERPARAM_RANGES = {
+    **{name: (lambda v: v >= 1, "at least 1")
+       for name in ("word_dim", "pos_dim", "lstm_layers", "lstm_dim", "mlp_dim",
+                    "conj_mlp_dim", "batch_size")},
+    "pretrained_dim": (lambda v: v >= 0, "at least 0"),
+    "learning_rate": (lambda v: v > 0.0, "positive"),
+    "adam_eps": (lambda v: v > 0.0, "positive"),
+    "beta1": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "beta2": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "word_dropout_alpha": (lambda v: v >= 0.0, "at least 0"),
+}
+
+
 def check_hyperparams(values) -> dict:
-    """Validate hyperparameter values by name and type.
+    """Validate hyperparameter values by name, type and range.
 
     Returns a copy in which integers given for float fields become floats.
-    Raises ``ValueError`` naming the first unknown or mistyped key.
+    Raises ``ValueError`` naming the first unknown, mistyped or
+    out-of-range key.
     """
     if not isinstance(values, dict):
         raise ValueError("hyperparameters must be a JSON object, "
@@ -96,6 +111,10 @@ def check_hyperparams(values) -> dict:
                              f"got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ValueError(f"hyperparameter {name!r} must be finite, "
+                             f"got {value!r}")
+        rule = HYPERPARAM_RANGES.get(name)
+        if rule is not None and not rule[0](value):
+            raise ValueError(f"hyperparameter {name!r} must be {rule[1]}, "
                              f"got {value!r}")
         checked[name] = value
     return checked
@@ -147,14 +166,22 @@ class Vocabulary:
 
 @dataclass
 class EncodedSentence:
-    """BiLSTM context vectors, one row per node (row 0 = root)."""
+    """BiLSTM context vectors, one row per node (row 0 = root).
 
-    vectors: np.ndarray
+    ``nodes`` holds the context vectors with the padding vector as one
+    more, last row, so that the feature slot -1 indexes the padding.
+    """
+
+    nodes: np.ndarray
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
     inputs: np.ndarray
     lstm_caches: list
+
+    @property
+    def vectors(self) -> np.ndarray:
+        return self.nodes[:-1]
 
     def vector_of(self, node_id: int) -> np.ndarray:
         return self.vectors[node_id]
@@ -232,54 +259,71 @@ class Model:
               pretrained: Optional[EmbeddingTable] = None,
               seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
-        params: Dict[str, np.ndarray] = {}
-        trainable: List[str] = []
-
-        def add(name, array, train=True):
-            params[name] = np.ascontiguousarray(array, dtype=np.float64)
-            if train:
-                trainable.append(name)
-
-        add("word_emb", rng.uniform(-0.1, 0.1, size=(vocab.n_forms, hp.word_dim)))
-        add("pos_emb", rng.uniform(-0.1, 0.1, size=(vocab.n_pos, hp.pos_dim)))
-
         pretrained_words = None
+        hp.pretrained_dim = 0
         if pretrained is not None:
             pretrained_words = sorted(pretrained.words())
             hp.pretrained_dim = pretrained.dim
-            matrix = np.zeros((len(pretrained_words) + 2, pretrained.dim))
-            for row, word in enumerate(pretrained_words, start=2):
-                matrix[row] = pretrained.lookup(word)
-            add("pre_emb", matrix, train=hp.tune_pretrained)
-        else:
-            hp.pretrained_dim = 0
+        params: Dict[str, np.ndarray] = {}
+        trainable: List[str] = []
+        # Initialised in table order, which fixes the draws for a seed.
+        for name, shape in cls.param_shapes(hp, vocab, labels,
+                                            pretrained_words).items():
+            if name == "pre_emb":
+                value = np.zeros(shape)
+                for row, word in enumerate(pretrained_words, start=2):
+                    value[row] = pretrained.lookup(word)
+            elif name.endswith("_emb"):
+                value = rng.uniform(-0.1, 0.1, size=shape)
+            elif name == "conj.w2":
+                value = network.glorot(rng, 1, shape[0])[0]
+            elif len(shape) == 2:
+                value = network.glorot(rng, *shape)
+            else:  # biases and the padding vector
+                value = np.zeros(shape)
+            params[name] = np.ascontiguousarray(value, dtype=np.float64)
+            if name != "pre_emb" or hp.tune_pretrained:
+                trainable.append(name)
+        return cls(hp, vocab, labels, params, trainable, pretrained_words)
 
+    @classmethod
+    def param_shapes(cls, hp: Hyperparams, vocab: Vocabulary,
+                     labels: LabelInventory,
+                     pretrained_words: Optional[Sequence[str]]
+                     ) -> Dict[str, Tuple[int, ...]]:
+        """Name and shape of every parameter array, in initialisation order.
+
+        ``pre_emb`` is there when the model has pretrained words; its first
+        two rows stand for unknown words and the root.
+        """
+        from .conj_features import FEATURE_SIZE
+
+        shapes: Dict[str, Tuple[int, ...]] = {
+            "word_emb": (vocab.n_forms, hp.word_dim),
+            "pos_emb": (vocab.n_pos, hp.pos_dim),
+        }
+        if pretrained_words is not None:
+            shapes["pre_emb"] = (len(pretrained_words) + 2, hp.pretrained_dim)
         input_dim = hp.word_dim + hp.pretrained_dim + hp.pos_dim
         for layer in range(hp.lstm_layers):
             d_in = input_dim if layer == 0 else 2 * hp.lstm_dim
             for direction in ("fwd", "bwd"):
                 prefix = f"lstm.{layer}.{direction}"
-                add(f"{prefix}.w_x", network.glorot(rng, 4 * hp.lstm_dim, d_in))
-                add(f"{prefix}.w_h", network.glorot(rng, 4 * hp.lstm_dim, hp.lstm_dim))
-                add(f"{prefix}.b", np.zeros(4 * hp.lstm_dim))
-
-        add("pad_vec", np.zeros(2 * hp.lstm_dim))
-
+                shapes[f"{prefix}.w_x"] = (4 * hp.lstm_dim, d_in)
+                shapes[f"{prefix}.w_h"] = (4 * hp.lstm_dim, hp.lstm_dim)
+                shapes[f"{prefix}.b"] = (4 * hp.lstm_dim,)
+        shapes["pad_vec"] = (2 * hp.lstm_dim,)
         feature_dim = cls.feature_dim(hp)
         n_transitions = 2 * len(labels) + 1
-        add("mlp.w1", network.glorot(rng, hp.mlp_dim, feature_dim))
-        add("mlp.b1", np.zeros(hp.mlp_dim))
-        add("mlp.w2", network.glorot(rng, n_transitions, hp.mlp_dim))
-        add("mlp.b2", np.zeros(n_transitions))
-
-        from .conj_features import FEATURE_SIZE
-
-        add("conj.w1", network.glorot(rng, hp.conj_mlp_dim, feature_dim + FEATURE_SIZE))
-        add("conj.b1", np.zeros(hp.conj_mlp_dim))
-        add("conj.w2", network.glorot(rng, 1, hp.conj_mlp_dim)[0])
-        add("conj.b2", np.zeros(1))
-
-        return cls(hp, vocab, labels, params, trainable, pretrained_words)
+        shapes["mlp.w1"] = (hp.mlp_dim, feature_dim)
+        shapes["mlp.b1"] = (hp.mlp_dim,)
+        shapes["mlp.w2"] = (n_transitions, hp.mlp_dim)
+        shapes["mlp.b2"] = (n_transitions,)
+        shapes["conj.w1"] = (hp.conj_mlp_dim, feature_dim + FEATURE_SIZE)
+        shapes["conj.b1"] = (hp.conj_mlp_dim,)
+        shapes["conj.w2"] = (hp.conj_mlp_dim,)
+        shapes["conj.b2"] = (1,)
+        return shapes
 
     @staticmethod
     def feature_dim(hp: Hyperparams) -> int:
@@ -330,7 +374,8 @@ class Model:
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
         vectors, caches = network.bilstm_forward(inputs, self.params,
                                                  self.hp.lstm_layers)
-        return EncodedSentence(vectors, word_ids, pos_ids, pre_ids, inputs, caches)
+        nodes = np.vstack([vectors, self.params["pad_vec"]])
+        return EncodedSentence(nodes, word_ids, pos_ids, pre_ids, inputs, caches)
 
     # ------------------------------------------------------------------
     # configuration features and scoring
@@ -349,20 +394,18 @@ class Model:
                               encoded: EncodedSentence
                               ) -> Tuple[np.ndarray, List[int]]:
         slots = self.feature_slots(config)
-        pad = self.params["pad_vec"]
-        pieces = [
-            encoded.vectors[slot] if slot >= 0 else pad
-            for slot in slots
-        ]
-        return np.concatenate(pieces), slots
+        return encoded.nodes[slots].reshape(-1), slots
 
     def transition_scores(self, features: np.ndarray
                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """Base scores for every transition; also returns the MLP hidden."""
+        """Base scores for every transition; also returns the MLP hidden.
+
+        ``features`` is one feature vector or a matrix with one per row.
+        """
         expected = self.feature_dim(self.hp)
-        if features.shape[0] != expected:
+        if features.shape[-1] != expected:
             raise ValueError(
-                f"feature vector has length {features.shape[0]}, expected {expected}"
+                f"feature vector has length {features.shape[-1]}, expected {expected}"
             )
         return network.mlp_forward(
             features, self.params["mlp.w1"], self.params["mlp.b1"],
@@ -370,11 +413,15 @@ class Model:
         )
 
     def conj_score(self, features: np.ndarray, conj_inputs: np.ndarray
-                   ) -> Tuple[float, np.ndarray, np.ndarray]:
-        """Auxiliary coordination score; returns (score, hidden, joint input)."""
-        joint = np.concatenate([features, conj_inputs])
-        hidden = np.tanh(self.params["conj.w1"] @ joint + self.params["conj.b1"])
-        score = float(self.params["conj.w2"] @ hidden + self.params["conj.b2"][0])
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Auxiliary coordination score; returns (score, hidden, joint input).
+
+        Takes one feature vector and its conj inputs, or matrices with one
+        configuration per row; the score is then one value per row.
+        """
+        joint = np.concatenate([features, conj_inputs], axis=-1)
+        hidden = np.tanh(joint @ self.params["conj.w1"].T + self.params["conj.b1"])
+        score = hidden @ self.params["conj.w2"] + self.params["conj.b2"][0]
         return score, hidden, joint
 
     # ------------------------------------------------------------------
@@ -465,6 +512,19 @@ class Model:
         vocab = Vocabulary(
             meta["vocab"]["forms"], meta["vocab"]["pos_tags"], meta["vocab"]["counts"]
         )
+        expected = cls.param_shapes(hp, vocab, labels, meta["pretrained_words"])
+        for name in [*expected, *sorted(params.keys() - expected.keys())]:
+            if name not in params:
+                raise ModelIOError(f"corrupt model metadata: array {name!r} is "
+                                   "missing")
+            if name not in expected:
+                raise ModelIOError(f"corrupt model metadata: unexpected array "
+                                   f"{name!r}")
+            if params[name].shape != expected[name]:
+                raise ModelIOError(
+                    f"corrupt model metadata: array {name!r} has shape "
+                    f"{list(params[name].shape)}, the header implies "
+                    f"{list(expected[name])}")
         return cls(hp, vocab, labels, params, list(meta["trainable"]),
                    meta["pretrained_words"])
 

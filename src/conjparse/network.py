@@ -88,12 +88,12 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
         dh_rec = w_h.T @ d_preacts[t]
     d_w_x = d_preacts.T @ cache.inputs
     d_b = d_preacts.sum(axis=0)
-    d_w_h = np.zeros_like(w_h)
-    for t in order:
-        if t == first:
-            continue
-        h_prev = cache.hidden[t + 1 if cache.reverse else t - 1]
-        d_w_h += np.outer(d_preacts[t], h_prev)
+    # Step t read the hidden state of its predecessor, t - 1 forward and
+    # t + 1 in reverse; the first step read zeros.
+    if cache.reverse:
+        d_w_h = d_preacts[:-1].T @ cache.hidden[1:]
+    else:
+        d_w_h = d_preacts[1:].T @ cache.hidden[:-1]
     d_inputs = d_preacts @ w_x
     return d_inputs, d_w_x, d_w_h, d_b
 
@@ -153,23 +153,28 @@ def bilstm_backward(d_output: np.ndarray, caches, params: Dict[str, np.ndarray],
 
 def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
                 w2: np.ndarray, b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One tanh hidden layer; returns (output, hidden) for the backward pass."""
-    hidden = np.tanh(w1 @ x + b1)
-    return w2 @ hidden + b2, hidden
+    """One tanh hidden layer over one input vector or a (B, D) matrix of rows.
+
+    Returns (output, hidden) for the backward pass.  A row of a matrix is
+    computed by the same products as a vector on its own, so a batch of
+    one gives bit-identical results.
+    """
+    hidden = np.tanh(x @ w1.T + b1)
+    return hidden @ w2.T + b2, hidden
 
 
 def mlp_backward(d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
                  w1: np.ndarray, w2: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (d_x, d_w1, d_b1, d_w2, d_b2)."""
-    d_w2 = np.outer(d_out, hidden)
-    d_b2 = d_out.copy()
-    d_hidden = w2.T @ d_out
-    d_pre = d_hidden * (1.0 - hidden * hidden)
-    d_w1 = np.outer(d_pre, x)
-    d_b1 = d_pre
-    d_x = w1.T @ d_pre
-    return d_x, d_w1, d_b1, d_w2, d_b2
+    """Backward of ``mlp_forward`` over a batch of rows.
+
+    ``d_out``, ``x`` and ``hidden`` hold one row per input.  Returns
+    (d_x, d_w1, d_b1, d_w2, d_b2): d_x per row, the parameter gradients
+    summed over the rows.
+    """
+    d_pre = (d_out @ w2) * (1.0 - hidden * hidden)
+    return (d_pre @ w1, d_pre.T @ x, d_pre.sum(axis=0),
+            d_out.T @ hidden, d_out.sum(axis=0))
 
 
 class Adam:

@@ -11,7 +11,7 @@ transition index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,15 +34,20 @@ class DecodeError(RuntimeError):
 
 
 @dataclass
-class StepCache:
-    """Forward state of one configuration's scoring, kept for backprop."""
+class ScoredBatch:
+    """Forward state of scoring a batch of configurations, kept for backprop.
 
-    features: np.ndarray
-    slots: List[int]
+    Row r of ``scores`` and ``mlp_hidden`` belongs to configuration r.
+    The conj arrays hold one row per entry of ``conj_rows``, the
+    configurations whose conj score was added to ``conj_index``.
+    """
+
+    scores: np.ndarray
     mlp_hidden: np.ndarray
-    conj_hidden: Optional[np.ndarray]
-    conj_joint: Optional[np.ndarray]
-    conj_index: Optional[int]
+    conj_rows: np.ndarray
+    conj_hidden: Optional[np.ndarray] = None
+    conj_joint: Optional[np.ndarray] = None
+    conj_index: Optional[int] = None
 
 
 def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
@@ -54,43 +59,72 @@ def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
 
 def score_config(model: Model, config: ParseConfiguration,
                  encoded: EncodedSentence, sentence: Sentence,
-                 resources: FeatureResources, want_cache: bool = False
-                 ) -> Tuple[np.ndarray, Optional[StepCache]]:
-    """Augmented transition scores for one configuration."""
-    features, slots = model.config_feature_vector(config, encoded)
-    scores, mlp_hidden = model.transition_scores(features)
-    conj_hidden = conj_joint = None
-    right_conj = model.codec.right_index("conj")
+                 resources: FeatureResources) -> np.ndarray:
+    """Augmented transition scores for one configuration.
+
+    Scores one feature vector with the same model methods that
+    ``score_batch`` applies to a matrix of them.
+    """
+    features, _ = model.config_feature_vector(config, encoded)
+    scores, _ = model.transition_scores(features)
+    right_conj = _conj_index(model)
     pair = conj_candidate(config)
-    if model.hp.use_conj_features and right_conj is not None and pair is not None:
-        head_id, modifier_id = pair
-        feature_vec = extract_forms(
-            sentence.form_of(head_id), sentence.pos_of(head_id),
-            sentence.form_of(modifier_id), sentence.pos_of(modifier_id),
-            resources,
-        )
-        conj_score, conj_hidden, conj_joint = model.conj_score(
-            features, feature_vec.to_inputs()
-        )
+    if right_conj is not None and pair is not None:
+        conj_score, _, _ = model.conj_score(
+            features, _conj_inputs(pair, sentence, resources))
         scores[right_conj] += conj_score
-    if not want_cache:
-        return scores, None
-    cache = StepCache(
-        features=features,
-        slots=slots,
-        mlp_hidden=mlp_hidden,
-        conj_hidden=conj_hidden,
-        conj_joint=conj_joint,
-        conj_index=right_conj if conj_hidden is not None else None,
-    )
-    return scores, cache
+    return scores
+
+
+def score_batch(model: Model, features: np.ndarray,
+                pairs: Sequence[Optional[Tuple[int, int]]], sentence: Sentence,
+                resources: FeatureResources) -> ScoredBatch:
+    """Augmented transition scores for a batch of configurations.
+
+    ``features`` has one feature vector per row and ``pairs`` the row's
+    conj candidate.  The conj features of a pair are extracted once per
+    batch, however many rows share it.
+    """
+    scores, mlp_hidden = model.transition_scores(features)
+    right_conj = _conj_index(model)
+    rows = np.array([row for row, pair in enumerate(pairs) if pair is not None],
+                    dtype=np.intp)
+    if right_conj is None or not rows.size:
+        return ScoredBatch(scores, mlp_hidden, rows[:0])
+    extracted: Dict[Tuple[int, int], np.ndarray] = {}
+    for row in rows:
+        if pairs[row] not in extracted:
+            extracted[pairs[row]] = _conj_inputs(pairs[row], sentence, resources)
+    conj_inputs = np.array([extracted[pairs[row]] for row in rows])
+    conj_scores, conj_hidden, conj_joint = model.conj_score(features[rows],
+                                                            conj_inputs)
+    scores[rows, right_conj] += conj_scores
+    return ScoredBatch(scores, mlp_hidden, rows, conj_hidden, conj_joint,
+                       right_conj)
+
+
+def _conj_index(model: Model) -> Optional[int]:
+    """Transition whose score the coordination MLP adds to, if it is on."""
+    if not model.hp.use_conj_features:
+        return None
+    return model.codec.right_index("conj")
+
+
+def _conj_inputs(pair: Tuple[int, int], sentence: Sentence,
+                 resources: FeatureResources) -> np.ndarray:
+    head_id, modifier_id = pair
+    return extract_forms(
+        sentence.form_of(head_id), sentence.pos_of(head_id),
+        sentence.form_of(modifier_id), sentence.pos_of(modifier_id),
+        resources,
+    ).to_inputs()
 
 
 def augmented_scores(model: Model, config: ParseConfiguration,
                      encoded: EncodedSentence, sentence: Sentence,
                      resources: FeatureResources) -> np.ndarray:
-    scores, _ = score_config(model, config, encoded, sentence, resources)
-    return scores
+    """Public name of ``score_config``."""
+    return score_config(model, config, encoded, sentence, resources)
 
 
 def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
@@ -101,7 +135,7 @@ def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
     encoded = model.encode(sentence)
     config = initial_config(sentence)
     for _ in range(2 * len(sentence)):
-        scores, _ = score_config(model, config, encoded, sentence, resources)
+        scores = score_config(model, config, encoded, sentence, resources)
         mask = legal_mask(config, model.codec, single_root=single_root)
         if not mask.any():
             raise DecodeError(f"no legal transition at {config.summary()}")

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import network
-from .model import Model, Vocabulary
-from .parser import greedy_parse, score_config
+from .model import EncodedSentence, Model, Vocabulary
+from .parser import conj_candidate, greedy_parse, score_batch, score_config
 from .resources import FeatureResources
 from .transitions import apply, initial_config, is_terminal, legal_mask, static_oracle
 from .treebank import Sentence, is_projective
@@ -36,10 +36,11 @@ def oracle_path(sentence: Sentence, model: Model) -> OraclePath:
     if not is_projective(sentence):
         raise NonProjectiveError("cannot derive an oracle path for a "
                                  "non-projective sentence")
+    children = sentence.gold_children()
     path = []
     config = initial_config(sentence)
     while not is_terminal(config):
-        transition = static_oracle(config, sentence)
+        transition = static_oracle(config, sentence, children)
         path.append((config, model.codec.encode(transition)))
         config = apply(config, transition)
     return path
@@ -67,67 +68,84 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
     if path is None:
         path = oracle_path(sentence, model)
     encoded = model.encode(sentence, word_ids=word_ids)
-    want_grads = grads is not None
-    d_vectors = np.zeros_like(encoded.vectors) if want_grads else None
-    loss = 0.0
-    for config, gold_index in path:
-        scores, cache = score_config(
-            model, config, encoded, sentence, resources, want_cache=want_grads
-        )
-        mask = legal_mask(config, model.codec)
-        mask[gold_index] = False
-        if not mask.any():
-            continue  # gold is the only legal transition
-        competitors = np.where(mask, scores, -np.inf)
-        violator = int(np.argmax(competitors))
-        step_loss = model.hp.margin - scores[gold_index] + scores[violator]
-        if step_loss <= 0.0:
-            continue
-        loss += step_loss
-        if not want_grads:
-            continue
-        d_scores = np.zeros(model.n_transitions)
-        d_scores[gold_index] -= 1.0
-        d_scores[violator] += 1.0
-        d_features, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
-            d_scores, cache.features, cache.mlp_hidden,
-            model.params["mlp.w1"], model.params["mlp.w2"],
-        )
-        grads["mlp.w1"] += d_w1
-        grads["mlp.b1"] += d_b1
-        grads["mlp.w2"] += d_w2
-        grads["mlp.b2"] += d_b2
-        if cache.conj_index is not None:
-            conj_coeff = d_scores[cache.conj_index]
-            if conj_coeff != 0.0:
-                d_hidden = conj_coeff * model.params["conj.w2"]
-                d_pre = d_hidden * (1.0 - cache.conj_hidden * cache.conj_hidden)
-                grads["conj.w2"] += conj_coeff * cache.conj_hidden
-                grads["conj.b2"][0] += conj_coeff
-                grads["conj.w1"] += np.outer(d_pre, cache.conj_joint)
-                grads["conj.b1"] += d_pre
-                d_joint = model.params["conj.w1"].T @ d_pre
-                d_features += d_joint[: d_features.shape[0]]
-        width = encoded.vectors.shape[1]
-        for slot_number, node in enumerate(cache.slots):
-            segment = d_features[slot_number * width:(slot_number + 1) * width]
-            if node >= 0:
-                d_vectors[node] += segment
-            else:
-                grads["pad_vec"] += segment
-    if want_grads and loss > 0.0:
-        d_inputs = network.bilstm_backward(
-            d_vectors, encoded.lstm_caches, model.params, grads,
-            model.hp.lstm_layers)
-        word_dim = model.hp.word_dim
-        pre_dim = model.hp.pretrained_dim
-        np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
-        if pre_dim and "pre_emb" in grads:
-            np.add.at(grads["pre_emb"], encoded.pre_ids,
-                      d_inputs[:, word_dim:word_dim + pre_dim])
-        np.add.at(grads["pos_emb"], encoded.pos_ids,
-                  d_inputs[:, word_dim + pre_dim:])
+    loss, d_nodes = _path_hinge(model, path, encoded, sentence, resources, grads)
+    if d_nodes is None:
+        return loss
+    grads["pad_vec"] += d_nodes[-1]
+    d_inputs = network.bilstm_backward(
+        d_nodes[:-1], encoded.lstm_caches, model.params, grads,
+        model.hp.lstm_layers)
+    word_dim = model.hp.word_dim
+    pre_dim = model.hp.pretrained_dim
+    np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
+    if pre_dim and "pre_emb" in grads:
+        np.add.at(grads["pre_emb"], encoded.pre_ids,
+                  d_inputs[:, word_dim:word_dim + pre_dim])
+    np.add.at(grads["pos_emb"], encoded.pos_ids,
+              d_inputs[:, word_dim + pre_dim:])
     return loss
+
+
+def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
+                sentence: Sentence, resources: FeatureResources,
+                grads: Optional[Dict[str, np.ndarray]]
+                ) -> Tuple[float, Optional[np.ndarray]]:
+    """Hinge loss of every configuration on the path, and its gradient.
+
+    The path does not depend on the scores, so its configurations are
+    scored as one batch, one row each, and backpropagated with matrix
+    products over the rows.  Accumulates the MLP gradients into ``grads``
+    and returns the gradient with respect to ``encoded.nodes``, or None
+    when nothing is to be backpropagated.  The batch arrays are freed on
+    return, before the BiLSTM backward pass allocates its own.
+    """
+    configs = [config for config, _ in path]
+    gold = np.array([gold_index for _, gold_index in path])
+    rows = np.arange(len(path))
+    # Slot -1, the padding, indexes the last row of the node table.
+    slots = np.array([model.feature_slots(config) for config in configs])
+    features = encoded.nodes[slots].reshape(len(path), -1)
+    batch = score_batch(model, features, [conj_candidate(c) for c in configs],
+                        sentence, resources)
+    scores = batch.scores
+    competing = np.array([legal_mask(config, model.codec) for config in configs])
+    competing[rows, gold] = False
+    violator = np.argmax(np.where(competing, scores, -np.inf), axis=1)
+    step_loss = model.hp.margin - scores[rows, gold] + scores[rows, violator]
+    # A step counts when the gold transition has a legal competitor and the
+    # margin is violated.
+    active = competing.any(axis=1) & (step_loss > 0.0)
+    loss = float(step_loss[active].sum())
+    if grads is None or loss == 0.0:
+        return loss, None
+    d_scores = np.zeros_like(scores)
+    d_scores[rows[active], gold[active]] -= 1.0
+    d_scores[rows[active], violator[active]] += 1.0
+    d_features, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
+        d_scores, features, batch.mlp_hidden,
+        model.params["mlp.w1"], model.params["mlp.w2"],
+    )
+    grads["mlp.w1"] += d_w1
+    grads["mlp.b1"] += d_b1
+    grads["mlp.w2"] += d_w2
+    grads["mlp.b2"] += d_b2
+    if batch.conj_rows.size:
+        # The conj MLP has one output, added to the score at conj_index; it
+        # gets a gradient where conj is the gold or the violating transition.
+        d_conj = d_scores[batch.conj_rows, batch.conj_index]
+        hit = np.flatnonzero(d_conj)
+        d_joint, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
+            d_conj[hit, np.newaxis], batch.conj_joint[hit], batch.conj_hidden[hit],
+            model.params["conj.w1"], model.params["conj.w2"][np.newaxis],
+        )
+        grads["conj.w1"] += d_w1
+        grads["conj.b1"] += d_b1
+        grads["conj.w2"] += d_w2[0]
+        grads["conj.b2"] += d_b2
+        d_features[batch.conj_rows[hit]] += d_joint[:, :features.shape[1]]
+    d_nodes = np.zeros_like(encoded.nodes)
+    np.add.at(d_nodes, slots, d_features.reshape(len(path), slots.shape[1], -1))
+    return loss, d_nodes
 
 
 def batch_loss(model: Model, batch: Sequence[Sentence],
@@ -259,7 +277,7 @@ def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
     for sentence, path in zip(sentences, paths):
         encoded = model.encode(sentence)
         for config, gold_index in path:
-            scores, _ = score_config(model, config, encoded, sentence, resources)
+            scores = score_config(model, config, encoded, sentence, resources)
             mask = legal_mask(config, model.codec)
             mask[gold_index] = False
             if not mask.any():

@@ -14,7 +14,7 @@ input outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -188,23 +188,30 @@ def apply(config: ParseConfiguration, transition: Transition) -> ParseConfigurat
     raise IllegalTransitionError(f"unknown transition kind {transition.kind!r}")
 
 
-def static_oracle(config: ParseConfiguration, sentence: Sentence) -> Transition:
+def static_oracle(config: ParseConfiguration, sentence: Sentence,
+                  gold_children: Optional[Dict[int, List[int]]] = None
+                  ) -> Transition:
     """Gold transition for a configuration on the oracle path.
 
     Reduce the stack top as soon as its gold head is reachable and all of
     its gold dependents are attached; otherwise shift.  Undefined for
     non-projective sentences.
+
+    ``gold_children`` is ``sentence.gold_children()``.  A caller that walks
+    a whole derivation checks once that the sentence is projective and
+    passes it, so that neither is redone at every step.
     """
-    if not is_projective(sentence):
-        raise OracleError("static oracle undefined for non-projective sentence")
+    if gold_children is None:
+        if not is_projective(sentence):
+            raise OracleError("static oracle undefined for non-projective sentence")
+        gold_children = sentence.gold_children()
     if is_terminal(config):
         raise OracleError("oracle called on terminal configuration")
     top = config.stack[-1] if config.stack else None
     if top is not None and top != ROOT_ID:
         tok = sentence.token(top)
-        children = sentence.gold_children()[top]
-        attached = config.attached()
-        ready = all(child in attached for child in children)
+        children = gold_children[top]
+        ready = not children or set(children) <= config.attached()
         if ready and config.buffer and tok.gold_head == config.buffer[0]:
             return Transition(LEFT, tok.gold_label)
         if ready and len(config.stack) >= 2 and tok.gold_head == config.stack[-2]:
@@ -216,10 +223,13 @@ def static_oracle(config: ParseConfiguration, sentence: Sentence) -> Transition:
 
 def oracle_sequence(sentence: Sentence) -> List[Transition]:
     """Full gold transition sequence from the initial configuration."""
+    if not is_projective(sentence):
+        raise OracleError("static oracle undefined for non-projective sentence")
+    children = sentence.gold_children()
     config = initial_config(sentence)
     sequence: List[Transition] = []
     while not is_terminal(config):
-        transition = static_oracle(config, sentence)
+        transition = static_oracle(config, sentence, children)
         sequence.append(transition)
         config = apply(config, transition)
     return sequence

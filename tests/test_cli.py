@@ -199,6 +199,11 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     ({"lstm_size": 8}, [], "lstm_size"),
     (None, ["--hyper", "lstm_dim=eight"], "lstm_dim"),
     (None, ["--hyper", "use_conj_features=maybe"], "use_conj_features"),
+    (None, ["--hyper", "lstm_layers=0"], "lstm_layers"),
+    (None, ["--hyper", "mlp_dim=0"], "mlp_dim"),
+    ({"learning_rate": 0}, [], "learning_rate"),
+    ({"beta2": 1.0}, [], "beta2"),
+    (None, ["--hyper", "word_dropout_alpha=-0.5"], "word_dropout_alpha"),
 ])
 def test_bad_hyperparameter_is_a_one_line_error(tmp_path, train_file, capsys,
                                                 config, hyper, key):
@@ -227,6 +232,25 @@ def test_exit_code_model_with_unknown_hyperparameter(tmp_path, train_file, capsy
     err = capsys.readouterr().err
     assert err.startswith("model error: ") and err.count("\n") == 1
     assert "'attention'" in err
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda meta: meta["hyperparams"].update(lstm_dim=5), "lstm.0.fwd.w_x"),
+    (lambda meta: meta.update(pretrained_words=["w1"]), "pre_emb"),
+])
+def test_exit_code_model_header_contradicting_its_arrays(tmp_path, train_file,
+                                                         capsys, edit, key):
+    model_path = _train(tmp_path, train_file, epochs=1)
+    meta, arrays = split_model_file(model_path.read_bytes())
+    edit(meta)
+    model_path.write_bytes(join_model_file(meta, arrays))
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and err.count("\n") == 1
+    assert f"'{key}'" in err
 
 
 def test_exit_code_malformed_treebank(tmp_path, capsys):

@@ -222,10 +222,28 @@ def test_load_rejects_missing_metadata_key(key):
     (lambda hp: hp.update(attention=True), "unknown hyperparameter 'attention'"),
     (lambda hp: hp.pop("lstm_dim"), "missing hyperparameter 'lstm_dim'"),
     (lambda hp: hp.update(lstm_dim="4"), "'lstm_dim' must be int"),
+    (lambda hp: hp.update(lstm_layers=0), "'lstm_layers' must be at least 1"),
 ])
 def test_load_rejects_bad_hyperparameters(edit, message):
     meta, arrays = split_model_file(_saved_tiny_model())
     edit(meta["hyperparams"])
+    with pytest.raises(ModelIOError, match=message):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["hyperparams"].update(lstm_dim=5),
+     r"array 'lstm.0.fwd.w_x' has shape \[16, 8\], the header implies \[20, 8\]"),
+    (lambda meta: meta.update(pretrained_words=["w1"]), "array 'pre_emb' is missing"),
+    (lambda meta: meta["vocab"]["forms"].append("extra"),
+     r"array 'word_emb' has shape \[\d+, 5\]"),
+    (lambda meta: meta["labels"].append("extra"), "array 'mlp.w2' has shape"),
+    (lambda meta: meta["hyperparams"].update(lstm_layers=1),
+     "unexpected array 'lstm.1.bwd.b'"),
+])
+def test_load_rejects_arrays_that_contradict_the_header(edit, message):
+    meta, arrays = split_model_file(_saved_tiny_model())
+    edit(meta)
     with pytest.raises(ModelIOError, match=message):
         Model.load(io.BytesIO(join_model_file(meta, arrays)))
 
@@ -282,7 +300,11 @@ def test_check_hyperparams_names_the_bad_key():
                      ({"use_conj_features": 1}, "use_conj_features"),
                      ({"batch_size": True}, "batch_size"),
                      ({"learning_rate": float("inf")}, "learning_rate"),
-                     ({"lstm_size": 8}, "lstm_size")):
+                     ({"lstm_size": 8}, "lstm_size"),
+                     ({"conj_mlp_dim": 0}, "conj_mlp_dim"),
+                     ({"batch_size": 0}, "batch_size"),
+                     ({"adam_eps": 0.0}, "adam_eps"),
+                     ({"beta1": -0.1}, "beta1")):
         with pytest.raises(ValueError, match=f"'{key}'"):
             check_hyperparams(bad)
 

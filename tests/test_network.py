@@ -114,14 +114,14 @@ def test_mlp_bias_forces_argmax():
 
 def test_mlp_backward_finite_differences():
     rng = np.random.default_rng(8)
-    d_out = rng.normal(size=4)
+    d_out = rng.normal(size=(3, 4))
 
     def loss(x, w1, b1, w2, b2):
         out, _ = network.mlp_forward(x, w1, b1, w2, b2)
-        return float(d_out @ out)
+        return float((d_out * out).sum())
 
-    params = [MLP_X.copy(), MLP_W1.copy(), MLP_B1.copy(),
-              MLP_W2.copy(), MLP_B2.copy()]
+    rows = np.vstack([MLP_X, -MLP_X, rng.normal(size=3)])
+    params = [rows, MLP_W1.copy(), MLP_B1.copy(), MLP_W2.copy(), MLP_B2.copy()]
     out, hidden = network.mlp_forward(*params)
     grads = network.mlp_backward(d_out, params[0], hidden, params[1], params[3])
     eps = 1e-6

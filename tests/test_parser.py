@@ -140,7 +140,7 @@ def test_large_conj_bias_forces_right_conj(conj_sentences, empty_resources):
     sentence = conj_sentences[0]
     encoded = model.encode(sentence)
     config = ParseConfiguration(stack=(0, 3, 5), buffer=())
-    scores, _ = score_config(model, config, encoded, sentence, empty_resources)
+    scores = score_config(model, config, encoded, sentence, empty_resources)
     mask = legal_mask(config, model.codec)
     winner = int(np.argmax(np.where(mask, scores, -np.inf)))
     assert model.codec.decode(winner).kind == "right"
@@ -154,9 +154,7 @@ def test_no_conj_score_when_stack_shallow(conj_sentences, empty_resources):
     sentence = conj_sentences[0]
     encoded = model.encode(sentence)
     config = initial_config(len(sentence))  # stack depth 1: no right arcs
-    scores, cache = score_config(model, config, encoded, sentence,
-                                 empty_resources, want_cache=True)
-    assert cache.conj_index is None
+    scores = score_config(model, config, encoded, sentence, empty_resources)
     features, _ = model.config_feature_vector(config, encoded)
     base, _ = model.transition_scores(features)
     assert np.array_equal(scores, base)

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import GRADCHECK_FIXTURE, make_sentence, tiny_model
-from conjparse import network
-from conjparse.model import Vocabulary
-from conjparse.resources import FeatureResources
+from conftest import DATA, GRADCHECK_FIXTURE, make_sentence, tiny_model
+from conjparse import network, training, transitions
+from conjparse.conj_features import extract_forms
+from conjparse.model import Hyperparams, Model, Vocabulary
+from conjparse.parser import conj_candidate
+from conjparse.resources import (
+    EmbeddingTable,
+    FeatureResources,
+    LemmaLexicon,
+    SentimentLexicon,
+)
 from conjparse.training import (
     NonProjectiveError,
     dropped_word_ids,
@@ -16,7 +23,8 @@ from conjparse.training import (
     train_model,
     train_step,
 )
-from conjparse.treebank import read_conll
+from conjparse.transitions import legal_mask
+from conjparse.treebank import LabelInventory, is_projective, read_conll
 
 
 @pytest.fixture()
@@ -204,3 +212,169 @@ def test_kink_margin_reports_small_value_at_zero_point(conj_sentence,
     for key in model.trainable:
         model.params[key][...] = 0.0
     assert hinge_kink_margin(model, [conj_sentence], empty_resources) == 0.0
+
+
+def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
+    """The per-configuration loop that the batched ``sentence_loss`` replaced.
+
+    It scores one configuration at a time and accumulates every parameter
+    gradient with outer products, so it rounds differently from the
+    batched matrix products but computes the same function.
+    """
+    path = oracle_path(sentence, model)
+    encoded = model.encode(sentence, word_ids=word_ids)
+    d_vectors = np.zeros_like(encoded.vectors)
+    width = d_vectors.shape[1]
+    right_conj = model.codec.right_index("conj")
+    loss = 0.0
+    for config, gold in path:
+        features, slots = model.config_feature_vector(config, encoded)
+        scores, hidden = model.transition_scores(features)
+        conj = None
+        pair = conj_candidate(config)
+        if model.hp.use_conj_features and right_conj is not None and pair:
+            head, modifier = pair
+            inputs = extract_forms(
+                sentence.form_of(head), sentence.pos_of(head),
+                sentence.form_of(modifier), sentence.pos_of(modifier),
+                resources).to_inputs()
+            value, conj_hidden, conj_joint = model.conj_score(features, inputs)
+            scores[right_conj] += value
+            conj = conj_hidden, conj_joint
+        mask = legal_mask(config, model.codec)
+        mask[gold] = False
+        if not mask.any():
+            continue
+        violator = int(np.argmax(np.where(mask, scores, -np.inf)))
+        step_loss = model.hp.margin - scores[gold] + scores[violator]
+        if step_loss <= 0.0:
+            continue
+        loss += step_loss
+        d_scores = np.zeros(model.n_transitions)
+        d_scores[gold] -= 1.0
+        d_scores[violator] += 1.0
+        d_pre = (model.params["mlp.w2"].T @ d_scores) * (1.0 - hidden * hidden)
+        grads["mlp.w2"] += np.outer(d_scores, hidden)
+        grads["mlp.b2"] += d_scores
+        grads["mlp.w1"] += np.outer(d_pre, features)
+        grads["mlp.b1"] += d_pre
+        d_features = model.params["mlp.w1"].T @ d_pre
+        if conj is not None and d_scores[right_conj] != 0.0:
+            coeff = d_scores[right_conj]
+            conj_hidden, conj_joint = conj
+            d_conj_pre = (coeff * model.params["conj.w2"]
+                          * (1.0 - conj_hidden * conj_hidden))
+            grads["conj.w2"] += coeff * conj_hidden
+            grads["conj.b2"][0] += coeff
+            grads["conj.w1"] += np.outer(d_conj_pre, conj_joint)
+            grads["conj.b1"] += d_conj_pre
+            d_joint = model.params["conj.w1"].T @ d_conj_pre
+            d_features += d_joint[:features.shape[0]]
+        for number, node in enumerate(slots):
+            segment = d_features[number * width:(number + 1) * width]
+            if node >= 0:
+                d_vectors[node] += segment
+            else:
+                grads["pad_vec"] += segment
+    if loss > 0.0:
+        d_inputs = network.bilstm_backward(
+            d_vectors, encoded.lstm_caches, model.params, grads,
+            model.hp.lstm_layers)
+        word_dim, pre_dim = model.hp.word_dim, model.hp.pretrained_dim
+        np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
+        if pre_dim and "pre_emb" in grads:
+            np.add.at(grads["pre_emb"], encoded.pre_ids,
+                      d_inputs[:, word_dim:word_dim + pre_dim])
+        np.add.at(grads["pos_emb"], encoded.pos_ids,
+                  d_inputs[:, word_dim + pre_dim:])
+    return loss
+
+
+def _data_resources():
+    return FeatureResources(
+        lemmas=LemmaLexicon.load(DATA / "lemmas.tsv"),
+        sentiment=SentimentLexicon.load(DATA / "sentiment_positive.txt",
+                                        DATA / "sentiment_negative.txt"),
+        embeddings=EmbeddingTable.load(DATA / "embeddings_sample.txt"),
+    )
+
+
+def _assert_matches_reference(model, sentences, resources, word_ids):
+    batched, reference = model.zero_grads(), model.zero_grads()
+    for sentence, ids in zip(sentences, word_ids):
+        loss = sentence_loss(model, sentence, resources, grads=batched,
+                             word_ids=ids)
+        expected = _reference_sentence_loss(model, sentence, resources,
+                                            reference, word_ids=ids)
+        assert expected > 0.0
+        assert abs(loss - expected) <= 1e-12 * expected
+    for key in model.trainable:
+        np.testing.assert_allclose(batched[key], reference[key],
+                                   rtol=1e-9, atol=1e-12, err_msg=key)
+    assert np.abs(batched["conj.w1"]).sum() > 0.0  # the conj MLP was reached
+
+
+def test_batched_loss_matches_per_configuration_loop_on_gradcheck_fixture(
+        empty_resources):
+    sentences = read_conll(GRADCHECK_FIXTURE)
+    model = tiny_model(sentences, seed=3)
+    jitter_params(model, seed=4)
+    _assert_matches_reference(model, sentences, empty_resources,
+                              [None] * len(sentences))
+
+
+def test_batched_loss_matches_per_configuration_loop_with_resources():
+    # Two coordinations with pretrained embeddings, lexicons, tuned
+    # pretrained vectors and word dropout.
+    sentence = make_sentence(
+        [2, 0, 2, 3, 3, 3, 8, 2, 8, 11, 8],
+        labels=["nsubj", "root", "dobj", "cc", "conj", "punct", "det",
+                "conj", "amod", "cc", "conj"],
+        forms=["Spain", "sells", "shares", "and", "bonds", ",", "a", "house",
+               "big", "or", "markets"],
+        pos=["NNP", "VBZ", "NNS", "CC", "NNS", ",", "DT", "NN", "JJ", "CC",
+             "NNS"],
+    )
+    resources = _data_resources()
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=2, lstm_dim=4,
+                     mlp_dim=6, conj_mlp_dim=5, word_dropout_alpha=2.0,
+                     tune_pretrained=True)
+    model = Model.build(hp, Vocabulary.from_corpus([sentence]),
+                        LabelInventory.from_sentences([sentence]),
+                        pretrained=resources.embeddings, seed=5)
+    assert "pre_emb" in model.trainable
+    jitter_params(model, seed=6)
+    ids = dropped_word_ids(sentence, model, np.random.default_rng(1))
+    assert (ids[1:] == Vocabulary.UNK).any()
+    _assert_matches_reference(model, [sentence], resources, [ids])
+
+
+def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
+                                                    empty_resources):
+    model = tiny_model([conj_sentence])
+    calls = []
+    original = model.transition_scores
+
+    def counting(features):
+        calls.append(features.shape)
+        return original(features)
+
+    model.transition_scores = counting
+    path = oracle_path(conj_sentence, model)
+    sentence_loss(model, conj_sentence, empty_resources,
+                  grads=model.zero_grads(), path=path)
+    assert calls == [(len(path), Model.feature_dim(model.hp))]
+
+
+def test_oracle_path_checks_projectivity_once(conj_sentence, monkeypatch):
+    calls = []
+
+    def counting(sentence):
+        calls.append(sentence)
+        return is_projective(sentence)
+
+    monkeypatch.setattr(training, "is_projective", counting)
+    monkeypatch.setattr(transitions, "is_projective", counting)
+    path = oracle_path(conj_sentence, tiny_model([conj_sentence]))
+    assert len(path) == 2 * len(conj_sentence)
+    assert calls == [conj_sentence]
