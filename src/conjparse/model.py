@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,15 +176,11 @@ class EncodedSentence:
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
-    inputs: np.ndarray
     lstm_caches: list
 
     @property
     def vectors(self) -> np.ndarray:
         return self.nodes[:-1]
-
-    def vector_of(self, node_id: int) -> np.ndarray:
-        return self.vectors[node_id]
 
 
 def _is_list_of(value, kind) -> bool:
@@ -260,10 +256,10 @@ class Model:
               seed: int = 0) -> "Model":
         rng = np.random.default_rng(seed)
         pretrained_words = None
-        hp.pretrained_dim = 0
+        # A copy: the caller's Hyperparams may build other models.
+        hp = replace(hp, pretrained_dim=0 if pretrained is None else pretrained.dim)
         if pretrained is not None:
             pretrained_words = sorted(pretrained.words())
-            hp.pretrained_dim = pretrained.dim
         params: Dict[str, np.ndarray] = {}
         trainable: List[str] = []
         # Initialised in table order, which fixes the draws for a seed.
@@ -375,7 +371,7 @@ class Model:
         vectors, caches = network.bilstm_forward(inputs, self.params,
                                                  self.hp.lstm_layers)
         nodes = np.vstack([vectors, self.params["pad_vec"]])
-        return EncodedSentence(nodes, word_ids, pos_ids, pre_ids, inputs, caches)
+        return EncodedSentence(nodes, word_ids, pos_ids, pre_ids, caches)
 
     # ------------------------------------------------------------------
     # configuration features and scoring

@@ -4,6 +4,11 @@ Everything runs in float64 and is written as explicit forward/backward
 pairs; gradients are derived analytically and verified against central
 finite differences by the test suite.  The per-token gate math of the LSTM
 cell lives in ``kernels``.
+
+``lstm_forward``/``lstm_backward`` run one LSTM left to right.  The
+backward half of each BiLSTM layer is that same LSTM run over the reversed
+sequence; ``bilstm_forward``/``bilstm_backward`` reverse its inputs and
+flip its states and gradients back into sequence order.
 """
 
 from __future__ import annotations
@@ -23,28 +28,23 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 class LstmLayerCache:
     """Everything the backward pass needs for one direction of one layer."""
 
-    __slots__ = ("inputs", "preacts", "hidden", "cells", "gates", "reverse")
+    __slots__ = ("inputs", "hidden", "cells", "gates")
 
-    def __init__(self, inputs, preacts, hidden, cells, gates, reverse):
+    def __init__(self, inputs, hidden, cells, gates):
         self.inputs = inputs
-        self.preacts = preacts
         self.hidden = hidden
         self.cells = cells
         self.gates = gates
-        self.reverse = reverse
 
 
 def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
-                 b: np.ndarray, reverse: bool = False
-                 ) -> Tuple[np.ndarray, LstmLayerCache]:
-    """Run one LSTM direction over a (T, D) input sequence.
+                 b: np.ndarray) -> Tuple[np.ndarray, LstmLayerCache]:
+    """Run one left-to-right LSTM over a (T, D) input sequence.
 
-    Returns the (T, H) hidden states in original sequence order plus the
-    cache for the backward pass.
+    Returns the (T, H) hidden states plus the cache for the backward pass.
     """
     steps = inputs.shape[0]
     hidden_size = w_h.shape[1]
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
     # Input contributions for all steps at once; the recurrent term is
     # added step by step.
     preacts = inputs @ w_x.T + b
@@ -53,49 +53,45 @@ def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     gates = np.zeros((steps, 5, hidden_size))
     h_prev = np.zeros(hidden_size)
     c_prev = np.zeros(hidden_size)
-    for t in order:
+    for t in range(steps):
         preacts[t] += w_h @ h_prev
         kernels.cell_forward(preacts[t], c_prev, hidden[t], cells[t], gates[t])
         h_prev = hidden[t]
         c_prev = cells[t]
-    return hidden, LstmLayerCache(inputs, preacts, hidden, cells, gates, reverse)
+    return hidden, LstmLayerCache(inputs, hidden, cells, gates)
 
 
 def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
                   w_h: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate through one LSTM direction.
+    """Backpropagate through one left-to-right LSTM.
 
-    ``d_hidden`` holds dLoss/dh per step in sequence order.  Returns
+    ``d_hidden`` holds dLoss/dh per step.  Returns
     (d_inputs, d_w_x, d_w_h, d_b).
     """
     steps, hidden_size = d_hidden.shape
-    order = range(steps) if cache.reverse else range(steps - 1, -1, -1)
     d_preacts = np.zeros((steps, 4 * hidden_size))
     dc_next = np.zeros(hidden_size)
     dh_rec = np.zeros(hidden_size)
     dc_prev = np.zeros(hidden_size)
-    first = steps - 1 if cache.reverse else 0
-    for t in order:
+    for t in range(steps - 1, -1, -1):
         dh_total = d_hidden[t] + dh_rec
-        if t == first:
-            c_prev = np.zeros(hidden_size)
-        else:
-            c_prev = cache.cells[t + 1 if cache.reverse else t - 1]
+        c_prev = cache.cells[t - 1] if t > 0 else np.zeros(hidden_size)
         kernels.cell_backward(dh_total, dc_next, cache.gates[t], c_prev,
                               d_preacts[t], dc_prev)
         dc_next = dc_prev.copy()
         dh_rec = w_h.T @ d_preacts[t]
     d_w_x = d_preacts.T @ cache.inputs
     d_b = d_preacts.sum(axis=0)
-    # Step t read the hidden state of its predecessor, t - 1 forward and
-    # t + 1 in reverse; the first step read zeros.
-    if cache.reverse:
-        d_w_h = d_preacts[:-1].T @ cache.hidden[1:]
-    else:
-        d_w_h = d_preacts[1:].T @ cache.hidden[:-1]
+    # Step t read the hidden state of step t - 1; the first step read zeros.
+    d_w_h = d_preacts[1:].T @ cache.hidden[:-1]
     d_inputs = d_preacts @ w_x
     return d_inputs, d_w_x, d_w_h, d_b
+
+
+# The order in which each direction reads the sequence: the backward LSTM
+# is the forward one run over the reversed sequence.
+_DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
 
 
 def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
@@ -105,22 +101,18 @@ def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
     caches = []
     current = inputs
     for layer in range(n_layers):
-        fwd, fwd_cache = lstm_forward(
-            current,
-            params[f"lstm.{layer}.fwd.w_x"],
-            params[f"lstm.{layer}.fwd.w_h"],
-            params[f"lstm.{layer}.fwd.b"],
-            reverse=False,
-        )
-        bwd, bwd_cache = lstm_forward(
-            current,
-            params[f"lstm.{layer}.bwd.w_x"],
-            params[f"lstm.{layer}.bwd.w_h"],
-            params[f"lstm.{layer}.bwd.b"],
-            reverse=True,
-        )
-        current = np.concatenate([fwd, bwd], axis=1)
-        caches.append((fwd_cache, bwd_cache))
+        states, layer_caches = [], []
+        for direction, order in _DIRECTIONS:
+            prefix = f"lstm.{layer}.{direction}"
+            # A contiguous copy: numpy's matmul skips BLAS on a negative
+            # stride, which is slower and rounds differently.
+            hidden, cache = lstm_forward(
+                np.ascontiguousarray(current[order]), params[f"{prefix}.w_x"],
+                params[f"{prefix}.w_h"], params[f"{prefix}.b"])
+            states.append(hidden[order])
+            layer_caches.append(cache)
+        current = np.concatenate(states, axis=1)
+        caches.append(tuple(layer_caches))
     return current, caches
 
 
@@ -130,24 +122,18 @@ def bilstm_backward(d_output: np.ndarray, caches, params: Dict[str, np.ndarray],
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
     for layer in range(n_layers - 1, -1, -1):
-        fwd_cache, bwd_cache = caches[layer]
-        d_fwd = d_current[:, :hidden_size]
-        d_bwd = d_current[:, hidden_size:]
-        d_in_f, d_wx_f, d_wh_f, d_b_f = lstm_backward(
-            d_fwd, fwd_cache,
-            params[f"lstm.{layer}.fwd.w_x"], params[f"lstm.{layer}.fwd.w_h"],
-        )
-        d_in_b, d_wx_b, d_wh_b, d_b_b = lstm_backward(
-            d_bwd, bwd_cache,
-            params[f"lstm.{layer}.bwd.w_x"], params[f"lstm.{layer}.bwd.w_h"],
-        )
-        grads[f"lstm.{layer}.fwd.w_x"] += d_wx_f
-        grads[f"lstm.{layer}.fwd.w_h"] += d_wh_f
-        grads[f"lstm.{layer}.fwd.b"] += d_b_f
-        grads[f"lstm.{layer}.bwd.w_x"] += d_wx_b
-        grads[f"lstm.{layer}.bwd.w_h"] += d_wh_b
-        grads[f"lstm.{layer}.bwd.b"] += d_b_b
-        d_current = d_in_f + d_in_b
+        d_inputs = []
+        for index, (direction, order) in enumerate(_DIRECTIONS):
+            prefix = f"lstm.{layer}.{direction}"
+            columns = slice(index * hidden_size, (index + 1) * hidden_size)
+            d_in, d_w_x, d_w_h, d_b = lstm_backward(
+                d_current[order, columns], caches[layer][index],
+                params[f"{prefix}.w_x"], params[f"{prefix}.w_h"])
+            grads[f"{prefix}.w_x"] += d_w_x
+            grads[f"{prefix}.w_h"] += d_w_h
+            grads[f"{prefix}.b"] += d_b
+            d_inputs.append(d_in[order])
+        d_current = d_inputs[0] + d_inputs[1]
     return d_current
 
 

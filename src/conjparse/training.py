@@ -11,6 +11,7 @@ central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -168,12 +169,11 @@ def train_step(batch: Sequence[Sentence], model: Model,
                resources: FeatureResources, optimizer: network.Adam,
                rng: Optional[np.random.Generator] = None,
                paths: Optional[Sequence[OraclePath]] = None) -> float:
-    """One optimizer update on a batch; returns the pre-update loss."""
-    for sentence in batch:
-        if not is_projective(sentence):
-            raise NonProjectiveError(
-                "train_step received a non-projective sentence; filter first"
-            )
+    """One optimizer update on a batch; returns the pre-update loss.
+
+    A non-projective sentence raises ``NonProjectiveError`` from
+    ``oracle_path`` before any update.
+    """
     ids = None
     if rng is not None and model.hp.word_dropout_alpha > 0.0:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
@@ -211,9 +211,8 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
     """
     from .evaluation import attachment_scores
 
-    for sentence in train_sentences:
-        if not is_projective(sentence):
-            raise NonProjectiveError("non-projective sentence in training data")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     rng = np.random.default_rng(seed)
     optimizer = network.Adam(
         model.params, model.trainable,
@@ -321,7 +320,8 @@ class GradCheckReport:
 
     @property
     def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
+        # NaN propagates through np.max, and then fails the check.
+        return float(np.max([e.max_rel_error for e in self.entries], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -336,8 +336,13 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
     """Compare analytic gradients with central finite differences.
 
     ``corrupt_key`` deliberately offsets one analytic gradient so negative
-    tests can confirm the check actually detects a broken gradient.
+    tests can confirm the check actually detects a broken gradient.  A NaN
+    relative error fails the check.
     """
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"gradient check {name} must be positive and finite, "
+                             f"got {value!r}")
     paths = [oracle_path(s, model) for s in sentences]
     grads = model.zero_grads()
     batch_loss(model, sentences, resources, grads=grads, paths=paths)
@@ -350,8 +355,7 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
     entries = []
     for key in keys if keys is not None else model.trainable:
         param = model.params[key]
-        worst = 0.0
-        checked = 0
+        errors = []
         for index in np.ndindex(param.shape):
             original = param[index]
             param[index] = original + step
@@ -362,9 +366,10 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             analytic = grads[key][index]
             scale = max(abs(analytic), abs(numeric), 1e-6)
-            worst = max(worst, abs(analytic - numeric) / scale)
-            checked += 1
-        entries.append(GradCheckEntry(key=key, max_rel_error=worst, checked=checked))
+            errors.append(abs(analytic - numeric) / scale)
+        entries.append(GradCheckEntry(
+            key=key, max_rel_error=float(np.max(errors, initial=0.0)),
+            checked=len(errors)))
     margin = hinge_kink_margin(model, sentences, resources, paths=paths)
     return GradCheckReport(entries=entries, step=step, tolerance=tolerance,
                            kink_margin=margin)

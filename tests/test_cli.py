@@ -181,6 +181,29 @@ def test_gradcheck_corrupted_fails(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--step", "nan"], ["--step", "0"], ["--step=-1e-4"], ["--step", "inf"],
+    ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "0"],
+])
+def test_gradcheck_bad_step_or_tolerance_is_a_one_line_error(capsys, flags):
+    assert main(["gradcheck", *flags]) == EXIT_OTHER
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "positive and finite" in captured.err
+    assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_train_fewer_than_one_epoch_is_a_one_line_error(tmp_path, train_file,
+                                                        capsys, epochs):
+    args = ["train", "--train", str(train_file), "--seed", "1", "--epochs", epochs,
+            "--model", str(tmp_path / "model.bin"), *TINY_HYPERS]
+    assert main(args) == EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err == f"error: epochs must be at least 1, got {epochs}\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_exit_code_missing_data(tmp_path, capsys):
     code = main(["analyze", "--input", str(tmp_path / "missing.conllx")])
     assert code == EXIT_DATA

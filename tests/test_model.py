@@ -14,7 +14,8 @@ from conjparse.model import (
     Vocabulary,
     check_hyperparams,
 )
-from conjparse.resources import EmbeddingTable
+from conjparse.resources import EmbeddingTable, FeatureResources
+from conjparse.training import sentence_loss
 from conjparse.transitions import ParseConfiguration
 from conjparse.treebank import LabelInventory
 
@@ -326,3 +327,23 @@ def test_pretrained_lookup_and_freeze(sentences):
     # lowercase fallback
     cap = make_sentence([0], labels=["root"], forms=["Eats"], pos=["VBZ"])
     assert frozen.pretrained_ids_of(cap)[1] == 3
+
+
+def test_build_leaves_the_callers_hyperparams_alone(sentences):
+    # Two models built from one Hyperparams with tables of different widths
+    # must each keep their own pretrained_dim.
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=1, lstm_dim=4, mlp_dim=6,
+                     conj_mlp_dim=5, word_dropout_alpha=0.0)
+    vocab = Vocabulary.from_corpus(sentences)
+    labels = LabelInventory.from_sentences(sentences)
+    first = Model.build(hp, vocab, labels, seed=1, pretrained=EmbeddingTable(
+        {"eats": np.array([1.0, 2.0])}, dim=2))
+    second = Model.build(hp, vocab, labels, seed=1, pretrained=EmbeddingTable(
+        {"eats": np.arange(4.0)}, dim=4))
+    assert (hp.pretrained_dim, first.hp.pretrained_dim,
+            second.hp.pretrained_dim) == (0, 2, 4)
+    assert sentence_loss(first, sentences[0], FeatureResources.empty(),
+                         grads=first.zero_grads()) > 0.0
+    buffer = io.BytesIO()
+    first.save(buffer)
+    assert Model.load(io.BytesIO(buffer.getvalue())).hp == first.hp

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from conjparse import network
 
@@ -32,14 +31,6 @@ def test_lstm_forward_matches_hand_simulation():
     np.testing.assert_allclose(cache.cells, GOLD_C, atol=1e-15)
 
 
-def test_lstm_reverse_is_forward_on_reversed_input():
-    hidden_rev, _ = network.lstm_forward(GOLD_X, GOLD_W_X, GOLD_W_H, GOLD_B,
-                                         reverse=True)
-    hidden_fwd, _ = network.lstm_forward(GOLD_X[::-1].copy(), GOLD_W_X,
-                                         GOLD_W_H, GOLD_B)
-    np.testing.assert_allclose(hidden_rev, hidden_fwd[::-1], atol=1e-15)
-
-
 def test_lstm_zero_parameters_give_zero_states():
     inputs = np.random.default_rng(0).normal(size=(4, 3))
     hidden, cache = network.lstm_forward(
@@ -49,8 +40,7 @@ def test_lstm_zero_parameters_give_zero_states():
     np.testing.assert_array_equal(cache.cells, 0.0)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_layer_gradients(reverse):
+def test_lstm_layer_gradients():
     rng = np.random.default_rng(4)
     steps, dim, hidden_size = 5, 3, 4
     inputs = rng.normal(size=(steps, dim))
@@ -60,10 +50,10 @@ def test_lstm_layer_gradients(reverse):
     mix = rng.normal(size=(steps, hidden_size))
 
     def loss(i_, wx_, wh_, b_):
-        h, _ = network.lstm_forward(i_, wx_, wh_, b_, reverse=reverse)
+        h, _ = network.lstm_forward(i_, wx_, wh_, b_)
         return float((mix * h).sum())
 
-    hidden, cache = network.lstm_forward(inputs, w_x, w_h, b, reverse=reverse)
+    hidden, cache = network.lstm_forward(inputs, w_x, w_h, b)
     d_inputs, d_wx, d_wh, d_b = network.lstm_backward(mix.copy(), cache, w_x, w_h)
     eps = 1e-6
     for arr, grad in ((inputs, d_inputs), (w_x, d_wx), (w_h, d_wh), (b, d_b)):
@@ -136,9 +126,7 @@ def test_mlp_backward_finite_differences():
             assert abs((up - down) / (2 * eps) - grad[index]) < 1e-8
 
 
-def test_bilstm_output_shape():
-    rng = np.random.default_rng(2)
-    steps, dim, hidden_size = 6, 4, 3
+def _two_layer_bilstm_params(rng, dim, hidden_size):
     params = {}
     for layer, d_in in ((0, dim), (1, 2 * hidden_size)):
         for direction in ("fwd", "bwd"):
@@ -146,9 +134,45 @@ def test_bilstm_output_shape():
             params[f"{prefix}.w_x"] = rng.normal(size=(4 * hidden_size, d_in)) * 0.4
             params[f"{prefix}.w_h"] = rng.normal(size=(4 * hidden_size, hidden_size)) * 0.4
             params[f"{prefix}.b"] = rng.normal(size=4 * hidden_size) * 0.1
+    return params
+
+
+def test_bilstm_output_shape():
+    rng = np.random.default_rng(2)
+    steps, dim, hidden_size = 6, 4, 3
+    params = _two_layer_bilstm_params(rng, dim, hidden_size)
     inputs = rng.normal(size=(steps, dim))
     out, _ = network.bilstm_forward(inputs, params, 2)
     assert out.shape == (steps, 2 * hidden_size)
+
+
+def test_bilstm_backward_finite_differences():
+    # Both directions of both layers, so every flip between sequence order
+    # and the backward direction's reading order is on the path.
+    rng = np.random.default_rng(6)
+    steps, dim, hidden_size = 4, 3, 2
+    params = _two_layer_bilstm_params(rng, dim, hidden_size)
+    inputs = rng.normal(size=(steps, dim))
+    mix = rng.normal(size=(steps, 2 * hidden_size))
+
+    def loss():
+        out, _ = network.bilstm_forward(inputs, params, 2)
+        return float((mix * out).sum())
+
+    _, caches = network.bilstm_forward(inputs, params, 2)
+    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    d_inputs = network.bilstm_backward(mix.copy(), caches, params, grads, 2)
+    eps = 1e-6
+    checks = [(inputs, d_inputs)] + [(params[key], grads[key]) for key in params]
+    for arr, grad in checks:
+        for index in np.ndindex(arr.shape):
+            orig = arr[index]
+            arr[index] = orig + eps
+            up = loss()
+            arr[index] = orig - eps
+            down = loss()
+            arr[index] = orig
+            assert abs((up - down) / (2 * eps) - grad[index]) < 1e-7
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import shutil
 import subprocess
@@ -23,3 +24,43 @@ def test_no_tracked_file_is_gitignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout.splitlines() == []
+
+
+def _python_files():
+    for path in sorted(REPO.rglob("*.py")):
+        parts = path.relative_to(REPO).parts
+        if not any(part.startswith(".") or part == "build" for part in parts):
+            yield path
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of public functions, classes and methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_definition_is_used():
+    # Code that nothing calls is kept in step by hand for nothing.
+    used = set()
+    definitions = []
+    for path in _python_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+        if path.is_relative_to(REPO / "src" / "conjparse"):
+            definitions += [(f"{path.stem}.{qualified}", name)
+                            for qualified, name in _public_definitions(tree)]
+    assert definitions
+    assert [qualified for qualified, name in definitions if name not in used] == []

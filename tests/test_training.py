@@ -91,6 +91,20 @@ def test_gradient_check_detects_corruption(empty_resources):
     assert worst["mlp.w2"] > 0.9
 
 
+def test_gradient_check_fails_on_a_nan_relative_error(empty_resources):
+    # An infinite output bias makes the loss infinite, so the central
+    # difference of every probe is inf - inf.
+    sentence = make_sentence([2, 0, 2], labels=["nsubj", "root", "dobj"])
+    model = tiny_model([sentence])
+    jitter_params(model, seed=1)
+    model.params["mlp.b2"][0] = np.inf
+    with np.errstate(invalid="ignore"):
+        report = gradient_check(model, [sentence], empty_resources,
+                                keys=["mlp.b1"])
+    assert np.isnan(report.max_rel_error)
+    assert not report.passed
+
+
 def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources):
     """At the all-zero point every weight direction is locally flat.
 
