@@ -22,7 +22,7 @@ from .model import (
     Vocabulary,
     check_hyperparams,
 )
-from .parser import greedy_parse
+from .parser import parse_corpus
 from .resources import (
     EmbeddingTable,
     FeatureResources,
@@ -216,10 +216,7 @@ def cmd_parse(args) -> int:
     resources = load_resources(args)
     sentences = read_conll(args.input, fmt=args.format)
     single_root = False if args.no_single_root else None
-    parsed = [
-        greedy_parse(s, model, resources, single_root=single_root)
-        for s in sentences
-    ]
+    parsed = parse_corpus(sentences, model, resources, single_root=single_root)
     write_conll_file(args.output, parsed, fmt=args.format, use_predicted=True)
     print(f"parsed {len(parsed)} sentences into {args.output}")
     return EXIT_OK

@@ -82,6 +82,7 @@ HYPERPARAM_RANGES = {
     "pretrained_dim": (lambda v: v >= 0, "at least 0"),
     "learning_rate": (lambda v: v > 0.0, "positive"),
     "adam_eps": (lambda v: v > 0.0, "positive"),
+    "margin": (lambda v: v > 0.0, "positive"),
     "beta1": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "beta2": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "word_dropout_alpha": (lambda v: v >= 0.0, "at least 0"),
@@ -329,6 +330,13 @@ class Model:
     @property
     def n_transitions(self) -> int:
         return self.codec.size
+
+    @property
+    def conj_transition(self) -> Optional[int]:
+        """Transition whose score the coordination MLP adds to, if it is on."""
+        if not self.hp.use_conj_features:
+            return None
+        return self.codec.right_index("conj")
 
     # ------------------------------------------------------------------
     # lookups and encoding

@@ -11,11 +11,11 @@ transition index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .conj_features import extract_forms
+from .conj_features import FEATURE_SIZE, extract_forms
 from .model import EncodedSentence, Model
 from .resources import FeatureResources
 from .transitions import (
@@ -62,56 +62,40 @@ def score_config(model: Model, config: ParseConfiguration,
                  resources: FeatureResources) -> np.ndarray:
     """Augmented transition scores for one configuration.
 
-    Scores one feature vector with the same model methods that
-    ``score_batch`` applies to a matrix of them.
+    Scores the configuration as a batch of one with ``score_batch``, the
+    scorer that training applies to a whole oracle path.
     """
     features, _ = model.config_feature_vector(config, encoded)
-    scores, _ = model.transition_scores(features)
-    right_conj = _conj_index(model)
     pair = conj_candidate(config)
-    if right_conj is not None and pair is not None:
-        conj_score, _, _ = model.conj_score(
-            features, _conj_inputs(pair, sentence, resources))
-        scores[right_conj] += conj_score
-    return scores
+    if pair is None or model.conj_transition is None:
+        rows, inputs = np.arange(0), np.empty((0, FEATURE_SIZE))
+    else:
+        rows, inputs = np.arange(1), pair_inputs(pair, sentence, resources)[np.newaxis]
+    return score_batch(model, features[np.newaxis], rows, inputs).scores[0]
 
 
-def score_batch(model: Model, features: np.ndarray,
-                pairs: Sequence[Optional[Tuple[int, int]]], sentence: Sentence,
-                resources: FeatureResources) -> ScoredBatch:
+def score_batch(model: Model, features: np.ndarray, conj_rows: np.ndarray,
+                conj_inputs: np.ndarray) -> ScoredBatch:
     """Augmented transition scores for a batch of configurations.
 
-    ``features`` has one feature vector per row and ``pairs`` the row's
-    conj candidate.  The conj features of a pair are extracted once per
-    batch, however many rows share it.
+    ``features`` has one feature vector per row.  Row ``conj_rows[i]``
+    gets the coordination MLP's score of its feature vector and
+    ``conj_inputs[i]``, added to the transition ``model.conj_transition``.
     """
     scores, mlp_hidden = model.transition_scores(features)
-    right_conj = _conj_index(model)
-    rows = np.array([row for row, pair in enumerate(pairs) if pair is not None],
-                    dtype=np.intp)
-    if right_conj is None or not rows.size:
-        return ScoredBatch(scores, mlp_hidden, rows[:0])
-    extracted: Dict[Tuple[int, int], np.ndarray] = {}
-    for row in rows:
-        if pairs[row] not in extracted:
-            extracted[pairs[row]] = _conj_inputs(pairs[row], sentence, resources)
-    conj_inputs = np.array([extracted[pairs[row]] for row in rows])
-    conj_scores, conj_hidden, conj_joint = model.conj_score(features[rows],
+    if not conj_rows.size:
+        return ScoredBatch(scores, mlp_hidden, conj_rows)
+    right_conj = model.conj_transition
+    conj_scores, conj_hidden, conj_joint = model.conj_score(features[conj_rows],
                                                             conj_inputs)
-    scores[rows, right_conj] += conj_scores
-    return ScoredBatch(scores, mlp_hidden, rows, conj_hidden, conj_joint,
+    scores[conj_rows, right_conj] += conj_scores
+    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden, conj_joint,
                        right_conj)
 
 
-def _conj_index(model: Model) -> Optional[int]:
-    """Transition whose score the coordination MLP adds to, if it is on."""
-    if not model.hp.use_conj_features:
-        return None
-    return model.codec.right_index("conj")
-
-
-def _conj_inputs(pair: Tuple[int, int], sentence: Sentence,
-                 resources: FeatureResources) -> np.ndarray:
+def pair_inputs(pair: Tuple[int, int], sentence: Sentence,
+                resources: FeatureResources) -> np.ndarray:
+    """Coordination MLP inputs of a (head, modifier) pair of ``sentence``."""
     head_id, modifier_id = pair
     return extract_forms(
         sentence.form_of(head_id), sentence.pos_of(head_id),

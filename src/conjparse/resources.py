@@ -64,6 +64,10 @@ class SentimentLexicon:
 _POS_CLASS = {"N": "noun", "V": "verb", "J": "adj", "A": "adj", "R": "adv"}
 
 
+# Every class ``pos_class`` returns, and so every class a lemma entry can have.
+_POS_CLASSES = frozenset(_POS_CLASS.values()) | {"other"}
+
+
 def pos_class(pos_tag: str) -> str:
     if not pos_tag:
         return "other"
@@ -105,6 +109,11 @@ class LemmaLexicon:
                     f"{path}, line {number}: expected 3 tab-separated fields"
                 )
             form, cls_name, lemma = parts
+            if cls_name not in _POS_CLASSES:
+                raise ResourceError(
+                    f"{path}, line {number}: unknown pos class {cls_name!r}, "
+                    f"expected one of {', '.join(sorted(_POS_CLASSES))}"
+                )
             key = (form.lower(), cls_name)
             entries.setdefault(key, lemma)  # first entry wins
         return cls(entries)

@@ -13,15 +13,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import network
 from .model import EncodedSentence, Model, Vocabulary
-from .parser import conj_candidate, greedy_parse, score_batch, score_config
+from .conj_features import FEATURE_SIZE
+from .parser import (
+    conj_candidate,
+    greedy_parse,
+    pair_inputs,
+    score_batch,
+    score_config,
+)
 from .resources import FeatureResources
-from .transitions import apply, initial_config, is_terminal, legal_mask, static_oracle
+from .transitions import (
+    ParseConfiguration,
+    apply,
+    initial_config,
+    is_terminal,
+    legal_mask,
+    static_oracle,
+)
 from .treebank import Sentence, is_projective
 
 
@@ -29,22 +43,71 @@ class NonProjectiveError(ValueError):
     pass
 
 
-OraclePath = List[Tuple]
+@dataclass(frozen=True)
+class OraclePath:
+    """The static-oracle derivation of a sentence, compiled to arrays.
+
+    Row r describes the r-th of its 2n configurations.  The path does not
+    depend on the scores, so it is built once per sentence per training
+    run; its arrays are read-only.
+    """
+
+    slots: np.ndarray        # (2n, 4) feature slots; -1 is the padding
+    gold: np.ndarray         # (2n,) gold transition index
+    competing: np.ndarray    # (2n, T) legal transitions other than the gold one
+    conj_rows: np.ndarray    # rows that get a conj score
+    conj_inputs: np.ndarray  # (len(conj_rows), 6) their conj MLP inputs
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
-def oracle_path(sentence: Sentence, model: Model) -> OraclePath:
-    """(configuration, gold transition index) pairs along the gold derivation."""
+def _gold_steps(sentence: Sentence, model: Model
+                ) -> Iterator[Tuple[ParseConfiguration, int]]:
+    """(configuration, gold transition index) along the gold derivation."""
     if not is_projective(sentence):
         raise NonProjectiveError("cannot derive an oracle path for a "
                                  "non-projective sentence")
     children = sentence.gold_children()
-    path = []
     config = initial_config(sentence)
     while not is_terminal(config):
         transition = static_oracle(config, sentence, children)
-        path.append((config, model.codec.encode(transition)))
+        yield config, model.codec.encode(transition)
         config = apply(config, transition)
-    return path
+
+
+def oracle_path(sentence: Sentence, model: Model,
+                resources: FeatureResources) -> OraclePath:
+    """The gold derivation of ``sentence`` as the arrays the loss reads.
+
+    The conj features of each distinct (head, modifier) pair on the path
+    are extracted once; no row gets a conj score when the coordination
+    scorer is off.
+    """
+    steps = list(_gold_steps(sentence, model))
+    gold = np.array([index for _, index in steps], dtype=np.intp)
+    competing = np.array([legal_mask(config, model.codec) for config, _ in steps])
+    competing[np.arange(len(steps)), gold] = False
+    conj_rows, conj_inputs = [], []
+    extracted: Dict[Tuple[int, int], np.ndarray] = {}
+    if model.conj_transition is not None:
+        for row, (config, _) in enumerate(steps):
+            pair = conj_candidate(config)
+            if pair is None:
+                continue
+            if pair not in extracted:
+                extracted[pair] = pair_inputs(pair, sentence, resources)
+            conj_rows.append(row)
+            conj_inputs.append(extracted[pair])
+    return OraclePath(
+        slots=np.array([model.feature_slots(config) for config, _ in steps],
+                       dtype=np.intp),
+        gold=gold,
+        competing=competing,
+        conj_rows=np.array(conj_rows, dtype=np.intp),
+        conj_inputs=np.array(conj_inputs).reshape(len(conj_rows), FEATURE_SIZE),
+    )
 
 
 def dropped_word_ids(sentence: Sentence, model: Model,
@@ -54,10 +117,8 @@ def dropped_word_ids(sentence: Sentence, model: Model,
     alpha = model.hp.word_dropout_alpha
     if alpha <= 0.0:
         return ids
-    for position, tok in enumerate(sentence, start=1):
-        count = model.vocab.count(tok.form)
-        if rng.random() < alpha / (alpha + count):
-            ids[position] = Vocabulary.UNK
+    counts = np.array([model.vocab.count(tok.form) for tok in sentence])
+    ids[1:][rng.random(len(sentence)) < alpha / (alpha + counts)] = Vocabulary.UNK
     return ids
 
 
@@ -67,9 +128,9 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
                   path: Optional[OraclePath] = None) -> float:
     """Total hinge loss along the oracle path; accumulates into ``grads``."""
     if path is None:
-        path = oracle_path(sentence, model)
+        path = oracle_path(sentence, model, resources)
     encoded = model.encode(sentence, word_ids=word_ids)
-    loss, d_nodes = _path_hinge(model, path, encoded, sentence, resources, grads)
+    loss, d_nodes = _path_hinge(model, path, encoded, grads)
     if d_nodes is None:
         return loss
     grads["pad_vec"] += d_nodes[-1]
@@ -88,34 +149,29 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
 
 
 def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
-                sentence: Sentence, resources: FeatureResources,
                 grads: Optional[Dict[str, np.ndarray]]
                 ) -> Tuple[float, Optional[np.ndarray]]:
     """Hinge loss of every configuration on the path, and its gradient.
 
-    The path does not depend on the scores, so its configurations are
-    scored as one batch, one row each, and backpropagated with matrix
-    products over the rows.  Accumulates the MLP gradients into ``grads``
-    and returns the gradient with respect to ``encoded.nodes``, or None
-    when nothing is to be backpropagated.  The batch arrays are freed on
-    return, before the BiLSTM backward pass allocates its own.
+    The path's configurations are scored as one batch, one row each, and
+    backpropagated with matrix products over the rows.  Accumulates the
+    MLP gradients into ``grads`` and returns the gradient with respect to
+    ``encoded.nodes``, or None when nothing is to be backpropagated.  The
+    batch arrays are freed on return, before the BiLSTM backward pass
+    allocates its own.
     """
-    configs = [config for config, _ in path]
-    gold = np.array([gold_index for _, gold_index in path])
-    rows = np.arange(len(path))
+    rows = np.arange(len(path.gold))
     # Slot -1, the padding, indexes the last row of the node table.
-    slots = np.array([model.feature_slots(config) for config in configs])
-    features = encoded.nodes[slots].reshape(len(path), -1)
-    batch = score_batch(model, features, [conj_candidate(c) for c in configs],
-                        sentence, resources)
+    features = encoded.nodes[path.slots].reshape(len(rows), -1)
+    batch = score_batch(model, features, path.conj_rows, path.conj_inputs)
     scores = batch.scores
-    competing = np.array([legal_mask(config, model.codec) for config in configs])
-    competing[rows, gold] = False
-    violator = np.argmax(np.where(competing, scores, -np.inf), axis=1)
+    gold = path.gold
+    violator = np.argmax(np.where(path.competing, scores, -np.inf), axis=1)
     step_loss = model.hp.margin - scores[rows, gold] + scores[rows, violator]
     # A step counts when the gold transition has a legal competitor and the
-    # margin is violated.
-    active = competing.any(axis=1) & (step_loss > 0.0)
+    # margin is not met.  A NaN step loss counts too, so that NaN scores
+    # give a NaN loss instead of a met margin.
+    active = path.competing.any(axis=1) & ~(step_loss <= 0.0)
     loss = float(step_loss[active].sum())
     if grads is None or loss == 0.0:
         return loss, None
@@ -145,7 +201,8 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
         grads["conj.b2"] += d_b2
         d_features[batch.conj_rows[hit]] += d_joint[:, :features.shape[1]]
     d_nodes = np.zeros_like(encoded.nodes)
-    np.add.at(d_nodes, slots, d_features.reshape(len(path), slots.shape[1], -1))
+    np.add.at(d_nodes, path.slots,
+              d_features.reshape(len(rows), path.slots.shape[1], -1))
     return loss, d_nodes
 
 
@@ -219,7 +276,7 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
         learning_rate=model.hp.learning_rate, beta1=model.hp.beta1,
         beta2=model.hp.beta2, eps=model.hp.adam_eps,
     )
-    paths = [oracle_path(s, model) for s in train_sentences]
+    paths = [oracle_path(s, model, resources) for s in train_sentences]
     result = TrainResult()
     best_params = None
     batch_size = max(1, model.hp.batch_size)
@@ -231,10 +288,12 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
             batch = [train_sentences[i] for i in chunk]
-            epoch_loss += train_step(
-                batch, model, resources, optimizer, rng=rng,
-                paths=[paths[i] for i in chunk],
-            )
+            loss = train_step(batch, model, resources, optimizer, rng=rng,
+                              paths=[paths[i] for i in chunk])
+            if not math.isfinite(loss):
+                raise ValueError(f"epoch {epoch}: training loss is {loss}, "
+                                 "not a finite number")
+            epoch_loss += loss
         record = EpochRecord(epoch=epoch, loss=epoch_loss)
         if dev_sentences is not None:
             parsed = [greedy_parse(s, model, resources) for s in dev_sentences]
@@ -261,8 +320,7 @@ def _format_epoch(record: EpochRecord) -> str:
 
 
 def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
-                      resources: FeatureResources,
-                      paths: Optional[Sequence[OraclePath]] = None) -> float:
+                      resources: FeatureResources) -> float:
     """Distance of the current loss to its nearest non-differentiability.
 
     The hinge loss is piecewise linear: it bends where a step loss crosses
@@ -270,12 +328,10 @@ def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
     finite differences are only trustworthy when this margin is well above
     the probe step, so gradient-check fixtures should verify it.
     """
-    if paths is None:
-        paths = [oracle_path(s, model) for s in sentences]
     margin = np.inf
-    for sentence, path in zip(sentences, paths):
+    for sentence in sentences:
         encoded = model.encode(sentence)
-        for config, gold_index in path:
+        for config, gold_index in _gold_steps(sentence, model):
             scores = score_config(model, config, encoded, sentence, resources)
             mask = legal_mask(config, model.codec)
             mask[gold_index] = False
@@ -343,7 +399,7 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
         if not 0.0 < value < math.inf:
             raise ValueError(f"gradient check {name} must be positive and finite, "
                              f"got {value!r}")
-    paths = [oracle_path(s, model) for s in sentences]
+    paths = [oracle_path(s, model, resources) for s in sentences]
     grads = model.zero_grads()
     batch_loss(model, sentences, resources, grads=grads, paths=paths)
     if corrupt_key is not None:
@@ -370,6 +426,6 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
         entries.append(GradCheckEntry(
             key=key, max_rel_error=float(np.max(errors, initial=0.0)),
             checked=len(errors)))
-    margin = hinge_kink_margin(model, sentences, resources, paths=paths)
+    margin = hinge_kink_margin(model, sentences, resources)
     return GradCheckReport(entries=entries, step=step, tolerance=tolerance,
                            kink_margin=margin)

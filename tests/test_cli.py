@@ -204,6 +204,35 @@ def test_train_fewer_than_one_epoch_is_a_one_line_error(tmp_path, train_file,
     assert not (tmp_path / "model.bin").exists()
 
 
+def test_train_with_a_non_finite_loss_is_a_one_line_error(tmp_path, train_file,
+                                                          capsys):
+    # A learning rate this large makes the parameters overflow after the
+    # first update, and the scores and the loss of the next batch with them.
+    model_path = tmp_path / "model.bin"
+    args = ["train", "--train", str(train_file), "--seed", "1", "--epochs", "2",
+            "--model", str(model_path), *TINY_HYPERS,
+            "--hyper", "learning_rate=1e308"]
+    with np.errstate(all="ignore"):
+        assert main(args) == EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1: training loss is ")
+    assert err.endswith(", not a finite number\n") and err.count("\n") == 1
+    assert not model_path.exists()
+
+
+def test_exit_code_bad_lemma_lexicon(tmp_path, train_file, capsys):
+    lexicon = tmp_path / "lemmas.tsv"
+    lexicon.write_text("said\tverb\tsay\nsays\tVBZ\tsay\n")
+    code = main(["train", "--train", str(train_file), "--seed", "1",
+                 "--model", str(tmp_path / "model.bin"), *TINY_HYPERS,
+                 "--lemma-lexicon", str(lexicon)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"{lexicon}, line 2: unknown pos class 'VBZ'" in err
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_exit_code_missing_data(tmp_path, capsys):
     code = main(["analyze", "--input", str(tmp_path / "missing.conllx")])
     assert code == EXIT_DATA
@@ -227,6 +256,8 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     ({"learning_rate": 0}, [], "learning_rate"),
     ({"beta2": 1.0}, [], "beta2"),
     (None, ["--hyper", "word_dropout_alpha=-0.5"], "word_dropout_alpha"),
+    ({"margin": -1}, [], "margin"),
+    (None, ["--hyper", "margin=0"], "margin"),
 ])
 def test_bad_hyperparameter_is_a_one_line_error(tmp_path, train_file, capsys,
                                                 config, hyper, key):

@@ -305,7 +305,9 @@ def test_check_hyperparams_names_the_bad_key():
                      ({"conj_mlp_dim": 0}, "conj_mlp_dim"),
                      ({"batch_size": 0}, "batch_size"),
                      ({"adam_eps": 0.0}, "adam_eps"),
-                     ({"beta1": -0.1}, "beta1")):
+                     ({"beta1": -0.1}, "beta1"),
+                     ({"margin": -1.0}, "margin"),
+                     ({"margin": 0}, "margin")):
         with pytest.raises(ValueError, match=f"'{key}'"):
             check_hyperparams(bad)
 

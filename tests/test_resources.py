@@ -93,6 +93,16 @@ def test_lemma_lexicon_bad_line(tmp_path):
         LemmaLexicon.load(path)
 
 
+@pytest.mark.parametrize("cls_name", ["VBZ", "Verb", "pronoun", ""])
+def test_lemma_lexicon_unknown_pos_class(tmp_path, cls_name):
+    # An entry keyed by a class pos_class never returns could never match.
+    path = tmp_path / "lem.tsv"
+    path.write_text(f"said\tverb\tsay\nsays\t{cls_name}\tsay\n")
+    with pytest.raises(ResourceError,
+                       match=rf"lem\.tsv, line 2: unknown pos class '{cls_name}'"):
+        LemmaLexicon.load(path)
+
+
 def test_pos_class_mapping():
     assert pos_class("NN") == "noun"
     assert pos_class("VBD") == "verb"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA, GRADCHECK_FIXTURE, make_sentence, tiny_model
-from conjparse import network, training, transitions
+from conjparse import conj_features, network, parser, training, transitions
 from conjparse.conj_features import extract_forms
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import conj_candidate
@@ -14,6 +14,7 @@ from conjparse.resources import (
 )
 from conjparse.training import (
     NonProjectiveError,
+    batch_loss,
     dropped_word_ids,
     gradient_check,
     hinge_kink_margin,
@@ -58,7 +59,7 @@ def test_hinge_dead_zone_leaves_parameters_unchanged(empty_resources):
 def test_loss_strictly_decreases_on_fixed_fixture(conj_sentence, empty_resources):
     model = tiny_model([conj_sentence], seed=4, word_dim=8, lstm_dim=6, mlp_dim=10)
     optimizer = _optimizer(model)
-    paths = [oracle_path(conj_sentence, model)]
+    paths = [oracle_path(conj_sentence, model, empty_resources)]
     losses = [
         train_step([conj_sentence], model, empty_resources, optimizer, paths=paths)
         for _ in range(50)
@@ -105,6 +106,21 @@ def test_gradient_check_fails_on_a_nan_relative_error(empty_resources):
     assert not report.passed
 
 
+def test_nan_parameter_gives_a_nan_loss_not_a_zero_one(empty_resources):
+    sentence = make_sentence([2, 0, 2], labels=["nsubj", "root", "dobj"])
+    model = tiny_model([sentence])
+    jitter_params(model, seed=1)
+    model.params["mlp.b1"][0] = np.nan
+    grads = model.zero_grads()
+    assert np.isnan(batch_loss(model, [sentence], empty_resources, grads=grads))
+    assert np.isnan(grads["mlp.w2"]).any()
+    report = gradient_check(model, [sentence], empty_resources,
+                            keys=["mlp.b2", "lstm.0.fwd.b"])
+    assert not report.passed
+    with pytest.raises(ValueError, match="epoch 1: training loss is nan"):
+        train_model(model, [sentence], empty_resources, epochs=2, seed=0)
+
+
 def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources):
     """At the all-zero point every weight direction is locally flat.
 
@@ -121,8 +137,6 @@ def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources)
     report = gradient_check(model, sentences, empty_resources, keys=flat_keys)
     assert report.max_rel_error == 0.0
     grads = model.zero_grads()
-    from conjparse.training import batch_loss
-
     loss = batch_loss(model, sentences, empty_resources, grads=grads)
     assert loss > 0.0
     for key in flat_keys:
@@ -138,6 +152,32 @@ def test_training_is_bit_deterministic(conj_sentence, empty_resources):
         results.append({k: v.copy() for k, v in model.params.items()})
     for key in results[0]:
         np.testing.assert_array_equal(results[0][key], results[1][key])
+
+
+def _reference_dropped_word_ids(sentence, model, rng):
+    """One draw per token, in sentence order."""
+    ids = model.word_ids_of(sentence).copy()
+    alpha = model.hp.word_dropout_alpha
+    for position, tok in enumerate(sentence, start=1):
+        if rng.random() < alpha / (alpha + model.vocab.count(tok.form)):
+            ids[position] = Vocabulary.UNK
+    return ids
+
+
+def test_word_dropout_matches_one_draw_per_token():
+    sentences = read_conll(DATA / "sample_treebank.conllx")[:40]
+    model = tiny_model(sentences[:20], word_dropout_alpha=1.5)
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    dropped = 0
+    for sentence in sentences:
+        ids = dropped_word_ids(sentence, model, rng)
+        expected = _reference_dropped_word_ids(sentence, model, reference_rng)
+        np.testing.assert_array_equal(ids, expected)
+        dropped += int((ids != model.word_ids_of(sentence)).sum())
+    assert 0 < dropped < sum(map(len, sentences))
+    # Both leave the generator in the same state, so later draws match too.
+    np.testing.assert_array_equal(rng.permutation(10),
+                                  reference_rng.permutation(10))
 
 
 def test_word_dropout_behaviour(conj_sentence):
@@ -168,16 +208,23 @@ def test_sentence_loss_at_zero_point_is_margin_per_competitive_step(
     model = tiny_model([conj_sentence])
     for key in model.trainable:
         model.params[key][...] = 0.0
-    path = oracle_path(conj_sentence, model)
+    path = oracle_path(conj_sentence, model, empty_resources)
     loss = sentence_loss(model, conj_sentence, empty_resources, path=path)
     assert loss == float(
-        sum(1 for c, g in path if len(_legal_non_gold(model, c, g)) > 0)
+        sum(1 for c, g in _gold_walk(conj_sentence, model)
+            if len(_legal_non_gold(model, c, g)) > 0)
     )
 
 
-def _legal_non_gold(model, config, gold):
-    from conjparse.transitions import legal_mask
+def _gold_walk(sentence, model):
+    """(configuration, gold transition index) pairs of the oracle sequence."""
+    config = transitions.initial_config(sentence)
+    for transition in transitions.oracle_sequence(sentence):
+        yield config, model.codec.encode(transition)
+        config = transitions.apply(config, transition)
 
+
+def _legal_non_gold(model, config, gold):
     mask = legal_mask(config, model.codec)
     mask[gold] = False
     return np.flatnonzero(mask)
@@ -212,12 +259,47 @@ def test_batched_updates_accumulate_and_stay_deterministic(conj_sentence,
     assert first_result.history[-1].loss < first_result.history[0].loss
 
 
-def test_oracle_paths_cover_whole_derivation(conj_sentence):
+def test_oracle_paths_cover_whole_derivation(conj_sentence, empty_resources,
+                                             monkeypatch):
     model = tiny_model([conj_sentence])
-    path = oracle_path(conj_sentence, model)
-    assert len(path) == 2 * len(conj_sentence)
-    kinds = [model.codec.decode(g).kind for _, g in path]
+    extracted = []
+
+    def counting(*args):
+        extracted.append(args[:4])
+        return extract_forms(*args)
+
+    monkeypatch.setattr(parser, "extract_forms", counting)
+    path = oracle_path(conj_sentence, model, empty_resources)
+    steps = list(_gold_walk(conj_sentence, model))
+    assert len(steps) == 2 * len(conj_sentence)
+    np.testing.assert_array_equal(
+        path.gold, [model.codec.encode(t)
+                    for t in transitions.oracle_sequence(conj_sentence)])
+    transition_ids = np.arange(model.n_transitions)
+    np.testing.assert_array_equal(
+        path.competing, [legal_mask(c, model.codec) & (transition_ids != g)
+                         for c, g in steps])
+    np.testing.assert_array_equal(
+        path.slots, [model.feature_slots(c) for c, _ in steps])
+    kinds = [model.codec.decode(g).kind for g in path.gold]
     assert kinds.count("shift") == len(conj_sentence)
+    pairs = [conj_candidate(c) for c, _ in steps]
+    assert len(extracted) == len(set(extracted)) == len(set(pairs) - {None}) > 1
+    np.testing.assert_array_equal(
+        path.conj_rows, [row for row, pair in enumerate(pairs) if pair])
+    np.testing.assert_array_equal(
+        path.conj_inputs, [_extract(conj_sentence, pairs[row], empty_resources)
+                           for row in path.conj_rows])
+    with pytest.raises(ValueError):
+        path.gold[0] = 0  # read-only: the path is reused in every epoch
+
+
+def test_oracle_path_has_no_conj_rows_when_the_scorer_is_off(conj_sentence,
+                                                            empty_resources):
+    model = tiny_model([conj_sentence], use_conj_features=False)
+    path = oracle_path(conj_sentence, model, empty_resources)
+    assert path.conj_rows.shape == (0,)
+    assert path.conj_inputs.shape == (0, 6)
 
 
 def test_kink_margin_reports_small_value_at_zero_point(conj_sentence,
@@ -235,23 +317,18 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
     gradient with outer products, so it rounds differently from the
     batched matrix products but computes the same function.
     """
-    path = oracle_path(sentence, model)
     encoded = model.encode(sentence, word_ids=word_ids)
     d_vectors = np.zeros_like(encoded.vectors)
     width = d_vectors.shape[1]
     right_conj = model.codec.right_index("conj")
     loss = 0.0
-    for config, gold in path:
+    for config, gold in _gold_walk(sentence, model):
         features, slots = model.config_feature_vector(config, encoded)
         scores, hidden = model.transition_scores(features)
         conj = None
         pair = conj_candidate(config)
         if model.hp.use_conj_features and right_conj is not None and pair:
-            head, modifier = pair
-            inputs = extract_forms(
-                sentence.form_of(head), sentence.pos_of(head),
-                sentence.form_of(modifier), sentence.pos_of(modifier),
-                resources).to_inputs()
+            inputs = _extract(sentence, pair, resources)
             value, conj_hidden, conj_joint = model.conj_score(features, inputs)
             scores[right_conj] += value
             conj = conj_hidden, conj_joint
@@ -302,6 +379,14 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
         np.add.at(grads["pos_emb"], encoded.pos_ids,
                   d_inputs[:, word_dim + pre_dim:])
     return loss
+
+
+def _extract(sentence, pair, resources):
+    head, modifier = pair
+    return extract_forms(
+        sentence.form_of(head), sentence.pos_of(head),
+        sentence.form_of(modifier), sentence.pos_of(modifier),
+        resources).to_inputs()
 
 
 def _data_resources():
@@ -374,10 +459,37 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
         return original(features)
 
     model.transition_scores = counting
-    path = oracle_path(conj_sentence, model)
+    path = oracle_path(conj_sentence, model, empty_resources)
     sentence_loss(model, conj_sentence, empty_resources,
                   grads=model.zero_grads(), path=path)
-    assert calls == [(len(path), Model.feature_dim(model.hp))]
+    assert calls == [(len(path.gold), Model.feature_dim(model.hp))]
+
+
+def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
+        conj_sentence, empty_resources, monkeypatch):
+    model = tiny_model([conj_sentence])
+    jitter_params(model, seed=2)
+    path = oracle_path(conj_sentence, model, empty_resources)
+    calls = []
+
+    def counted(name, function):
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return counting
+
+    for module, name in ((transitions, "legal_mask"), (training, "legal_mask"),
+                         (parser, "legal_mask"), (parser, "conj_candidate"),
+                         (training, "conj_candidate"),
+                         (conj_features, "extract_forms"),
+                         (parser, "extract_forms")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Model, "feature_slots",
+                        counted("feature_slots", Model.feature_slots))
+    loss = sentence_loss(model, conj_sentence, empty_resources,
+                         grads=model.zero_grads(), path=path)
+    assert loss > 0.0
+    assert calls == []
 
 
 def test_oracle_path_checks_projectivity_once(conj_sentence, monkeypatch):
@@ -389,6 +501,7 @@ def test_oracle_path_checks_projectivity_once(conj_sentence, monkeypatch):
 
     monkeypatch.setattr(training, "is_projective", counting)
     monkeypatch.setattr(transitions, "is_projective", counting)
-    path = oracle_path(conj_sentence, tiny_model([conj_sentence]))
-    assert len(path) == 2 * len(conj_sentence)
+    path = oracle_path(conj_sentence, tiny_model([conj_sentence]),
+                       FeatureResources.empty())
+    assert len(path.gold) == 2 * len(conj_sentence)
     assert calls == [conj_sentence]
