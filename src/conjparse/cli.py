@@ -13,6 +13,8 @@ import json
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from . import corpus_stats, evaluation, training
 from .model import (
     HYPERPARAM_TYPES,
@@ -199,10 +201,13 @@ def cmd_train(args) -> int:
     if dev_sents is not None:
         print(f"dev sentences: {len(dev_sents)}")
 
-    result = training.train_model(
-        model, train_sents, resources, epochs=args.epochs, seed=args.seed,
-        dev_sentences=dev_sents, log=print,
-    )
+    # Overflowing parameters fail training with one error line; numpy's
+    # warnings about them would only come first.
+    with np.errstate(all="ignore"):
+        result = training.train_model(
+            model, train_sents, resources, epochs=args.epochs, seed=args.seed,
+            dev_sentences=dev_sents, log=print,
+        )
     if result.best_epoch is not None:
         print(f"best dev LAS {result.best_las:.2f} at epoch {result.best_epoch}; "
               "saving that checkpoint")

@@ -1,8 +1,11 @@
 """The trainable parser model.
 
-Holds every parameter tensor in one flat name -> array dict: embedding
-tables, the stacked BiLSTM, the transition-scoring MLP and the auxiliary
-coordination MLP.  Token vectors are the concatenated forward/backward
+Holds every parameter tensor in one name -> array dict: embedding tables,
+the stacked BiLSTM, the transition-scoring MLP and the auxiliary
+coordination MLP.  Every trainable array is a view into one flat float64
+vector, and the gradients are views into a second one, so zeroing the
+gradients, an optimizer update and a best-epoch snapshot each touch one
+vector.  Token vectors are the concatenated forward/backward
 LSTM states over [trainable word embedding ; pretrained embedding ;
 POS embedding] inputs, with the artificial root encoded as an extra
 leading position.
@@ -229,24 +232,80 @@ def _check_meta(meta) -> None:
         require(name in names, f"trainable array {name!r} is not stored")
 
 
+def _vector_layout(shapes: Dict[str, Tuple[int, ...]], trainable: Sequence[str]
+                   ) -> Dict[str, Tuple[int, Tuple[int, ...]]]:
+    """Offset and shape of each trainable array in the flat vector.
+
+    The arrays follow ``trainable``, except that each LSTM array of the
+    backward direction directly follows its forward twin, so that the two
+    form one array with a leading direction axis.
+    """
+    order = []
+    for name in trainable:
+        if ".fwd." in name:
+            order += [name, name.replace(".fwd.", ".bwd.")]
+        elif ".bwd." not in name:
+            order.append(name)
+    layout, offset = {}, 0
+    for name in order:
+        layout[name] = (offset, shapes[name])
+        offset += math.prod(shapes[name])
+    return layout
+
+
 class Model:
-    """All trainable state plus the label inventory and vocabulary."""
+    """All trainable state plus the label inventory and vocabulary.
+
+    The trainable arrays of ``params`` are views into the flat ``vector``;
+    a frozen ``pre_emb`` lives outside it.  Write into the arrays: a
+    rebound name no longer reaches the vector.  ``lstm`` holds each BiLSTM
+    layer's (w_x, w_h, b) as views with a leading direction axis, ordered
+    as ``network.DIRECTIONS``.  A new model's arrays are uninitialised;
+    ``build`` and ``load`` fill them in place.
+    """
 
     def __init__(self, hp: Hyperparams, vocab: Vocabulary, labels: LabelInventory,
-                 params: Dict[str, np.ndarray], trainable: List[str],
                  pretrained_words: Optional[List[str]] = None):
         self.hp = hp
         self.vocab = vocab
         self.labels = labels
         self.codec = TransitionCodec(labels.labels)
-        self.params = params
-        self.trainable = trainable
+        shapes = self.param_shapes(hp, vocab, labels, pretrained_words)
+        self.trainable = [name for name in shapes
+                          if name != "pre_emb" or hp.tune_pretrained]
+        self._layout = _vector_layout(shapes, self.trainable)
+        self.vector = np.empty(sum(math.prod(shape) for _, shape
+                                   in self._layout.values()))
+        views = self._views(self.vector)
+        self.params = {name: views[name] if name in views else np.empty(shape)
+                       for name, shape in shapes.items()}
+        self.lstm = [self._direction_stack(self.vector, layer)
+                     for layer in range(hp.lstm_layers)]
+        # The gradient vector and its views, allocated by the first
+        # ``zero_grads``: a model that only parses never needs them.
+        self.grad_vector: Optional[np.ndarray] = None
+        self._grads: Dict[str, np.ndarray] = {}
         self.pretrained_words = pretrained_words
         self._pre_index = (
             {w: i + 2 for i, w in enumerate(pretrained_words)}
             if pretrained_words is not None
             else None
         )
+
+    def _views(self, vector: np.ndarray) -> Dict[str, np.ndarray]:
+        """Each trainable array's view into a vector laid out as ``vector``."""
+        return {name: vector[offset:offset + math.prod(shape)].reshape(shape)
+                for name, (offset, shape) in self._layout.items()}
+
+    def _direction_stack(self, vector: np.ndarray, layer: int
+                         ) -> Tuple[np.ndarray, ...]:
+        """One LSTM layer's (w_x, w_h, b) views with the direction axis first."""
+        stack = []
+        for kind in ("w_x", "w_h", "b"):
+            offset, shape = self._layout[f"lstm.{layer}.fwd.{kind}"]
+            stack.append(vector[offset:offset + 2 * math.prod(shape)].reshape(
+                (2,) + shape))
+        return tuple(stack)
 
     # ------------------------------------------------------------------
     # construction
@@ -261,27 +320,23 @@ class Model:
         hp = replace(hp, pretrained_dim=0 if pretrained is None else pretrained.dim)
         if pretrained is not None:
             pretrained_words = sorted(pretrained.words())
-        params: Dict[str, np.ndarray] = {}
-        trainable: List[str] = []
-        # Initialised in table order, which fixes the draws for a seed.
-        for name, shape in cls.param_shapes(hp, vocab, labels,
-                                            pretrained_words).items():
+        model = cls(hp, vocab, labels, pretrained_words)
+        # Initialised in table order, which fixes the draws for a seed; the
+        # draws go straight into the parameter views.
+        for name, value in model.params.items():
             if name == "pre_emb":
-                value = np.zeros(shape)
+                value[:2] = 0.0
                 for row, word in enumerate(pretrained_words, start=2):
                     value[row] = pretrained.lookup(word)
             elif name.endswith("_emb"):
-                value = rng.uniform(-0.1, 0.1, size=shape)
+                network.uniform(rng, 0.1, value)
             elif name == "conj.w2":
-                value = network.glorot(rng, 1, shape[0])[0]
-            elif len(shape) == 2:
-                value = network.glorot(rng, *shape)
+                network.glorot(rng, value.reshape(1, -1))
+            elif value.ndim == 2:
+                network.glorot(rng, value)
             else:  # biases and the padding vector
-                value = np.zeros(shape)
-            params[name] = np.ascontiguousarray(value, dtype=np.float64)
-            if name != "pre_emb" or hp.tune_pretrained:
-                trainable.append(name)
-        return cls(hp, vocab, labels, params, trainable, pretrained_words)
+                value.fill(0.0)
+        return model
 
     @classmethod
     def param_shapes(cls, hp: Hyperparams, vocab: Vocabulary,
@@ -376,8 +431,7 @@ class Model:
             parts.append(self.params["pre_emb"][pre_ids])
         parts.append(self.params["pos_emb"][pos_ids])
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
-        vectors, caches = network.bilstm_forward(inputs, self.params,
-                                                 self.hp.lstm_layers)
+        vectors, caches = network.bilstm_forward(inputs, self.lstm)
         nodes = np.vstack([vectors, self.params["pad_vec"]])
         return EncodedSentence(nodes, word_ids, pos_ids, pre_ids, caches)
 
@@ -493,6 +547,8 @@ class Model:
             raise ModelIOError(f"corrupt model metadata: {exc}") from None
         offset += meta_len
         _check_meta(meta)
+        # Read-only views into ``data``, copied into the model's arrays
+        # once the header checks have passed.
         params: Dict[str, np.ndarray] = {}
         for spec in meta["arrays"]:
             shape = tuple(spec["shape"])
@@ -501,13 +557,10 @@ class Model:
             if offset + n_bytes > len(data):
                 raise ModelIOError(f"truncated model file (array {spec['name']})")
             flat = np.frombuffer(data, dtype=np.float64, count=count, offset=offset)
-            params[spec["name"]] = flat.reshape(shape).copy()
+            params[spec["name"]] = flat.reshape(shape)
             offset += n_bytes
         if offset != len(data):
             raise ModelIOError("trailing bytes after model payload")
-        for name, array in params.items():
-            if not np.all(np.isfinite(array)):
-                raise ModelIOError(f"non-finite values in parameter {name}")
         try:
             hp = Hyperparams.from_dict(meta["hyperparams"])
             labels = LabelInventory(tuple(meta["labels"]))
@@ -529,17 +582,37 @@ class Model:
                     f"corrupt model metadata: array {name!r} has shape "
                     f"{list(params[name].shape)}, the header implies "
                     f"{list(expected[name])}")
-        return cls(hp, vocab, labels, params, list(meta["trainable"]),
-                   meta["pretrained_words"])
+        model = cls(hp, vocab, labels, meta["pretrained_words"])
+        if meta["trainable"] != model.trainable:
+            raise ModelIOError("corrupt model metadata: 'trainable' does not "
+                               "match the hyperparameters")
+        # Checked in the model's own arrays: numpy checks aligned memory
+        # faster than the views into ``data``.
+        for name, array in params.items():
+            model.params[name][...] = array
+            if not np.isfinite(model.params[name]).all():
+                raise ModelIOError(f"non-finite values in parameter {name}")
+        return model
 
     # ------------------------------------------------------------------
 
     def zero_grads(self) -> Dict[str, np.ndarray]:
-        return {k: np.zeros_like(self.params[k]) for k in self.trainable}
+        """Zeroed gradients of the trainable arrays, as views into ``grad_vector``.
 
-    def copy_params(self) -> Dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+        The vector is allocated by the first call and reused by every later
+        one, so a call zeroes the gradients that an earlier call returned.
+        """
+        if self.grad_vector is None:
+            self.grad_vector = np.zeros_like(self.vector)
+            self._grads = self._views(self.grad_vector)
+        else:
+            self.grad_vector.fill(0.0)
+        return dict(self._grads)
 
-    def set_params(self, params: Dict[str, np.ndarray]) -> None:
-        for k, v in params.items():
-            self.params[k] = v.copy()
+    def copy_params(self) -> np.ndarray:
+        """A snapshot of the trainable parameters, for ``set_params``."""
+        return self.vector.copy()
+
+    def set_params(self, snapshot: np.ndarray) -> None:
+        """Write a ``copy_params`` snapshot back into the parameter arrays."""
+        np.copyto(self.vector, snapshot)

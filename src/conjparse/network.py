@@ -5,28 +5,49 @@ pairs; gradients are derived analytically and verified against central
 finite differences by the test suite.  The per-token gate math of the LSTM
 cell lives in ``kernels``.
 
-``lstm_forward``/``lstm_backward`` run one LSTM left to right.  The
-backward half of each BiLSTM layer is that same LSTM run over the reversed
-sequence; ``bilstm_forward``/``bilstm_backward`` reverse its inputs and
-flip its states and gradients back into sequence order.
+``lstm_forward``/``lstm_backward`` run a stack of independent
+left-to-right LSTMs in one time loop, so each step is one stacked matmul
+and one cell-kernel call for all of them; a single LSTM is a stack of one.
+The backward half of each BiLSTM layer is the same LSTM run over the
+reversed sequence, so ``bilstm_forward``/``bilstm_backward`` run both
+directions as a stack of two: they reverse the backward direction's
+inputs and flip its states and gradients back into sequence order.
+
+``Adam`` updates one flat parameter vector in place.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def uniform(rng: np.random.Generator, bound: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the draws of ``rng.uniform(-bound, bound, out.shape)``.
+
+    The draws go straight into ``out``: ``uniform`` computes
+    ``low + (high - low) * u`` from the same stream of ``u`` as ``random``.
+    """
+    rng.random(out=out)
+    out *= bound - -bound
+    out += -bound
+
+
+def glorot(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill the (rows, cols) array ``out`` with Glorot-uniform draws."""
+    rows, cols = out.shape
+    uniform(rng, np.sqrt(6.0 / (rows + cols)), out)
 
 
 class LstmLayerCache:
-    """Everything the backward pass needs for one direction of one layer."""
+    """Everything the backward pass needs for one stack of LSTMs.
+
+    ``inputs`` is (D, T, In); ``hidden`` and ``cells`` are (T, D, H) and
+    ``gates`` is (T, 5, D, H), the layouts of the time loop.
+    """
 
     __slots__ = ("inputs", "hidden", "cells", "gates")
 
@@ -39,101 +60,128 @@ class LstmLayerCache:
 
 def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
                  b: np.ndarray) -> Tuple[np.ndarray, LstmLayerCache]:
-    """Run one left-to-right LSTM over a (T, D) input sequence.
+    """Run a stack of D independent left-to-right LSTMs in one time loop.
 
-    Returns the (T, H) hidden states plus the cache for the backward pass.
+    ``inputs`` is (D, T, In); row d of ``w_x`` (D, 4H, In), ``w_h``
+    (D, 4H, H) and ``b`` (D, 4H) is the d-th LSTM.  Returns the (D, T, H)
+    hidden states plus the cache for the backward pass.
     """
-    steps = inputs.shape[0]
-    hidden_size = w_h.shape[1]
+    stack, steps = inputs.shape[:2]
+    hidden_size = w_h.shape[2]
     # Input contributions for all steps at once; the recurrent term is
-    # added step by step.
-    preacts = inputs @ w_x.T + b
-    hidden = np.zeros((steps, hidden_size))
-    cells = np.zeros((steps, hidden_size))
-    gates = np.zeros((steps, 5, hidden_size))
-    h_prev = np.zeros(hidden_size)
-    c_prev = np.zeros(hidden_size)
-    for t in range(steps):
-        preacts[t] += w_h @ h_prev
-        kernels.cell_forward(preacts[t], c_prev, hidden[t], cells[t], gates[t])
-        h_prev = hidden[t]
-        c_prev = cells[t]
-    return hidden, LstmLayerCache(inputs, hidden, cells, gates)
+    # added step by step.  A stacked matmul makes the same BLAS call per
+    # LSTM as a two-dimensional one.
+    preacts = np.matmul(inputs, w_x.transpose(0, 2, 1)) + b[:, np.newaxis]
+    preact_gates = preacts.reshape(stack, steps, 4, hidden_size)
+    preact = np.empty((4, stack, hidden_size))
+    hidden = np.empty((steps, stack, hidden_size))
+    cells = np.empty((steps, stack, hidden_size))
+    gates = np.empty((steps, 5, stack, hidden_size))
+    h_prev = np.zeros((stack, hidden_size))
+    c_prev = np.zeros((stack, hidden_size))
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            recurrent = np.matmul(w_h, h_prev[:, :, np.newaxis])
+            np.add(preact_gates[:, t].transpose(1, 0, 2),
+                   recurrent.reshape(stack, 4, hidden_size).transpose(1, 0, 2),
+                   out=preact)
+            kernels.cell_forward(preact, c_prev, hidden[t], cells[t], gates[t])
+            h_prev = hidden[t]
+            c_prev = cells[t]
+    return hidden.transpose(1, 0, 2), LstmLayerCache(inputs, hidden, cells, gates)
+
+
+def _backward_factors(cache: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per-step factors of the backward pass that the recurrence leaves alone.
+
+    ``cache`` is a (T, 5, D, H) forward cache and ``cells`` the (T, D, H)
+    cell states.  Row t of the (T, 7, D, H) result holds the factors that
+    ``kernels.cell_backward`` takes for step t; its previous cell state is
+    zeros for the first step.
+    """
+    steps, _, stack, hidden = cache.shape
+    factors = np.empty((steps, 7, stack, hidden))
+    np.subtract(1.0, cache[:, :3], out=factors[:, :3])
+    for row, source in ((3, cache[:, 4]), (4, cache[:, 3])):
+        np.multiply(source, source, out=factors[:, row])
+        np.subtract(1.0, factors[:, row], out=factors[:, row])
+    factors[:, 5] = cache[:, 3]
+    factors[0, 6] = 0.0
+    factors[1:, 6] = cells[:-1]
+    return factors
 
 
 def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
                   w_h: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate through one left-to-right LSTM.
+    """Backpropagate through a stack of left-to-right LSTMs.
 
-    ``d_hidden`` holds dLoss/dh per step.  Returns
-    (d_inputs, d_w_x, d_w_h, d_b).
+    ``d_hidden`` holds dLoss/dh per LSTM and step, (D, T, H).  Returns
+    (d_inputs, d_w_x, d_w_h, d_b), each with the stack axis first.
     """
-    steps, hidden_size = d_hidden.shape
-    d_preacts = np.zeros((steps, 4 * hidden_size))
-    dc_next = np.zeros(hidden_size)
-    dh_rec = np.zeros(hidden_size)
-    dc_prev = np.zeros(hidden_size)
+    stack, steps, hidden_size = d_hidden.shape
+    factors = _backward_factors(cache.gates, cache.cells)
+    d_preacts = np.empty((stack, steps, 4 * hidden_size))
+    d_preact_gates = d_preacts.reshape(stack, steps, 4, hidden_size)
+    d_gates = np.empty((4, stack, hidden_size))
+    w_h_t = w_h.transpose(0, 2, 1)
+    dc = np.zeros((stack, hidden_size))
+    dh_rec = np.zeros((stack, hidden_size))
     for t in range(steps - 1, -1, -1):
-        dh_total = d_hidden[t] + dh_rec
-        c_prev = cache.cells[t - 1] if t > 0 else np.zeros(hidden_size)
-        kernels.cell_backward(dh_total, dc_next, cache.gates[t], c_prev,
-                              d_preacts[t], dc_prev)
-        dc_next = dc_prev.copy()
-        dh_rec = w_h.T @ d_preacts[t]
-    d_w_x = d_preacts.T @ cache.inputs
-    d_b = d_preacts.sum(axis=0)
+        dh_total = d_hidden[:, t] + dh_rec
+        kernels.cell_backward(dh_total, dc, cache.gates[t], factors[t], d_gates, dc)
+        d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
+        dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
+    d_w_x = np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs)
+    d_b = d_preacts.sum(axis=1)
     # Step t read the hidden state of step t - 1; the first step read zeros.
-    d_w_h = d_preacts[1:].T @ cache.hidden[:-1]
-    d_inputs = d_preacts @ w_x
+    hidden = np.ascontiguousarray(cache.hidden[:-1].transpose(1, 0, 2))
+    d_w_h = np.matmul(d_preacts[:, 1:].transpose(0, 2, 1), hidden)
+    d_inputs = np.matmul(d_preacts, w_x)
     return d_inputs, d_w_x, d_w_h, d_b
 
 
-# The order in which each direction reads the sequence: the backward LSTM
-# is the forward one run over the reversed sequence.
-_DIRECTIONS = (("fwd", slice(None)), ("bwd", slice(None, None, -1)))
+# Row order of the direction axis of a BiLSTM layer's weights.
+DIRECTIONS = ("fwd", "bwd")
 
 
-def bilstm_forward(inputs: np.ndarray, params: Dict[str, np.ndarray],
-                   n_layers: int
-                   ) -> Tuple[np.ndarray, List[Tuple[LstmLayerCache, LstmLayerCache]]]:
-    """Stacked bidirectional LSTM; output is (T, 2H) per layer top."""
+def bilstm_forward(inputs: np.ndarray, layers: Sequence[Tuple[np.ndarray, ...]]
+                   ) -> Tuple[np.ndarray, List[LstmLayerCache]]:
+    """Stacked bidirectional LSTM over (T, In) inputs; output is (T, 2H).
+
+    ``layers`` holds each layer's (w_x, w_h, b) with the direction axis
+    first, ordered as ``DIRECTIONS``.  Both directions run as one stack:
+    the backward LSTM is the forward one run over the reversed sequence.
+    """
     caches = []
     current = inputs
-    for layer in range(n_layers):
-        states, layer_caches = [], []
-        for direction, order in _DIRECTIONS:
-            prefix = f"lstm.{layer}.{direction}"
-            # A contiguous copy: numpy's matmul skips BLAS on a negative
-            # stride, which is slower and rounds differently.
-            hidden, cache = lstm_forward(
-                np.ascontiguousarray(current[order]), params[f"{prefix}.w_x"],
-                params[f"{prefix}.w_h"], params[f"{prefix}.b"])
-            states.append(hidden[order])
-            layer_caches.append(cache)
-        current = np.concatenate(states, axis=1)
-        caches.append(tuple(layer_caches))
+    for w_x, w_h, b in layers:
+        hidden, cache = lstm_forward(np.stack((current, current[::-1])), w_x, w_h, b)
+        current = np.concatenate((hidden[0], hidden[1, ::-1]), axis=1)
+        caches.append(cache)
     return current, caches
 
 
-def bilstm_backward(d_output: np.ndarray, caches, params: Dict[str, np.ndarray],
-                    grads: Dict[str, np.ndarray], n_layers: int) -> np.ndarray:
-    """Backward through the stacked BiLSTM, accumulating into ``grads``."""
+def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
+                    layers: Sequence[Tuple[np.ndarray, ...]],
+                    grads: Dict[str, np.ndarray]) -> np.ndarray:
+    """Backward through the stacked BiLSTM, accumulating into ``grads``.
+
+    ``grads`` is keyed by parameter name, ``lstm.<layer>.<direction>.<w>``.
+    """
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
-    for layer in range(n_layers - 1, -1, -1):
-        d_inputs = []
-        for index, (direction, order) in enumerate(_DIRECTIONS):
+    for layer in range(len(layers) - 1, -1, -1):
+        w_x, w_h, _ = layers[layer]
+        d_hidden = np.stack((d_current[:, :hidden_size],
+                             d_current[::-1, hidden_size:]))
+        d_in, d_w_x, d_w_h, d_b = lstm_backward(d_hidden, caches[layer], w_x, w_h)
+        for index, direction in enumerate(DIRECTIONS):
             prefix = f"lstm.{layer}.{direction}"
-            columns = slice(index * hidden_size, (index + 1) * hidden_size)
-            d_in, d_w_x, d_w_h, d_b = lstm_backward(
-                d_current[order, columns], caches[layer][index],
-                params[f"{prefix}.w_x"], params[f"{prefix}.w_h"])
-            grads[f"{prefix}.w_x"] += d_w_x
-            grads[f"{prefix}.w_h"] += d_w_h
-            grads[f"{prefix}.b"] += d_b
-            d_inputs.append(d_in[order])
-        d_current = d_inputs[0] + d_inputs[1]
+            grads[f"{prefix}.w_x"] += d_w_x[index]
+            grads[f"{prefix}.w_h"] += d_w_h[index]
+            grads[f"{prefix}.b"] += d_b[index]
+        d_current = d_in[0] + d_in[1, ::-1]
     return d_current
 
 
@@ -163,34 +211,51 @@ def mlp_backward(d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
             d_out.T @ hidden, d_out.sum(axis=0))
 
 
-class Adam:
-    """Deterministic Adam over a fixed, ordered set of parameter keys."""
+# Elements per block of an Adam update: the two scratch blocks stay in L2.
+_ADAM_BLOCK = 16384
 
-    def __init__(self, params: Dict[str, np.ndarray], keys: List[str],
-                 learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Deterministic Adam over one flat parameter vector, updated in place.
+
+    Every element sees the same operations in the same order as the
+    textbook update; the work runs block by block through two
+    preallocated scratch blocks, so an update allocates nothing.
+    """
+
+    def __init__(self, params: np.ndarray, learning_rate: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
-        self.keys = list(keys)
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(params[k]) for k in self.keys}
-        self.v = {k: np.zeros_like(params[k]) for k in self.keys}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(_ADAM_BLOCK, params.size)))
 
-    def step(self, grads: Dict[str, np.ndarray]) -> None:
+    def step(self, grads: np.ndarray) -> None:
+        """One update from ``grads``, laid out as ``params``."""
         self.t += 1
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
-        for key in self.keys:
-            g = grads[key]
-            m = self.m[key]
-            v = self.v[key]
+        for start in range(0, self.params.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            g, m, v = grads[block], self.m[block], self.v[block]
+            update, root = self._scratch[:, :g.size]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / correction1
-            v_hat = v / correction2
-            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=update)
+            update *= 1.0 - self.beta2
+            v += update
+            # learning_rate * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, correction1, out=update)
+            update *= self.learning_rate
+            np.divide(v, correction2, out=root)
+            np.sqrt(root, out=root)
+            root += self.eps
+            update /= root
+            self.params[block] -= update

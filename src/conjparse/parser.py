@@ -39,7 +39,8 @@ class ScoredBatch:
 
     Row r of ``scores`` and ``mlp_hidden`` belongs to configuration r.
     The conj arrays hold one row per entry of ``conj_rows``, the
-    configurations whose conj score was added to ``conj_index``.
+    configurations whose conj score was added to the score of
+    ``Model.conj_transition``.
     """
 
     scores: np.ndarray
@@ -47,7 +48,6 @@ class ScoredBatch:
     conj_rows: np.ndarray
     conj_hidden: Optional[np.ndarray] = None
     conj_joint: Optional[np.ndarray] = None
-    conj_index: Optional[int] = None
 
 
 def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
@@ -89,8 +89,7 @@ def score_batch(model: Model, features: np.ndarray, conj_rows: np.ndarray,
     conj_scores, conj_hidden, conj_joint = model.conj_score(features[conj_rows],
                                                             conj_inputs)
     scores[conj_rows, right_conj] += conj_scores
-    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden, conj_joint,
-                       right_conj)
+    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden, conj_joint)
 
 
 def pair_inputs(pair: Tuple[int, int], sentence: Sentence,

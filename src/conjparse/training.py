@@ -134,9 +134,8 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
     if d_nodes is None:
         return loss
     grads["pad_vec"] += d_nodes[-1]
-    d_inputs = network.bilstm_backward(
-        d_nodes[:-1], encoded.lstm_caches, model.params, grads,
-        model.hp.lstm_layers)
+    d_inputs = network.bilstm_backward(d_nodes[:-1], encoded.lstm_caches,
+                                       model.lstm, grads)
     word_dim = model.hp.word_dim
     pre_dim = model.hp.pretrained_dim
     np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
@@ -187,9 +186,10 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     grads["mlp.w2"] += d_w2
     grads["mlp.b2"] += d_b2
     if batch.conj_rows.size:
-        # The conj MLP has one output, added to the score at conj_index; it
-        # gets a gradient where conj is the gold or the violating transition.
-        d_conj = d_scores[batch.conj_rows, batch.conj_index]
+        # The conj MLP has one output, added to the score of the conj
+        # transition; it gets a gradient where conj is the gold or the
+        # violating transition.
+        d_conj = d_scores[batch.conj_rows, model.conj_transition]
         hit = np.flatnonzero(d_conj)
         d_joint, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
             d_conj[hit, np.newaxis], batch.conj_joint[hit], batch.conj_hidden[hit],
@@ -237,7 +237,7 @@ def train_step(batch: Sequence[Sentence], model: Model,
     grads = model.zero_grads()
     loss = batch_loss(model, batch, resources, grads=grads,
                       word_ids=ids, paths=paths)
-    optimizer.step(grads)
+    optimizer.step(model.grad_vector)
     return loss
 
 
@@ -264,7 +264,9 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
 
     All training sentences must be projective (the CLI filters and counts
     the skipped ones).  Identical seed, data and configuration reproduce
-    the exact same parameters.
+    the exact same parameters.  Raises ``ValueError`` naming the epoch as
+    soon as a batch loss or, after an epoch's updates, a parameter is not
+    finite.
     """
     from .evaluation import attachment_scores
 
@@ -272,8 +274,7 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
         raise ValueError(f"epochs must be at least 1, got {epochs}")
     rng = np.random.default_rng(seed)
     optimizer = network.Adam(
-        model.params, model.trainable,
-        learning_rate=model.hp.learning_rate, beta1=model.hp.beta1,
+        model.vector, learning_rate=model.hp.learning_rate, beta1=model.hp.beta1,
         beta2=model.hp.beta2, eps=model.hp.adam_eps,
     )
     paths = [oracle_path(s, model, resources) for s in train_sentences]
@@ -294,6 +295,9 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
                 raise ValueError(f"epoch {epoch}: training loss is {loss}, "
                                  "not a finite number")
             epoch_loss += loss
+        if not np.isfinite(model.vector).all():
+            raise ValueError(f"epoch {epoch}: the updates left parameters that "
+                             "are not finite numbers")
         record = EpochRecord(epoch=epoch, loss=epoch_loss)
         if dev_sentences is not None:
             parsed = [greedy_parse(s, model, resources) for s in dev_sentences]
@@ -303,7 +307,9 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
             if result.best_las is None or record.dev_las > result.best_las:
                 result.best_las = record.dev_las
                 result.best_epoch = epoch
-                best_params = model.copy_params()
+                # The model ends at the last epoch's parameters, so only
+                # an earlier best needs a snapshot to go back to.
+                best_params = model.copy_params() if epoch < epochs else None
         result.history.append(record)
         if log is not None:
             log(_format_epoch(record))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,38 @@ def test_train_with_a_non_finite_loss_is_a_one_line_error(tmp_path, train_file,
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1: training loss is ")
     assert err.endswith(", not a finite number\n") and err.count("\n") == 1
+    assert not model_path.exists()
+
+
+def test_train_that_leaves_non_finite_parameters_saves_no_model(tmp_path, capsys):
+    # One sentence and one epoch: the only update overflows parameters and
+    # no later loss sees them.  Such a model used to be written, and
+    # ``parse`` then refused it with exit 4.
+    train = tmp_path / "one.conllx"
+    train.write_bytes(write_conll(read_conll(DATA / "sample_treebank.conllx")[:1]))
+    model_path = tmp_path / "model.bin"
+    code = main(["train", "--train", str(train), "--seed", "1", "--epochs", "1",
+                 "--model", str(model_path), *TINY_HYPERS,
+                 "--hyper", "learning_rate=1e308"])
+    assert code == EXIT_OTHER
+    assert capsys.readouterr().err == (
+        "error: epoch 1: the updates left parameters that are not finite numbers\n")
+    assert not model_path.exists()
+
+
+def test_overflowing_training_warns_nothing_before_its_error(tmp_path, train_file,
+                                                             capsys):
+    model_path = tmp_path / "model.bin"
+    args = ["train", "--train", str(train_file), "--seed", "1", "--epochs", "1",
+            "--model", str(model_path), *TINY_HYPERS,
+            "--hyper", "learning_rate=1e308"]
+    # Recorded warnings are the ones that would reach stderr.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == EXIT_OTHER
+    assert [str(warning.message) for warning in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1: ") and err.count("\n") == 1
     assert not model_path.exists()
 
 

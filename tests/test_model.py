@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import join_model_file, make_sentence, split_model_file, tiny_model
+from conjparse import network
 from conjparse.model import (
     Hyperparams,
     Model,
@@ -15,7 +16,7 @@ from conjparse.model import (
     check_hyperparams,
 )
 from conjparse.resources import EmbeddingTable, FeatureResources
-from conjparse.training import sentence_loss
+from conjparse.training import jitter_params, sentence_loss
 from conjparse.transitions import ParseConfiguration
 from conjparse.treebank import LabelInventory
 
@@ -51,9 +52,9 @@ def test_encode_backward_mirrors_forward_on_palindromic_input(sentences):
     # read in reverse.
     model = tiny_model(sentences, lstm_layers=1)
     for direction_param in ("w_x", "w_h", "b"):
-        model.params[f"lstm.0.bwd.{direction_param}"] = model.params[
+        model.params[f"lstm.0.bwd.{direction_param}"][...] = model.params[
             f"lstm.0.fwd.{direction_param}"
-        ].copy()
+        ]
     model.params["word_emb"][:] = model.params["word_emb"][0]
     model.params["pos_emb"][:] = model.params["pos_emb"][0]
     enc = model.encode(sentences[0])
@@ -349,3 +350,90 @@ def test_build_leaves_the_callers_hyperparams_alone(sentences):
     buffer = io.BytesIO()
     first.save(buffer)
     assert Model.load(io.BytesIO(buffer.getvalue())).hp == first.hp
+
+
+def _pretrained_models(sentences):
+    """The same model with a frozen and with a tuned pretrained table."""
+    table = EmbeddingTable(
+        {"eats": np.array([1.0, 2.0]), "apples": np.array([3.0, 4.0])}, dim=2
+    )
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=2, lstm_dim=4, mlp_dim=6,
+                     conj_mlp_dim=5, word_dropout_alpha=0.0)
+    vocab = Vocabulary.from_corpus(sentences)
+    labels = LabelInventory.from_sentences(sentences)
+    frozen = Model.build(hp, vocab, labels, pretrained=table, seed=1)
+    hp.tune_pretrained = True
+    tuned = Model.build(hp, vocab, labels, pretrained=table, seed=1)
+    return frozen, tuned
+
+
+def test_trainable_arrays_are_views_into_one_vector(sentences):
+    model = tiny_model(sentences)
+    assert model.vector.size == sum(model.params[k].size for k in model.trainable)
+    for key in model.trainable:
+        assert np.shares_memory(model.params[key], model.vector), key
+    # Each LSTM layer's stacks are its fwd and bwd arrays, in that order.
+    for layer, stack in enumerate(model.lstm):
+        for kind, array in zip(("w_x", "w_h", "b"), stack):
+            for d, direction in enumerate(network.DIRECTIONS):
+                name = f"lstm.{layer}.{direction}.{kind}"
+                assert np.shares_memory(array[d], model.params[name]), name
+                assert np.array_equal(array[d], model.params[name]), name
+
+
+def test_set_params_writes_into_the_existing_views(sentences):
+    model = tiny_model(sentences)
+    arrays = dict(model.params)
+    before = {key: value.copy() for key, value in model.params.items()}
+    encoded = model.encode(sentences[0]).nodes
+    snapshot = model.copy_params()
+    jitter_params(model, seed=1)
+    assert not np.array_equal(model.params["mlp.w1"], before["mlp.w1"])
+    model.set_params(snapshot)
+    for key, value in model.params.items():
+        assert value is arrays[key], key
+        assert np.array_equal(value, before[key]), key
+    assert np.array_equal(model.encode(sentences[0]).nodes, encoded)
+
+
+def test_pre_emb_is_in_the_vector_only_when_it_is_tuned(sentences):
+    frozen, tuned = _pretrained_models(sentences)
+    assert "pre_emb" not in frozen.trainable and "pre_emb" in tuned.trainable
+    assert not np.shares_memory(frozen.params["pre_emb"], frozen.vector)
+    assert np.shares_memory(tuned.params["pre_emb"], tuned.vector)
+    assert tuned.vector.size == frozen.vector.size + frozen.params["pre_emb"].size
+    for key in frozen.params:
+        assert np.array_equal(frozen.params[key], tuned.params[key]), key
+
+
+def test_save_then_load_round_trips_the_bytes(sentences):
+    for model in (tiny_model(sentences), *_pretrained_models(sentences)):
+        first = io.BytesIO()
+        model.save(first)
+        second = io.BytesIO()
+        Model.load(io.BytesIO(first.getvalue())).save(second)
+        assert second.getvalue() == first.getvalue()
+
+
+def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
+    model = tiny_model(sentences)
+    assert model.grad_vector is None
+    grads = model.zero_grads()
+    vector = model.grad_vector
+    assert vector.shape == model.vector.shape and not vector.any()
+    assert sorted(grads) == sorted(model.trainable)
+    for key in model.trainable:
+        assert np.shares_memory(grads[key], vector), key
+    assert sentence_loss(model, sentences[0], FeatureResources.empty(),
+                         grads=grads) > 0.0
+    assert vector.any()
+    again = model.zero_grads()
+    assert model.grad_vector is vector and not vector.any()
+    assert all(np.shares_memory(again[key], vector) for key in model.trainable)
+
+
+def test_load_rejects_a_trainable_list_that_contradicts_the_hyperparameters():
+    meta, arrays = split_model_file(_saved_tiny_model())
+    meta["trainable"] = meta["trainable"][1:]
+    with pytest.raises(ModelIOError, match="'trainable' does not match"):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))

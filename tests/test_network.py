@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from conjparse import network
+
+import reference_nets
 
 # Golden values below were produced by an independent scalar simulation of
 # the gate equations (plain math.exp/math.tanh loops) and frozen here.
@@ -25,16 +28,21 @@ GOLD_C = np.array([
 ])
 
 
+def _one(*arrays):
+    """Each array as a stack of one LSTM."""
+    return [a[np.newaxis] for a in arrays]
+
+
 def test_lstm_forward_matches_hand_simulation():
-    hidden, cache = network.lstm_forward(GOLD_X, GOLD_W_X, GOLD_W_H, GOLD_B)
-    np.testing.assert_allclose(hidden, GOLD_H, atol=1e-15)
-    np.testing.assert_allclose(cache.cells, GOLD_C, atol=1e-15)
+    hidden, cache = network.lstm_forward(*_one(GOLD_X, GOLD_W_X, GOLD_W_H, GOLD_B))
+    np.testing.assert_allclose(hidden[0], GOLD_H, atol=1e-15)
+    np.testing.assert_allclose(cache.cells[:, 0], GOLD_C, atol=1e-15)
 
 
 def test_lstm_zero_parameters_give_zero_states():
     inputs = np.random.default_rng(0).normal(size=(4, 3))
     hidden, cache = network.lstm_forward(
-        inputs, np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8)
+        *_one(inputs, np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
     )
     np.testing.assert_array_equal(hidden, 0.0)
     np.testing.assert_array_equal(cache.cells, 0.0)
@@ -50,11 +58,13 @@ def test_lstm_layer_gradients():
     mix = rng.normal(size=(steps, hidden_size))
 
     def loss(i_, wx_, wh_, b_):
-        h, _ = network.lstm_forward(i_, wx_, wh_, b_)
-        return float((mix * h).sum())
+        h, _ = network.lstm_forward(*_one(i_, wx_, wh_, b_))
+        return float((mix * h[0]).sum())
 
-    hidden, cache = network.lstm_forward(inputs, w_x, w_h, b)
-    d_inputs, d_wx, d_wh, d_b = network.lstm_backward(mix.copy(), cache, w_x, w_h)
+    hidden, cache = network.lstm_forward(*_one(inputs, w_x, w_h, b))
+    d_inputs, d_wx, d_wh, d_b = (
+        grad[0] for grad in network.lstm_backward(mix[np.newaxis].copy(), cache,
+                                                  *_one(w_x, w_h)))
     eps = 1e-6
     for arr, grad in ((inputs, d_inputs), (w_x, d_wx), (w_h, d_wh), (b, d_b)):
         for index in np.ndindex(arr.shape):
@@ -126,23 +136,33 @@ def test_mlp_backward_finite_differences():
             assert abs((up - down) / (2 * eps) - grad[index]) < 1e-8
 
 
-def _two_layer_bilstm_params(rng, dim, hidden_size):
+def _bilstm_params(rng, dim, hidden_size, n_layers=2, scale=0.4):
+    """Name-keyed parameters and the per-layer direction stacks of them."""
     params = {}
-    for layer, d_in in ((0, dim), (1, 2 * hidden_size)):
-        for direction in ("fwd", "bwd"):
+    for layer in range(n_layers):
+        d_in = dim if layer == 0 else 2 * hidden_size
+        for direction in network.DIRECTIONS:
             prefix = f"lstm.{layer}.{direction}"
-            params[f"{prefix}.w_x"] = rng.normal(size=(4 * hidden_size, d_in)) * 0.4
-            params[f"{prefix}.w_h"] = rng.normal(size=(4 * hidden_size, hidden_size)) * 0.4
+            params[f"{prefix}.w_x"] = rng.normal(size=(4 * hidden_size, d_in)) * scale
+            params[f"{prefix}.w_h"] = rng.normal(
+                size=(4 * hidden_size, hidden_size)) * scale
             params[f"{prefix}.b"] = rng.normal(size=4 * hidden_size) * 0.1
-    return params
+    return params, _stacks(params, n_layers)
+
+
+def _stacks(arrays, n_layers):
+    return [tuple(np.stack([arrays[f"lstm.{layer}.{direction}.{kind}"]
+                            for direction in network.DIRECTIONS])
+                  for kind in ("w_x", "w_h", "b"))
+            for layer in range(n_layers)]
 
 
 def test_bilstm_output_shape():
     rng = np.random.default_rng(2)
     steps, dim, hidden_size = 6, 4, 3
-    params = _two_layer_bilstm_params(rng, dim, hidden_size)
+    _, layers = _bilstm_params(rng, dim, hidden_size)
     inputs = rng.normal(size=(steps, dim))
-    out, _ = network.bilstm_forward(inputs, params, 2)
+    out, _ = network.bilstm_forward(inputs, layers)
     assert out.shape == (steps, 2 * hidden_size)
 
 
@@ -151,19 +171,23 @@ def test_bilstm_backward_finite_differences():
     # and the backward direction's reading order is on the path.
     rng = np.random.default_rng(6)
     steps, dim, hidden_size = 4, 3, 2
-    params = _two_layer_bilstm_params(rng, dim, hidden_size)
+    params, layers = _bilstm_params(rng, dim, hidden_size)
     inputs = rng.normal(size=(steps, dim))
     mix = rng.normal(size=(steps, 2 * hidden_size))
 
     def loss():
-        out, _ = network.bilstm_forward(inputs, params, 2)
+        out, _ = network.bilstm_forward(inputs, layers)
         return float((mix * out).sum())
 
-    _, caches = network.bilstm_forward(inputs, params, 2)
+    _, caches = network.bilstm_forward(inputs, layers)
     grads = {key: np.zeros_like(value) for key, value in params.items()}
-    d_inputs = network.bilstm_backward(mix.copy(), caches, params, grads, 2)
+    d_inputs = network.bilstm_backward(mix.copy(), caches, layers, grads)
     eps = 1e-6
-    checks = [(inputs, d_inputs)] + [(params[key], grads[key]) for key in params]
+    # The loss reads the stacks; grads are keyed by name.
+    stacked = {f"lstm.{layer}.{direction}.{kind}": layers[layer][k][d]
+               for layer in range(2) for d, direction in enumerate(network.DIRECTIONS)
+               for k, kind in enumerate(("w_x", "w_h", "b"))}
+    checks = [(inputs, d_inputs)] + [(stacked[key], grads[key]) for key in params]
     for arr, grad in checks:
         for index in np.ndindex(arr.shape):
             orig = arr[index]
@@ -175,17 +199,60 @@ def test_bilstm_backward_finite_differences():
             assert abs((up - down) / (2 * eps) - grad[index]) < 1e-7
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("steps", [1, 2, 7, 40])
+def test_bilstm_is_bit_identical_to_the_per_direction_loop(steps, n_layers):
+    rng = np.random.default_rng(100 * steps + n_layers)
+    dim, hidden_size = 6, 5
+    # Large weights, so that some gates saturate and exp overflows.
+    params, layers = _bilstm_params(rng, dim, hidden_size, n_layers, scale=3.0)
+    inputs = rng.normal(size=(steps, dim))
+    d_output = rng.normal(size=(steps, 2 * hidden_size))
+    with np.errstate(over="ignore"):
+        out, caches = network.bilstm_forward(inputs, layers)
+        ref_out, ref_caches = reference_nets.bilstm_forward(inputs, params, n_layers)
+    assert np.array_equal(out, ref_out)
+    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    ref_grads = {key: np.zeros_like(value) for key, value in params.items()}
+    for _ in range(2):  # the second pass accumulates onto the first
+        d_inputs = network.bilstm_backward(d_output, caches, layers, grads)
+        ref_d_inputs = reference_nets.bilstm_backward(d_output, ref_caches, params,
+                                                      ref_grads, n_layers)
+    assert np.array_equal(d_inputs, ref_d_inputs)
+    for key in params:
+        assert np.array_equal(grads[key], ref_grads[key]), key
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    opt = network.Adam(params, ["w"])
-    before = params["w"].copy()
-    opt.step({"w": np.zeros(3)})
-    np.testing.assert_array_equal(params["w"], before)
+    params = np.array([1.0, -2.0, 3.0])
+    opt = network.Adam(params)
+    before = params.copy()
+    opt.step(np.zeros(3))
+    np.testing.assert_array_equal(params, before)
 
 
 def test_adam_descends_on_quadratic():
-    params = {"w": np.array([5.0])}
-    opt = network.Adam(params, ["w"], learning_rate=0.1)
+    params = np.array([5.0])
+    opt = network.Adam(params, learning_rate=0.1)
     for _ in range(500):
-        opt.step({"w": 2.0 * params["w"]})
-    assert abs(params["w"][0]) < 0.5
+        opt.step(2.0 * params)
+    assert abs(params[0]) < 0.5
+
+
+@pytest.mark.parametrize("size", [5, network._ADAM_BLOCK, 2 * network._ADAM_BLOCK + 3])
+def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
+    rng = np.random.default_rng(size)
+    flat = rng.normal(size=size)
+    # The same values cut into keys of uneven sizes.
+    cuts = sorted(rng.choice(np.arange(1, size), size=min(3, size - 1), replace=False))
+    keyed = {str(k): part.copy() for k, part in enumerate(np.split(flat, cuts))}
+    hyper = dict(learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+    opt = network.Adam(flat, **hyper)
+    reference = reference_nets.KeyedAdam(keyed, **hyper)
+    for _ in range(5):
+        grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
+        opt.step(grads)
+        reference.step(dict(zip(keyed, np.split(grads, cuts))))
+        assert np.array_equal(flat, np.concatenate(list(keyed.values())))
+        assert np.array_equal(opt.m, np.concatenate(list(reference.m.values())))
+        assert np.array_equal(opt.v, np.concatenate(list(reference.v.values())))

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,7 @@ def conj_sentence():
 
 
 def _optimizer(model):
-    return network.Adam(model.params, model.trainable,
-                        learning_rate=model.hp.learning_rate)
+    return network.Adam(model.vector, learning_rate=model.hp.learning_rate)
 
 
 def test_hinge_dead_zone_leaves_parameters_unchanged(empty_resources):
@@ -368,9 +369,8 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
             else:
                 grads["pad_vec"] += segment
     if loss > 0.0:
-        d_inputs = network.bilstm_backward(
-            d_vectors, encoded.lstm_caches, model.params, grads,
-            model.hp.lstm_layers)
+        d_inputs = network.bilstm_backward(d_vectors, encoded.lstm_caches,
+                                           model.lstm, grads)
         word_dim, pre_dim = model.hp.word_dim, model.hp.pretrained_dim
         np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
         if pre_dim and "pre_emb" in grads:
@@ -399,7 +399,8 @@ def _data_resources():
 
 
 def _assert_matches_reference(model, sentences, resources, word_ids):
-    batched, reference = model.zero_grads(), model.zero_grads()
+    batched = model.zero_grads()
+    reference = {key: np.zeros_like(value) for key, value in batched.items()}
     for sentence, ids in zip(sentences, word_ids):
         loss = sentence_loss(model, sentence, resources, grads=batched,
                              word_ids=ids)
@@ -505,3 +506,47 @@ def test_oracle_path_checks_projectivity_once(conj_sentence, monkeypatch):
                        FeatureResources.empty())
     assert len(path.gold) == 2 * len(conj_sentence)
     assert calls == [conj_sentence]
+
+
+def test_train_model_fails_on_parameters_that_are_not_finite(sample_sentences):
+    # One sentence, one epoch: the only update overflows parameters, and
+    # no later batch loss would notice.
+    train = sample_sentences[:1]
+    model = tiny_model(train, learning_rate=1e308)
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="^epoch 1: the updates left parameters that are not "
+                              "finite numbers$"):
+        train_model(model, train, FeatureResources.empty(), epochs=1, seed=1)
+
+
+@pytest.mark.parametrize("seed, best", [(2, 4), (3, 5)])
+def test_a_run_ends_with_the_parameters_of_its_best_epoch(seed, best,
+                                                          sample_sentences,
+                                                          monkeypatch):
+    train, dev = sample_sentences[:12], sample_sentences[200:204]
+    snapshots = []
+    copy_params = Model.copy_params
+    monkeypatch.setattr(Model, "copy_params",
+                        lambda self: snapshots.append(1) or copy_params(self))
+
+    def run(epochs, dev_sentences):
+        model = tiny_model(train + dev, seed=seed)
+        result = train_model(model, train, FeatureResources.empty(), epochs=epochs,
+                             seed=seed, dev_sentences=dev_sentences)
+        buffer = io.BytesIO()
+        model.save(buffer)
+        return result, buffer.getvalue()
+
+    result, selected = run(5, dev)
+    assert result.best_epoch == best
+    # A snapshot for every improvement but one on the last epoch, whose
+    # parameters the model keeps anyway.
+    improved, best_las = [], None
+    for record in result.history:
+        if best_las is None or record.dev_las > best_las:
+            improved.append(record.epoch)
+            best_las = record.dev_las
+    assert len(snapshots) == len([epoch for epoch in improved if epoch < 5])
+    # Dev parsing draws nothing from the training stream, so the run equals
+    # one that stops at its best epoch.
+    assert run(best, None)[1] == selected
