@@ -36,7 +36,6 @@ from .transitions import (
     apply,
     initial_config,
     is_terminal,
-    legal_transitions,
     oracle_sequence,
     static_oracle,
 )

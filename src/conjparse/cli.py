@@ -23,8 +23,9 @@ from .model import (
     ModelIOError,
     Vocabulary,
     check_hyperparams,
+    check_model_path,
 )
-from .parser import parse_corpus
+from .parser import DecodeError, parse_corpus
 from .resources import (
     EmbeddingTable,
     FeatureResources,
@@ -168,6 +169,8 @@ def _parse_hyper_flags(pairs: List[str]) -> dict:
 
 
 def cmd_train(args) -> int:
+    # Checked first: training can take long, and the model is saved last.
+    check_model_path(args.model)
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -187,6 +190,11 @@ def cmd_train(args) -> int:
     train_all = read_conll(args.train, fmt=args.format)
     train_sents = [s for s in train_all if is_projective(s)]
     skipped = len(train_all) - len(train_sents)
+    if not train_sents:
+        # A model trained on nothing has no labels and cannot parse.
+        raise training.NonProjectiveError(
+            f"{args.train}: no projective sentence to train on "
+            f"({skipped} non-projective skipped)")
     dev_sents = read_conll(args.dev, fmt=args.format) if args.dev else None
 
     vocab = Vocabulary.from_corpus(train_sents)
@@ -324,10 +332,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except (ConllError, ResourceError, OracleError, training.NonProjectiveError,
-            evaluation.MisalignedCorporaError, FileNotFoundError) as exc:
+            evaluation.MisalignedCorporaError, OSError) as exc:
+        # OSError: a treebank, resource or config path that cannot be used.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
 

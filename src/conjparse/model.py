@@ -10,6 +10,13 @@ LSTM states over [trainable word embedding ; pretrained embedding ;
 POS embedding] inputs, with the artificial root encoded as an extra
 leading position.
 
+A configuration's feature vector is the context vectors of its four
+feature slots, and the first layer of both MLPs is linear in it.  So
+``encode`` projects every node once, for every slot, through the first
+layers (``project``); a configuration's first-layer pre-activations are
+then the sum of its four slot rows (``first_layer``), the precomputation
+of Chen & Manning (EMNLP 2014).
+
 Models serialize to a small versioned binary container; loading restores
 every parameter bit-exactly.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,6 +43,26 @@ MODEL_VERSION = 1
 
 class ModelIOError(ValueError):
     pass
+
+
+def _unusable_path(action: str, path, exc: OSError) -> ModelIOError:
+    return ModelIOError(f"cannot {action} {path}: {exc.strerror or exc}")
+
+
+def check_model_path(path) -> None:
+    """Raise ``ModelIOError`` unless ``Model.save`` can write to ``path``.
+
+    Opens the path for appending, which changes no existing file, and
+    removes the file again if this made it.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as exc:
+        raise _unusable_path("write", path, exc) from None
+    if not existed:
+        os.remove(path)
 
 
 @dataclass
@@ -174,9 +202,11 @@ class EncodedSentence:
 
     ``nodes`` holds the context vectors with the padding vector as one
     more, last row, so that the feature slot -1 indexes the padding.
+    ``projected`` is ``Model.project`` of ``nodes``, row for row.
     """
 
     nodes: np.ndarray
+    projected: np.ndarray
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
@@ -433,7 +463,8 @@ class Model:
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
         vectors, caches = network.bilstm_forward(inputs, self.lstm)
         nodes = np.vstack([vectors, self.params["pad_vec"]])
-        return EncodedSentence(nodes, word_ids, pos_ids, pre_ids, caches)
+        return EncodedSentence(nodes, self.project(nodes), word_ids, pos_ids,
+                               pre_ids, caches)
 
     # ------------------------------------------------------------------
     # configuration features and scoring
@@ -454,44 +485,121 @@ class Model:
         slots = self.feature_slots(config)
         return encoded.nodes[slots].reshape(-1), slots
 
+    def _first_layer_matrix(self) -> np.ndarray:
+        """``mlp.w1`` over the node columns of ``conj.w1``, one row per
+        (hidden unit, slot): C-contiguous, (4*(mlp_dim + conj_mlp_dim),
+        2*lstm_dim)."""
+        node_dim = self.feature_dim(self.hp)
+        return np.concatenate([self.params["mlp.w1"],
+                               self.params["conj.w1"][:, :node_dim]]
+                              ).reshape(-1, node_dim // 4)
+
+    def project(self, vectors: np.ndarray) -> np.ndarray:
+        """What each node vector adds to the first layer of both MLPs.
+
+        ``vectors`` holds one node vector per row.  Row i of the result is
+        (mlp_dim + conj_mlp_dim, 4): for each hidden unit of the
+        transition MLP, then of the coordination MLP, and each feature
+        slot, the pre-activation that node i adds when it fills that slot.
+        One GEMM with the transpose of a C-contiguous matrix: on OpenBLAS
+        a row then rounds the same in any batch of two or more rows, which
+        ``transition_scores`` relies on.
+        """
+        return (vectors @ self._first_layer_matrix().T).reshape(len(vectors), -1, 4)
+
+    def first_layer(self, projected: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """First-layer pre-activations of configurations, without the biases.
+
+        ``projected`` is ``project`` of a node table and ``slots`` holds
+        one configuration's four rows of that table per row.  Row r is the
+        sum of its slots' projections; its first ``mlp_dim`` columns
+        belong to the transition MLP and the rest to the coordination MLP.
+        """
+        return projected[slots, :, np.arange(slots.shape[1])].sum(axis=1)
+
+    def first_layer_backward(self, vectors: np.ndarray, slots: np.ndarray,
+                             d_first: np.ndarray,
+                             grads: Dict[str, np.ndarray]) -> np.ndarray:
+        """Backward of ``first_layer`` over ``project(vectors)``.
+
+        Accumulates the gradients of ``mlp.w1`` and of the node columns of
+        ``conj.w1`` into ``grads``; returns the gradient of ``vectors``.
+        """
+        n_nodes, (rows, n_slots) = len(vectors), slots.shape
+        # Each (slot, node) projection's gradient sums the rows of
+        # ``d_first`` that put the node in the slot: a product with a 0/1
+        # matrix, far faster than ``np.add.at``.  Slot -1 is the last node.
+        routes = np.zeros((n_slots * n_nodes, rows))
+        routes[np.arange(n_slots) * n_nodes + slots % n_nodes,
+               np.arange(rows)[:, np.newaxis]] = 1.0
+        # One row per (hidden unit, slot), as the rows of the matrix.
+        d_projected = (d_first.T @ routes.T).reshape(-1, n_nodes)
+        d_matrix = (d_projected @ vectors).reshape(d_first.shape[1], -1)
+        mlp_dim = self.hp.mlp_dim
+        grads["mlp.w1"] += d_matrix[:mlp_dim]
+        grads["conj.w1"][:, :d_matrix.shape[1]] += d_matrix[mlp_dim:]
+        return d_projected.T @ self._first_layer_matrix()
+
+    def base_scores(self, first: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Transition scores and MLP hidden of ``first_layer`` rows."""
+        return network.mlp_forward(
+            first[:, :self.hp.mlp_dim], self.params["mlp.b1"],
+            self.params["mlp.w2"], self.params["mlp.b2"],
+        )
+
     def transition_scores(self, features: np.ndarray
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Base scores for every transition; also returns the MLP hidden.
 
         ``features`` is one feature vector or a matrix with one per row.
+        Each feature vector is projected as its four slot vectors, so its
+        scores are bit-identical to those of the same configuration scored
+        from a projected sentence.
         """
         expected = self.feature_dim(self.hp)
         if features.shape[-1] != expected:
             raise ValueError(
                 f"feature vector has length {features.shape[-1]}, expected {expected}"
             )
-        return network.mlp_forward(
-            features, self.params["mlp.w1"], self.params["mlp.b1"],
-            self.params["mlp.w2"], self.params["mlp.b2"],
-        )
+        vectors = features.reshape(-1, expected // 4)
+        slots = np.arange(len(vectors)).reshape(-1, 4)
+        scores, hidden = self.base_scores(self.first_layer(self.project(vectors),
+                                                           slots))
+        if features.ndim == 1:
+            return scores[0], hidden[0]
+        return scores, hidden
 
-    def conj_score(self, features: np.ndarray, conj_inputs: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Auxiliary coordination score; returns (score, hidden, joint input).
+    def conj_score(self, first: np.ndarray, conj_inputs: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Auxiliary coordination scores; returns (score, hidden).
 
-        Takes one feature vector and its conj inputs, or matrices with one
-        configuration per row; the score is then one value per row.
+        ``first`` holds ``first_layer`` rows of configurations and
+        ``conj_inputs`` their six conj inputs, one row each; the score is
+        one value per row.
         """
-        joint = np.concatenate([features, conj_inputs], axis=-1)
-        hidden = np.tanh(joint @ self.params["conj.w1"].T + self.params["conj.b1"])
+        w1 = self.params["conj.w1"]
+        pre = (first[:, self.hp.mlp_dim:]
+               + conj_inputs @ w1[:, self.feature_dim(self.hp):].T)
+        hidden = np.tanh(pre + self.params["conj.b1"])
         score = hidden @ self.params["conj.w2"] + self.params["conj.b2"][0]
-        return score, hidden, joint
+        return score, hidden
 
     # ------------------------------------------------------------------
     # persistence
 
     def save(self, sink) -> None:
-        """Write the model to a path or binary file object."""
+        """Write the model to a path or binary file object.
+
+        A path that cannot be written raises ``ModelIOError``.
+        """
         if hasattr(sink, "write"):
             self._write(sink)
-        else:
+            return
+        try:
             with open(sink, "wb") as handle:
                 self._write(handle)
+        except OSError as exc:
+            raise _unusable_path("write", sink, exc) from None
 
     def _write(self, handle) -> None:
         order = sorted(self.params)
@@ -524,12 +632,19 @@ class Model:
 
     @classmethod
     def load(cls, source) -> "Model":
-        """Read a model from a path or binary file object."""
+        """Read a model from a path or binary file object.
+
+        A path that cannot be read, and a file that is not a well-formed
+        model, raise ``ModelIOError``.
+        """
         if hasattr(source, "read"):
             data = source.read()
         else:
-            with open(source, "rb") as handle:
-                data = handle.read()
+            try:
+                with open(source, "rb") as handle:
+                    data = handle.read()
+            except OSError as exc:
+                raise _unusable_path("read", source, exc) from None
         if len(data) < len(MODEL_MAGIC) + 12 or not data.startswith(MODEL_MAGIC):
             raise ModelIOError("not a parser model file (bad magic bytes)")
         offset = len(MODEL_MAGIC)

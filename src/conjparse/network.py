@@ -185,30 +185,29 @@ def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
     return d_current
 
 
-def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray,
-                w2: np.ndarray, b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One tanh hidden layer over one input vector or a (B, D) matrix of rows.
+def mlp_forward(pre: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One tanh hidden layer, from its pre-activations without the bias.
 
-    Returns (output, hidden) for the backward pass.  A row of a matrix is
-    computed by the same products as a vector on its own, so a batch of
-    one gives bit-identical results.
+    ``pre`` holds one row per input: ``x @ w1.T`` of an MLP with first
+    layer ``w1``, which the caller computes (the parser's model sums it
+    from per-node projections).  Returns (output, hidden) for the backward
+    pass.
     """
-    hidden = np.tanh(x @ w1.T + b1)
+    hidden = np.tanh(pre + b1)
     return hidden @ w2.T + b2, hidden
 
 
-def mlp_backward(d_out: np.ndarray, x: np.ndarray, hidden: np.ndarray,
-                 w1: np.ndarray, w2: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def mlp_backward(d_out: np.ndarray, hidden: np.ndarray, w2: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward of ``mlp_forward`` over a batch of rows.
 
-    ``d_out``, ``x`` and ``hidden`` hold one row per input.  Returns
-    (d_x, d_w1, d_b1, d_w2, d_b2): d_x per row, the parameter gradients
+    ``d_out`` and ``hidden`` hold one row per input.  Returns
+    (d_pre, d_b1, d_w2, d_b2): d_pre per row, the parameter gradients
     summed over the rows.
     """
     d_pre = (d_out @ w2) * (1.0 - hidden * hidden)
-    return (d_pre @ w1, d_pre.T @ x, d_pre.sum(axis=0),
-            d_out.T @ hidden, d_out.sum(axis=0))
+    return d_pre, d_pre.sum(axis=0), d_out.T @ hidden, d_out.sum(axis=0)
 
 
 # Elements per block of an Adam update: the two scratch blocks stay in L2.

@@ -6,12 +6,18 @@ when a right arc is possible, the auxiliary coordination MLP scores the
 score of the right transition that would create a "conj" arc.  The
 highest-scoring legal transition is applied; ties break toward the lowest
 transition index.
+
+The first layer of both MLPs comes from the sentence's per-node
+projections (``Model.project``, computed by ``Model.encode``): scoring a
+configuration sums its four slot rows and runs the rest of both MLPs on
+that sum.  Training scores a whole oracle path, and parsing one
+configuration at a time, through the same ``score_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +44,7 @@ class ScoredBatch:
     """Forward state of scoring a batch of configurations, kept for backprop.
 
     Row r of ``scores`` and ``mlp_hidden`` belongs to configuration r.
-    The conj arrays hold one row per entry of ``conj_rows``, the
+    ``conj_hidden`` holds one row per entry of ``conj_rows``, the
     configurations whose conj score was added to the score of
     ``Model.conj_transition``.
     """
@@ -47,7 +53,6 @@ class ScoredBatch:
     mlp_hidden: np.ndarray
     conj_rows: np.ndarray
     conj_hidden: Optional[np.ndarray] = None
-    conj_joint: Optional[np.ndarray] = None
 
 
 def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
@@ -59,37 +64,46 @@ def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
 
 def score_config(model: Model, config: ParseConfiguration,
                  encoded: EncodedSentence, sentence: Sentence,
-                 resources: FeatureResources) -> np.ndarray:
+                 resources: FeatureResources,
+                 extracted: Optional[Dict[Tuple[int, int], np.ndarray]] = None
+                 ) -> np.ndarray:
     """Augmented transition scores for one configuration.
 
     Scores the configuration as a batch of one with ``score_batch``, the
-    scorer that training applies to a whole oracle path.
+    scorer that training applies to a whole oracle path.  ``extracted``
+    maps the (head, modifier) pairs of ``sentence`` whose conj inputs are
+    known to those inputs; a new pair's inputs are added to it.
     """
-    features, _ = model.config_feature_vector(config, encoded)
+    slots = np.array([model.feature_slots(config)])
     pair = conj_candidate(config)
     if pair is None or model.conj_transition is None:
         rows, inputs = np.arange(0), np.empty((0, FEATURE_SIZE))
     else:
-        rows, inputs = np.arange(1), pair_inputs(pair, sentence, resources)[np.newaxis]
-    return score_batch(model, features[np.newaxis], rows, inputs).scores[0]
+        if extracted is None:
+            extracted = {}
+        if pair not in extracted:
+            extracted[pair] = pair_inputs(pair, sentence, resources)
+        rows, inputs = np.arange(1), extracted[pair][np.newaxis]
+    return score_batch(model, encoded.projected, slots, rows, inputs).scores[0]
 
 
-def score_batch(model: Model, features: np.ndarray, conj_rows: np.ndarray,
-                conj_inputs: np.ndarray) -> ScoredBatch:
+def score_batch(model: Model, projected: np.ndarray, slots: np.ndarray,
+                conj_rows: np.ndarray, conj_inputs: np.ndarray) -> ScoredBatch:
     """Augmented transition scores for a batch of configurations.
 
-    ``features`` has one feature vector per row.  Row ``conj_rows[i]``
-    gets the coordination MLP's score of its feature vector and
-    ``conj_inputs[i]``, added to the transition ``model.conj_transition``.
+    ``projected`` is ``Model.project`` of a sentence's node table and
+    ``slots`` holds one configuration's feature slots per row.  Row
+    ``conj_rows[i]`` gets the coordination MLP's score of its first layer
+    and ``conj_inputs[i]``, added to the transition
+    ``model.conj_transition``.
     """
-    scores, mlp_hidden = model.transition_scores(features)
+    first = model.first_layer(projected, slots)
+    scores, mlp_hidden = model.base_scores(first)
     if not conj_rows.size:
         return ScoredBatch(scores, mlp_hidden, conj_rows)
-    right_conj = model.conj_transition
-    conj_scores, conj_hidden, conj_joint = model.conj_score(features[conj_rows],
-                                                            conj_inputs)
-    scores[conj_rows, right_conj] += conj_scores
-    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden, conj_joint)
+    conj_scores, conj_hidden = model.conj_score(first[conj_rows], conj_inputs)
+    scores[conj_rows, model.conj_transition] += conj_scores
+    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden)
 
 
 def pair_inputs(pair: Tuple[int, int], sentence: Sentence,
@@ -116,9 +130,11 @@ def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
     if single_root is None:
         single_root = model.hp.single_root
     encoded = model.encode(sentence)
+    extracted: Dict[Tuple[int, int], np.ndarray] = {}
     config = initial_config(sentence)
     for _ in range(2 * len(sentence)):
-        scores = score_config(model, config, encoded, sentence, resources)
+        scores = score_config(model, config, encoded, sentence, resources,
+                              extracted)
         mask = legal_mask(config, model.codec, single_root=single_root)
         if not mask.any():
             raise DecodeError(f"no legal transition at {config.summary()}")

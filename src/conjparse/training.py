@@ -5,6 +5,9 @@ sentence.  At every configuration the hinge loss
 ``max(0, margin - score(gold) + max over legal non-gold scores)`` is
 applied to the augmented scores, so gradients reach the coordination MLP
 whenever the "conj" right transition is the gold or the violating one.
+The oracle path's configurations are scored as one batch from the
+sentence's per-node first-layer projections, and their gradients flow
+back through that batch to the first layer and from there to the nodes.
 All gradients are analytic; ``gradient_check`` compares them against
 central finite differences.
 """
@@ -153,16 +156,16 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     """Hinge loss of every configuration on the path, and its gradient.
 
     The path's configurations are scored as one batch, one row each, and
-    backpropagated with matrix products over the rows.  Accumulates the
-    MLP gradients into ``grads`` and returns the gradient with respect to
-    ``encoded.nodes``, or None when nothing is to be backpropagated.  The
-    batch arrays are freed on return, before the BiLSTM backward pass
-    allocates its own.
+    backpropagated with matrix products over the rows down to their first
+    layer, and from there with two products over the sentence's nodes
+    (``Model.first_layer_backward``).  Accumulates the MLP gradients into
+    ``grads`` and returns the gradient with respect to ``encoded.nodes``,
+    or None when nothing is to be backpropagated.  The batch arrays are
+    freed on return, before the BiLSTM backward pass allocates its own.
     """
     rows = np.arange(len(path.gold))
-    # Slot -1, the padding, indexes the last row of the node table.
-    features = encoded.nodes[path.slots].reshape(len(rows), -1)
-    batch = score_batch(model, features, path.conj_rows, path.conj_inputs)
+    batch = score_batch(model, encoded.projected, path.slots, path.conj_rows,
+                        path.conj_inputs)
     scores = batch.scores
     gold = path.gold
     violator = np.argmax(np.where(path.competing, scores, -np.inf), axis=1)
@@ -177,11 +180,12 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     d_scores = np.zeros_like(scores)
     d_scores[rows[active], gold[active]] -= 1.0
     d_scores[rows[active], violator[active]] += 1.0
-    d_features, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
-        d_scores, features, batch.mlp_hidden,
-        model.params["mlp.w1"], model.params["mlp.w2"],
-    )
-    grads["mlp.w1"] += d_w1
+    mlp_dim = model.hp.mlp_dim
+    # Gradient of each row's first layer: the transition MLP's columns,
+    # then the coordination MLP's.
+    d_first = np.zeros((len(rows), mlp_dim + model.hp.conj_mlp_dim))
+    d_first[:, :mlp_dim], d_b1, d_w2, d_b2 = network.mlp_backward(
+        d_scores, batch.mlp_hidden, model.params["mlp.w2"])
     grads["mlp.b1"] += d_b1
     grads["mlp.w2"] += d_w2
     grads["mlp.b2"] += d_b2
@@ -191,18 +195,17 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
         # violating transition.
         d_conj = d_scores[batch.conj_rows, model.conj_transition]
         hit = np.flatnonzero(d_conj)
-        d_joint, d_w1, d_b1, d_w2, d_b2 = network.mlp_backward(
-            d_conj[hit, np.newaxis], batch.conj_joint[hit], batch.conj_hidden[hit],
-            model.params["conj.w1"], model.params["conj.w2"][np.newaxis],
+        d_pre, d_b1, d_w2, d_b2 = network.mlp_backward(
+            d_conj[hit, np.newaxis], batch.conj_hidden[hit],
+            model.params["conj.w2"][np.newaxis],
         )
-        grads["conj.w1"] += d_w1
+        node_dim = Model.feature_dim(model.hp)
+        grads["conj.w1"][:, node_dim:] += d_pre.T @ path.conj_inputs[hit]
         grads["conj.b1"] += d_b1
         grads["conj.w2"] += d_w2[0]
         grads["conj.b2"] += d_b2
-        d_features[batch.conj_rows[hit]] += d_joint[:, :features.shape[1]]
-    d_nodes = np.zeros_like(encoded.nodes)
-    np.add.at(d_nodes, path.slots,
-              d_features.reshape(len(rows), path.slots.shape[1], -1))
+        d_first[batch.conj_rows[hit], mlp_dim:] = d_pre
+    d_nodes = model.first_layer_backward(encoded.nodes, path.slots, d_first, grads)
     return loss, d_nodes
 
 

@@ -136,18 +136,6 @@ def _right_legal(config: ParseConfiguration, single_root: bool = False) -> bool:
     return True
 
 
-def legal_transitions(config: ParseConfiguration, labels: Sequence[str],
-                      single_root: bool = False) -> Set[Transition]:
-    legal: Set[Transition] = set()
-    if _shift_legal(config):
-        legal.add(Transition(SHIFT))
-    if _left_legal(config):
-        legal.update(Transition(LEFT, label) for label in labels)
-    if _right_legal(config, single_root):
-        legal.update(Transition(RIGHT, label) for label in labels)
-    return legal
-
-
 def legal_mask(config: ParseConfiguration, codec: TransitionCodec,
                single_root: bool = False) -> np.ndarray:
     """Boolean legality vector aligned with the codec's transition indices."""

@@ -9,7 +9,12 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from conjparse.model import MODEL_MAGIC, MODEL_VERSION, Hyperparams, Model, Vocabulary
-from conjparse.resources import FeatureResources
+from conjparse.resources import (
+    EmbeddingTable,
+    FeatureResources,
+    LemmaLexicon,
+    SentimentLexicon,
+)
 from conjparse.transitions import TransitionCodec, apply, initial_config, is_terminal, legal_mask
 from conjparse.treebank import LabelInventory, Sentence, Token, read_conll
 
@@ -68,6 +73,16 @@ def random_projective_sentence(rng: np.random.Generator, n: int,
     forms = [str(rng.choice(_FORM_POOL)) for _ in range(n)]
     pos = [str(rng.choice(_POS_POOL)) for _ in range(n)]
     return make_sentence(heads, out_labels, forms, pos)
+
+
+def data_resources() -> FeatureResources:
+    """All four lexical resources shipped in ``data/``."""
+    return FeatureResources(
+        lemmas=LemmaLexicon.load(DATA / "lemmas.tsv"),
+        sentiment=SentimentLexicon.load(DATA / "sentiment_positive.txt",
+                                        DATA / "sentiment_negative.txt"),
+        embeddings=EmbeddingTable.load(DATA / "embeddings_sample.txt"),
+    )
 
 
 def tiny_model(sentences, seed=3, **hp_overrides) -> Model:

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import DATA, join_model_file, split_model_file
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
-from conjparse.model import Model
+from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse
 from conjparse.resources import FeatureResources
-from conjparse.treebank import read_conll, write_conll
+from conjparse.treebank import LabelInventory, is_projective, read_conll, write_conll
 
 TINY_HYPERS = [
     "--hyper", "word_dim=8", "--hyper", "pos_dim=4", "--hyper", "lstm_dim=6",
@@ -338,6 +338,98 @@ def test_exit_code_model_header_contradicting_its_arrays(tmp_path, train_file,
     err = capsys.readouterr().err
     assert err.startswith("model error: ") and err.count("\n") == 1
     assert f"'{key}'" in err
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+def test_parse_with_a_directory_as_model_is_a_model_error(tmp_path, train_file,
+                                                          capsys):
+    code = main(["parse", "--model", str(tmp_path), "--input", str(train_file),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_MODEL
+    err = _one_line_error(capsys, "model error: ")
+    assert err == f"model error: cannot read {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out.conllx").exists()
+
+
+def test_train_with_a_directory_as_model_fails_before_training(tmp_path,
+                                                               train_file, capsys):
+    code = main(["train", "--train", str(train_file), "--model", str(tmp_path),
+                 "--seed", "1", "--epochs", "1", *TINY_HYPERS])
+    assert code == EXIT_MODEL
+    assert capsys.readouterr().out == ""  # no configuration, no epoch
+    code = main(["train", "--train", str(train_file), "--seed", "1",
+                 "--model", str(tmp_path / "missing" / "model.bin")])
+    assert code == EXIT_MODEL
+    assert _one_line_error(capsys, "model error: ").endswith(
+        ": No such file or directory\n")
+
+
+def test_train_checks_the_model_path_without_leaving_a_file(tmp_path, train_file):
+    existing = tmp_path / "old.bin"
+    existing.write_bytes(b"kept")
+    code = main(["train", "--train", str(train_file), "--seed", "1",
+                 "--model", str(existing), "--epochs", "0"])
+    assert code == EXIT_OTHER  # fails after the check, before training
+    assert existing.read_bytes() == b"kept"
+    code = main(["train", "--train", str(train_file), "--seed", "1",
+                 "--model", str(tmp_path / "new.bin"), "--epochs", "0"])
+    assert code == EXIT_OTHER
+    assert not (tmp_path / "new.bin").exists()
+
+
+@pytest.mark.parametrize("flag", ["--gold", "--pred"])
+def test_evaluate_with_a_directory_as_treebank_is_a_data_error(tmp_path,
+                                                               train_file,
+                                                               capsys, flag):
+    paths = {"--gold": str(train_file), "--pred": str(train_file), flag: str(tmp_path)}
+    code = main(["evaluate", *[part for item in paths.items() for part in item]])
+    assert code == EXIT_DATA
+    assert "Is a directory" in _one_line_error(capsys, "data error: ")
+
+
+def test_train_with_a_directory_as_resource_is_a_data_error(tmp_path, train_file,
+                                                            capsys):
+    code = main(["train", "--train", str(train_file), "--seed", "1",
+                 "--model", str(tmp_path / "model.bin"), *TINY_HYPERS,
+                 "--lemma-lexicon", str(tmp_path)])
+    assert code == EXIT_DATA
+    assert "Is a directory" in _one_line_error(capsys, "data error: ")
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_train_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "np.conllx"
+    sentences = [s for s in read_conll(DATA / "sample_treebank.conllx")
+                 if not is_projective(s)]
+    corpus.write_bytes(write_conll(sentences[:1]))
+    model_path = tmp_path / "model.bin"
+    code = main(["train", "--train", str(corpus), "--model", str(model_path),
+                 "--seed", "1", "--epochs", "1", *TINY_HYPERS])
+    assert code == EXIT_DATA
+    assert _one_line_error(capsys, "data error: ") == (
+        f"data error: {corpus}: no projective sentence to train on "
+        "(1 non-projective skipped)\n")
+    assert not model_path.exists()
+
+
+def test_decode_error_is_a_one_line_error(tmp_path, train_file, capsys):
+    # A model without labels has no arc transitions, so no parse can end.
+    sentences = read_conll(train_file)
+    model = Model.build(Hyperparams(word_dim=4, pos_dim=2, lstm_layers=1,
+                                    lstm_dim=3, mlp_dim=4, conj_mlp_dim=3),
+                        Vocabulary.from_corpus(sentences), LabelInventory(()),
+                        seed=1)
+    model_path = tmp_path / "model.bin"
+    model.save(model_path)
+    code = main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_OTHER
+    assert _one_line_error(capsys, "error: no legal transition at ")
 
 
 def test_exit_code_malformed_treebank(tmp_path, capsys):

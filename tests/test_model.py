@@ -123,6 +123,32 @@ CONJ_GOLD_W1 = np.array([
 ])
 
 
+# (lstm_dim, mlp_dim, conj_mlp_dim): the defaults, ``tiny_model``, the
+# acceptance criteria's models and the gradcheck subcommand's.
+PROJECTION_DIMS = [(125, 100, 100), (4, 6, 5), (6, 10, 6), (5, 8, 7)]
+
+
+@pytest.mark.parametrize("lstm_dim, mlp_dim, conj_mlp_dim", PROJECTION_DIMS)
+def test_projection_rows_do_not_depend_on_their_batch(sentences, lstm_dim,
+                                                      mlp_dim, conj_mlp_dim):
+    # ``transition_scores`` projects a feature vector's four slot vectors
+    # as four rows and relies on each row rounding as it does among the
+    # n + 2 rows of a whole sentence.  This holds on OpenBLAS for any
+    # batch of two rows or more; it is a property of the BLAS library.
+    model = tiny_model(sentences, lstm_dim=lstm_dim, mlp_dim=mlp_dim,
+                       conj_mlp_dim=conj_mlp_dim)
+    jitter_params(model, seed=1)
+    rng = np.random.default_rng(lstm_dim)
+    for n in range(1, 101):
+        nodes = rng.normal(size=(n + 2, 2 * lstm_dim))
+        whole = model.project(nodes)
+        # Every node once, in groups of four, plus random slot patterns.
+        groups = np.resize(rng.permutation(n + 2), (-(-(n + 2) // 4), 4))
+        groups = np.vstack([groups, rng.integers(-1, n + 2, size=(2, 4))])
+        for rows in groups:
+            assert np.array_equal(model.project(nodes[rows]), whole[rows]), (n, rows)
+
+
 def test_conj_score_golden(sentences):
     # Hand-set weights; expected value frozen from a scalar simulation.
     model = tiny_model(sentences, lstm_dim=1, conj_mlp_dim=3)
@@ -132,8 +158,16 @@ def test_conj_score_golden(sentences):
     model.params["conj.b2"] = np.array([0.1])
     features = np.array([0.2, -0.4, 0.6, -0.8, 0.1, -0.3, 0.5, -0.7])
     conj_inputs = np.array([1.0, 3.0 / 7.0, 0.0, 0.5, 1.0, -1.0])
-    score, _, _ = model.conj_score(features, conj_inputs)
+    score = _conj_score_of(model, features, conj_inputs)
     assert abs(score - 0.37377363586735568) < 1e-15
+
+
+def _conj_score_of(model, features, conj_inputs):
+    """``Model.conj_score`` of one feature vector, through its projection."""
+    first = model.first_layer(model.project(features.reshape(4, -1)),
+                              np.arange(4)[np.newaxis])
+    score, _ = model.conj_score(first, conj_inputs[np.newaxis])
+    return score[0]
 
 
 def test_conj_score_zero_and_bias_only(sentences):
@@ -141,10 +175,10 @@ def test_conj_score_zero_and_bias_only(sentences):
     for key in ("conj.w1", "conj.b1", "conj.w2", "conj.b2"):
         model.params[key][...] = 0.0
     features = np.zeros(Model.feature_dim(model.hp))
-    score, _, _ = model.conj_score(features, np.zeros(6))
+    score = _conj_score_of(model, features, np.zeros(6))
     assert score == 0.0
     model.params["conj.b2"][0] = 5.0
-    score, _, _ = model.conj_score(features, np.ones(6))
+    score = _conj_score_of(model, features, np.ones(6))
     assert score == 5.0
 
 

@@ -91,14 +91,14 @@ MLP_GOLD_OUT = np.array([
 
 
 def test_mlp_forward_golden():
-    out, hidden = network.mlp_forward(MLP_X, MLP_W1, MLP_B1, MLP_W2, MLP_B2)
+    out, hidden = network.mlp_forward(MLP_X @ MLP_W1.T, MLP_B1, MLP_W2, MLP_B2)
     np.testing.assert_allclose(hidden, MLP_GOLD_HIDDEN, atol=1e-15)
     np.testing.assert_allclose(out, MLP_GOLD_OUT, atol=1e-15)
 
 
 def test_mlp_zero_parameters():
     out, _ = network.mlp_forward(
-        MLP_X, np.zeros((2, 3)), np.zeros(2), np.zeros((4, 2)), np.zeros(4)
+        MLP_X @ np.zeros((2, 3)).T, np.zeros(2), np.zeros((4, 2)), np.zeros(4)
     )
     np.testing.assert_array_equal(out, 0.0)
 
@@ -107,7 +107,7 @@ def test_mlp_bias_forces_argmax():
     b2 = np.zeros(4)
     b2[2] = 1.0
     out, _ = network.mlp_forward(
-        MLP_X, np.zeros((2, 3)), np.zeros(2), np.zeros((4, 2)), b2
+        MLP_X @ np.zeros((2, 3)).T, np.zeros(2), np.zeros((4, 2)), b2
     )
     assert int(np.argmax(out)) == 2
 
@@ -116,14 +116,14 @@ def test_mlp_backward_finite_differences():
     rng = np.random.default_rng(8)
     d_out = rng.normal(size=(3, 4))
 
-    def loss(x, w1, b1, w2, b2):
-        out, _ = network.mlp_forward(x, w1, b1, w2, b2)
+    def loss(pre, b1, w2, b2):
+        out, _ = network.mlp_forward(pre, b1, w2, b2)
         return float((d_out * out).sum())
 
-    rows = np.vstack([MLP_X, -MLP_X, rng.normal(size=3)])
-    params = [rows, MLP_W1.copy(), MLP_B1.copy(), MLP_W2.copy(), MLP_B2.copy()]
+    rows = np.vstack([MLP_X, -MLP_X, rng.normal(size=3)]) @ MLP_W1.T
+    params = [rows, MLP_B1.copy(), MLP_W2.copy(), MLP_B2.copy()]
     out, hidden = network.mlp_forward(*params)
-    grads = network.mlp_backward(d_out, params[0], hidden, params[1], params[3])
+    grads = network.mlp_backward(d_out, hidden, params[2])
     eps = 1e-6
     for arr, grad in zip(params, grads):
         for index in np.ndindex(arr.shape):

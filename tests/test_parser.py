@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
 
-from conftest import make_sentence, random_projective_sentence, tiny_model
+from conftest import (
+    data_resources,
+    make_sentence,
+    random_projective_sentence,
+    tiny_model,
+)
+from conjparse import parser
+from conjparse.conj_features import extract_forms
 from conjparse.parser import (
     augmented_scores,
     conj_candidate,
     greedy_parse,
     parse_corpus,
+    score_batch,
     score_config,
 )
+from conjparse.training import jitter_params, oracle_path
 from conjparse.transitions import (
     ParseConfiguration,
     apply,
     initial_config,
     is_terminal,
     legal_mask,
+    oracle_sequence,
 )
-from conjparse.treebank import Sentence, Token, validate_tree
+from conjparse.treebank import Sentence, Token, is_projective, validate_tree
 
 
 @pytest.fixture()
@@ -79,17 +89,81 @@ def test_parse_output_is_always_a_tree(empty_resources):
 def test_parse_takes_exactly_2n_transitions(conj_sentences, empty_resources):
     model = tiny_model(conj_sentences)
     sentence = conj_sentences[0]
-    calls = 0
-    original = model.transition_scores
+    calls = []
+    original = model.first_layer
 
-    def counting(features):
-        nonlocal calls
-        calls += 1
-        return original(features)
+    def counting(projected, slots):
+        calls.append(slots.shape)
+        return original(projected, slots)
 
-    model.transition_scores = counting
+    model.first_layer = counting
     greedy_parse(sentence, model, empty_resources)
-    assert calls == 2 * len(sentence)
+    assert calls == [(1, 4)] * (2 * len(sentence))
+
+
+def _explicit_scores(model, features, inputs):
+    """Augmented scores with each first layer as one product with the
+    whole feature vector, the way the model computed them before its
+    per-node projection."""
+    params = model.params
+    hidden = np.tanh(features @ params["mlp.w1"].T + params["mlp.b1"])
+    scores = hidden @ params["mlp.w2"].T + params["mlp.b2"]
+    if inputs is not None:
+        joint = np.concatenate([features, inputs])
+        conj_hidden = np.tanh(joint @ params["conj.w1"].T + params["conj.b1"])
+        scores[model.conj_transition] += (conj_hidden @ params["conj.w2"]
+                                          + params["conj.b2"][0])
+    return scores
+
+
+def test_projected_scores_match_an_explicit_first_layer(sample_sentences):
+    resources = data_resources()
+    sentences = [s for s in sample_sentences[:40] if is_projective(s)][:12]
+    model = tiny_model(sentences, seed=4)
+    jitter_params(model, seed=5)
+    conj_seen = 0
+    for sentence in sentences:
+        encoded = model.encode(sentence)
+        path = oracle_path(sentence, model, resources)
+        batch = score_batch(model, encoded.projected, path.slots, path.conj_rows,
+                            path.conj_inputs)
+        inputs = dict(zip(path.conj_rows.tolist(), path.conj_inputs))
+        config = initial_config(sentence)
+        for row, transition in enumerate(oracle_sequence(sentence)):
+            features, _ = model.config_feature_vector(config, encoded)
+            pair = conj_candidate(config)
+            expected = _explicit_scores(model, features, inputs.get(row))
+            tolerance = dict(rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+            np.testing.assert_allclose(batch.scores[row], expected, **tolerance)
+            np.testing.assert_allclose(
+                score_config(model, config, encoded, sentence, resources),
+                expected, **tolerance)
+            base, _ = model.transition_scores(features)
+            np.testing.assert_allclose(
+                base, _explicit_scores(model, features, None), **tolerance)
+            conj_seen += pair is not None
+            config = apply(config, transition)
+    assert conj_seen > 0 and model.conj_transition is not None
+
+
+def test_parse_extracts_each_conj_pair_once(sample_sentences, monkeypatch):
+    resources = data_resources()
+    sentence = max(sample_sentences[:60], key=len)
+    model = tiny_model(sample_sentences[:60], seed=7)
+    jitter_params(model, seed=4)
+    # Right arcs whenever legal: each one returns to the pair below it.
+    for index, transition in enumerate(model.codec.all_transitions()):
+        model.params["mlp.b2"][index] = {"left": -50.0, "right": 50.0}.get(
+            transition.kind, 0.0)
+    met, extracted = [], []
+    monkeypatch.setattr(parser, "conj_candidate",
+                        lambda config: met.append(conj_candidate(config)) or met[-1])
+    monkeypatch.setattr(parser, "extract_forms",
+                        lambda *args: extracted.append(args) or extract_forms(*args))
+    greedy_parse(sentence, model, resources)
+    pairs = [pair for pair in met if pair is not None]
+    assert len(pairs) > len(set(pairs))  # the parse meets some pair twice
+    assert len(extracted) == len(set(pairs))
 
 
 def test_conj_candidate():

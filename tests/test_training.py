@@ -3,17 +3,18 @@ import io
 import numpy as np
 import pytest
 
-from conftest import DATA, GRADCHECK_FIXTURE, make_sentence, tiny_model
+from conftest import (
+    DATA,
+    GRADCHECK_FIXTURE,
+    data_resources,
+    make_sentence,
+    tiny_model,
+)
 from conjparse import conj_features, network, parser, training, transitions
 from conjparse.conj_features import extract_forms
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import conj_candidate
-from conjparse.resources import (
-    EmbeddingTable,
-    FeatureResources,
-    LemmaLexicon,
-    SentimentLexicon,
-)
+from conjparse.resources import FeatureResources
 from conjparse.training import (
     NonProjectiveError,
     batch_loss,
@@ -314,9 +315,10 @@ def test_kink_margin_reports_small_value_at_zero_point(conj_sentence,
 def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
     """The per-configuration loop that the batched ``sentence_loss`` replaced.
 
-    It scores one configuration at a time and accumulates every parameter
-    gradient with outer products, so it rounds differently from the
-    batched matrix products but computes the same function.
+    It scores one configuration at a time, with each MLP's first layer as
+    one product with the whole feature vector, and accumulates every
+    parameter gradient with outer products, so it rounds differently from
+    the projected, batched code but computes the same function.
     """
     encoded = model.encode(sentence, word_ids=word_ids)
     d_vectors = np.zeros_like(encoded.vectors)
@@ -325,13 +327,17 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
     loss = 0.0
     for config, gold in _gold_walk(sentence, model):
         features, slots = model.config_feature_vector(config, encoded)
-        scores, hidden = model.transition_scores(features)
+        hidden = np.tanh(model.params["mlp.w1"] @ features + model.params["mlp.b1"])
+        scores = model.params["mlp.w2"] @ hidden + model.params["mlp.b2"]
         conj = None
         pair = conj_candidate(config)
         if model.hp.use_conj_features and right_conj is not None and pair:
-            inputs = _extract(sentence, pair, resources)
-            value, conj_hidden, conj_joint = model.conj_score(features, inputs)
-            scores[right_conj] += value
+            conj_joint = np.concatenate([features,
+                                         _extract(sentence, pair, resources)])
+            conj_hidden = np.tanh(model.params["conj.w1"] @ conj_joint
+                                  + model.params["conj.b1"])
+            scores[right_conj] += (conj_hidden @ model.params["conj.w2"]
+                                   + model.params["conj.b2"][0])
             conj = conj_hidden, conj_joint
         mask = legal_mask(config, model.codec)
         mask[gold] = False
@@ -389,15 +395,6 @@ def _extract(sentence, pair, resources):
         resources).to_inputs()
 
 
-def _data_resources():
-    return FeatureResources(
-        lemmas=LemmaLexicon.load(DATA / "lemmas.tsv"),
-        sentiment=SentimentLexicon.load(DATA / "sentiment_positive.txt",
-                                        DATA / "sentiment_negative.txt"),
-        embeddings=EmbeddingTable.load(DATA / "embeddings_sample.txt"),
-    )
-
-
 def _assert_matches_reference(model, sentences, resources, word_ids):
     batched = model.zero_grads()
     reference = {key: np.zeros_like(value) for key, value in batched.items()}
@@ -435,7 +432,7 @@ def test_batched_loss_matches_per_configuration_loop_with_resources():
         pos=["NNP", "VBZ", "NNS", "CC", "NNS", ",", "DT", "NN", "JJ", "CC",
              "NNS"],
     )
-    resources = _data_resources()
+    resources = data_resources()
     hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=2, lstm_dim=4,
                      mlp_dim=6, conj_mlp_dim=5, word_dropout_alpha=2.0,
                      tune_pretrained=True)
@@ -453,17 +450,17 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
                                                     empty_resources):
     model = tiny_model([conj_sentence])
     calls = []
-    original = model.transition_scores
+    original = model.first_layer
 
-    def counting(features):
-        calls.append(features.shape)
-        return original(features)
+    def counting(projected, slots):
+        calls.append(slots.shape)
+        return original(projected, slots)
 
-    model.transition_scores = counting
+    model.first_layer = counting
     path = oracle_path(conj_sentence, model, empty_resources)
     sentence_loss(model, conj_sentence, empty_resources,
                   grads=model.zero_grads(), path=path)
-    assert calls == [(len(path.gold), Model.feature_dim(model.hp))]
+    assert calls == [(len(path.gold), 4)]
 
 
 def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(

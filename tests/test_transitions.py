@@ -15,12 +15,18 @@ from conjparse.transitions import (
     initial_config,
     is_terminal,
     legal_mask,
-    legal_transitions,
     oracle_sequence,
     static_oracle,
 )
 
 LABELS = ("dobj", "nsubj", "root")
+CODEC = TransitionCodec(LABELS)
+
+
+def _legal(config, single_root=False):
+    """The legal transitions of ``config``, as a set."""
+    mask = legal_mask(config, CODEC, single_root=single_root)
+    return {CODEC.decode(int(index)) for index in np.flatnonzero(mask)}
 
 
 def test_initial_config_shapes():
@@ -32,49 +38,53 @@ def test_initial_config_shapes():
 
 def test_legal_initial_only_shift():
     config = initial_config(2)
-    assert legal_transitions(config, LABELS) == {Transition(SHIFT)}
+    assert _legal(config) == {Transition(SHIFT)}
 
 
 def test_legal_empty_buffer_only_right():
     config = ParseConfiguration(stack=(0, 1, 2), buffer=())
     expected = {Transition(RIGHT, l) for l in LABELS}
-    assert legal_transitions(config, LABELS) == expected
+    assert _legal(config) == expected
 
 
 def test_legal_terminal_empty():
     config = ParseConfiguration(stack=(0,), buffer=())
-    assert legal_transitions(config, LABELS) == set()
+    assert _legal(config) == set()
 
 
 def test_single_root_restriction():
     # With material left in the buffer, the root arc must wait.
     config = ParseConfiguration(stack=(0, 2), buffer=(3,))
-    plain = legal_transitions(config, LABELS)
-    restricted = legal_transitions(config, LABELS, single_root=True)
+    plain = _legal(config)
+    restricted = _legal(config, single_root=True)
     assert any(t.kind == RIGHT for t in plain)
     assert not any(t.kind == RIGHT for t in restricted)
     # Once the buffer is empty the single root arc is the only way out.
     final = ParseConfiguration(stack=(0, 2), buffer=())
-    assert any(t.kind == RIGHT
-               for t in legal_transitions(final, LABELS, single_root=True))
+    assert any(t.kind == RIGHT for t in _legal(final, single_root=True))
 
 
 def test_legal_mask_matches_set():
-    codec = TransitionCodec(LABELS)
+    # The mask's transitions are the set that ``apply`` accepts; the
+    # single-root mask drops just the early root arcs from it.
     rng = np.random.default_rng(0)
     for _ in range(50):
         sent = random_projective_sentence(rng, int(rng.integers(1, 7)))
         config = initial_config(len(sent))
         while not is_terminal(config):
-            for single_root in (False, True):
-                mask = legal_mask(config, codec, single_root=single_root)
-                from_set = {
-                    codec.encode(t)
-                    for t in legal_transitions(config, LABELS, single_root)
-                }
-                assert set(np.flatnonzero(mask)) == from_set
-            legal = sorted(np.flatnonzero(legal_mask(config, codec)))
-            config = apply(config, codec.decode(int(rng.choice(legal))))
+            applicable = set()
+            for transition in CODEC.all_transitions():
+                try:
+                    apply(config, transition)
+                except IllegalTransitionError:
+                    continue
+                applicable.add(transition)
+            assert _legal(config) == applicable
+            early_root = config.stack[-2:-1] == (0,) and bool(config.buffer)
+            assert _legal(config, single_root=True) == {
+                t for t in applicable if not (early_root and t.kind == RIGHT)}
+            legal = sorted(np.flatnonzero(legal_mask(config, CODEC)))
+            config = apply(config, CODEC.decode(int(rng.choice(legal))))
 
 
 def test_apply_left():
