@@ -49,8 +49,7 @@ EXIT_MODEL = 4
 EXIT_OTHER = 1
 
 
-def _add_resource_flags(sub):
-    sub.add_argument("--embeddings", help="pretrained embedding text file")
+def _add_lexicon_flags(sub):
     sub.add_argument("--lemma-lexicon", help="TSV lemma lexicon")
     sub.add_argument("--sentiment-pos", help="positive word list")
     sub.add_argument("--sentiment-neg", help="negative word list")
@@ -81,7 +80,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     train.add_argument("--hyper", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="override one hyperparameter (repeatable)")
-    _add_resource_flags(train)
+    train.add_argument("--embeddings", help="pretrained embedding text file")
+    _add_lexicon_flags(train)
 
     parse = sub.add_parser("parse", help="parse a treebank with a trained model")
     parse.add_argument("--model", required=True)
@@ -89,7 +89,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parse.add_argument("--output", required=True)
     parse.add_argument("--format", choices=("conllx", "conllu"), default="conllx")
     parse.add_argument("--no-single-root", action="store_true")
-    _add_resource_flags(parse)
+    parse.add_argument("--embeddings", help="pretrained embedding text file")
+    _add_lexicon_flags(parse)
 
     evaluate = sub.add_parser("evaluate", help="score predictions against gold")
     evaluate.add_argument("--gold", required=True)
@@ -100,7 +101,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--tsv", action="store_true",
                           help="emit machine-readable TSV instead of a table")
     evaluate.add_argument("--diff-label", default="conj")
-    _add_resource_flags(evaluate)
+    _add_lexicon_flags(evaluate)
 
     analyze = sub.add_parser("analyze", help="corpus statistics per label")
     analyze.add_argument("--input", required=True)
@@ -109,7 +110,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="label for the top-pairs listing")
     analyze.add_argument("--top", type=int, default=24)
     analyze.add_argument("--markdown", action="store_true")
-    _add_resource_flags(analyze)
+    _add_lexicon_flags(analyze)
 
     gradcheck = sub.add_parser(
         "gradcheck", help="compare analytic gradients with finite differences"
@@ -129,16 +130,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def load_resources(args) -> FeatureResources:
     lemmas = (
         LemmaLexicon.load(args.lemma_lexicon)
-        if getattr(args, "lemma_lexicon", None)
+        if args.lemma_lexicon
         else LemmaLexicon.empty()
     )
-    if getattr(args, "sentiment_pos", None) and getattr(args, "sentiment_neg", None):
+    if args.sentiment_pos and args.sentiment_neg:
         sentiment = SentimentLexicon.load(args.sentiment_pos, args.sentiment_neg)
     else:
-        if getattr(args, "sentiment_pos", None) or getattr(args, "sentiment_neg", None):
+        if args.sentiment_pos or args.sentiment_neg:
             print("warning: need both sentiment lists; using neutral sentiment",
                   file=sys.stderr)
         sentiment = SentimentLexicon.empty()
+    # Only ``train`` and ``parse`` take ``--embeddings``.
     embeddings = (
         EmbeddingTable.load(args.embeddings)
         if getattr(args, "embeddings", None)
@@ -178,7 +180,11 @@ def cmd_train(args) -> int:
                 config = check_hyperparams(json.load(handle))
             except ValueError as exc:
                 raise ValueError(f"config file {args.config}: {exc}") from None
-    hp = Hyperparams(**{**config, **_parse_hyper_flags(args.hyper)})
+    overrides = {**config, **_parse_hyper_flags(args.hyper)}
+    if "pretrained_dim" in overrides:
+        raise ValueError("hyperparameter 'pretrained_dim' cannot be set: it "
+                         "follows from --embeddings")
+    hp = Hyperparams(**overrides)
     if args.no_conj_features:
         hp.use_conj_features = False
     if args.no_single_root:
@@ -255,7 +261,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     sentences = read_conll(args.input, fmt=args.format)
-    if not getattr(args, "sentiment_pos", None):
+    if not args.sentiment_pos and not args.sentiment_neg:
         print("warning: no sentiment lists given; sentiment columns are "
               "all-neutral", file=sys.stderr)
     resources = load_resources(args)

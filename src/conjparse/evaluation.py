@@ -1,17 +1,19 @@
 """Attachment scores, per-label Rel / Rel+Att metrics and system diffs.
 
 Punctuation tokens are excluded from every metric: a token counts as
-punctuation when its gold label is "punct" or its POS tag is one of the
-classic punctuation tags (configurable).
+punctuation when its gold label is "punct" or its POS tag is one of
+``DEFAULT_PUNCT_POS``, the classic punctuation tags.
 
 ``Rel`` asks only whether a token's relation label is right, ``Rel+Att``
 additionally requires the predicted head to match, so for coordination it
 separates "found a conjunct" from "attached the conjunct to the right
-first-conjunct head".
+first-conjunct head".  Every metric is read from one walk over the aligned
+corpora (``_count``), which checks their alignment once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
@@ -26,8 +28,8 @@ class MisalignedCorporaError(ValueError):
     pass
 
 
-def is_punctuation(token: Token, punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS) -> bool:
-    return token.gold_label == "punct" or token.pos in punct_pos
+def is_punctuation(token: Token) -> bool:
+    return token.gold_label == "punct" or token.pos in DEFAULT_PUNCT_POS
 
 
 def _predicted(token: Token) -> Tuple[int, str]:
@@ -59,77 +61,72 @@ def check_aligned(gold: Sequence[Sentence], pred: Sequence[Sentence],
                 )
 
 
-def attachment_counts(gold: Sequence[Sentence], pred: Sequence[Sentence],
-                      punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS
+def _count(gold: Sequence[Sentence], pred: Sequence[Sentence]
+           ) -> Tuple[Tuple[int, int, int], Dict[str, List[int]]]:
+    """Every count behind the metrics, from one walk of the corpora.
+
+    Returns (counted tokens, correct heads, correct heads+labels) and, for
+    each label seen in gold or in the prediction, [gold count, predicted
+    count, Rel hits, Rel+Att hits].  The walk only tallies (gold label,
+    predicted label, head correct) triples, of which there are few.
+    """
+    check_aligned(gold, pred)
+    tally = Counter(
+        (g_tok.gold_label, label, head == g_tok.gold_head)
+        for g_sent, p_sent in zip(gold, pred)
+        for g_tok, (head, label) in zip(g_sent, map(_predicted, p_sent))
+        if not is_punctuation(g_tok)
+    )
+    counted = heads = both = 0
+    per_label: Dict[str, List[int]] = {}
+    for (gold_label, label, head_ok), n in tally.items():
+        counted += n
+        heads += head_ok * n
+        per_label.setdefault(gold_label, [0, 0, 0, 0])[0] += n
+        counts = per_label.setdefault(label, [0, 0, 0, 0])
+        counts[1] += n
+        if label == gold_label:
+            counts[2] += n
+            counts[3] += head_ok * n
+            both += head_ok * n
+    return (counted, heads, both), per_label
+
+
+def _percent(part: int, whole: int) -> float:
+    return 100.0 * part / whole if whole else 0.0
+
+
+def attachment_counts(gold: Sequence[Sentence], pred: Sequence[Sentence]
                       ) -> Tuple[int, int, int]:
     """(counted tokens, correct heads, correct heads+labels)."""
-    check_aligned(gold, pred)
-    counted = heads = both = 0
-    for g_sent, p_sent in zip(gold, pred):
-        for g_tok, p_tok in zip(g_sent, p_sent):
-            if is_punctuation(g_tok, punct_pos):
-                continue
-            counted += 1
-            head, label = _predicted(p_tok)
-            if head == g_tok.gold_head:
-                heads += 1
-                if label == g_tok.gold_label:
-                    both += 1
-    return counted, heads, both
+    return _count(gold, pred)[0]
 
 
-def attachment_scores(gold: Sequence[Sentence], pred: Sequence[Sentence],
-                      punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS
+def attachment_scores(gold: Sequence[Sentence], pred: Sequence[Sentence]
                       ) -> Tuple[float, float]:
     """(UAS, LAS) percentages over non-punctuation tokens."""
-    counted, heads, both = attachment_counts(gold, pred, punct_pos)
-    if counted == 0:
-        return 0.0, 0.0
-    return 100.0 * heads / counted, 100.0 * both / counted
+    counted, heads, both = attachment_counts(gold, pred)
+    return _percent(heads, counted), _percent(both, counted)
 
 
-def rel_counts(gold: Sequence[Sentence], pred: Sequence[Sentence], label: str,
-               punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS
+def rel_counts(gold: Sequence[Sentence], pred: Sequence[Sentence], label: str
                ) -> Tuple[int, int, int]:
     """(true positives, gold positives, predicted positives) by label only."""
-    check_aligned(gold, pred)
-    tp = gold_n = pred_n = 0
-    for g_sent, p_sent in zip(gold, pred):
-        for g_tok, p_tok in zip(g_sent, p_sent):
-            if is_punctuation(g_tok, punct_pos):
-                continue
-            _, p_label = _predicted(p_tok)
-            gold_hit = g_tok.gold_label == label
-            pred_hit = p_label == label
-            gold_n += gold_hit
-            pred_n += pred_hit
-            tp += gold_hit and pred_hit
+    gold_n, pred_n, tp, _ = _count(gold, pred)[1].get(label, (0, 0, 0, 0))
     return tp, gold_n, pred_n
 
 
-def rel_att_counts(gold: Sequence[Sentence], pred: Sequence[Sentence], label: str,
-                   punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS
+def rel_att_counts(gold: Sequence[Sentence], pred: Sequence[Sentence], label: str
                    ) -> Tuple[int, int, int]:
     """Like rel_counts but a true positive also needs the correct head."""
-    check_aligned(gold, pred)
-    tp = gold_n = pred_n = 0
-    for g_sent, p_sent in zip(gold, pred):
-        for g_tok, p_tok in zip(g_sent, p_sent):
-            if is_punctuation(g_tok, punct_pos):
-                continue
-            p_head, p_label = _predicted(p_tok)
-            gold_hit = g_tok.gold_label == label
-            pred_hit = p_label == label
-            gold_n += gold_hit
-            pred_n += pred_hit
-            tp += gold_hit and pred_hit and p_head == g_tok.gold_head
+    gold_n, pred_n, _, tp = _count(gold, pred)[1].get(label, (0, 0, 0, 0))
     return tp, gold_n, pred_n
 
 
 def precision_recall_f1(tp: int, gold_n: int, pred_n: int
                         ) -> Tuple[float, float, float]:
-    precision = 100.0 * tp / pred_n if pred_n else 0.0
-    recall = 100.0 * tp / gold_n if gold_n else 0.0
+    precision = _percent(tp, pred_n)
+    recall = _percent(tp, gold_n)
     f1 = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0.0
@@ -138,12 +135,12 @@ def precision_recall_f1(tp: int, gold_n: int, pred_n: int
     return precision, recall, f1
 
 
-def rel_metrics(gold, pred, label, punct_pos=DEFAULT_PUNCT_POS):
-    return precision_recall_f1(*rel_counts(gold, pred, label, punct_pos))
+def rel_metrics(gold, pred, label):
+    return precision_recall_f1(*rel_counts(gold, pred, label))
 
 
-def rel_att_metrics(gold, pred, label, punct_pos=DEFAULT_PUNCT_POS):
-    return precision_recall_f1(*rel_att_counts(gold, pred, label, punct_pos))
+def rel_att_metrics(gold, pred, label):
+    return precision_recall_f1(*rel_att_counts(gold, pred, label))
 
 
 @dataclass
@@ -166,30 +163,20 @@ class EvalReport:
     per_label: Dict[str, LabelMetrics]
 
 
-def evaluate(gold: Sequence[Sentence], pred: Sequence[Sentence],
-             punct_pos: FrozenSet[str] = DEFAULT_PUNCT_POS) -> EvalReport:
+def evaluate(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> EvalReport:
     """Full report: UAS/LAS plus Rel and Rel+Att for every label seen."""
-    uas, las = attachment_scores(gold, pred, punct_pos)
-    counted, _, _ = attachment_counts(gold, pred, punct_pos)
-    labels = set()
-    for g_sent, p_sent in zip(gold, pred):
-        for g_tok, p_tok in zip(g_sent, p_sent):
-            if is_punctuation(g_tok, punct_pos):
-                continue
-            labels.add(g_tok.gold_label)
-            labels.add(_predicted(p_tok)[1])
+    (counted, heads, both), counts = _count(gold, pred)
     per_label = {}
-    for label in sorted(labels):
-        tp, gold_n, pred_n = rel_counts(gold, pred, label, punct_pos)
-        rp, rr, rf = precision_recall_f1(tp, gold_n, pred_n)
-        tp_a, _, _ = rel_att_counts(gold, pred, label, punct_pos)
-        ap, ar, af = precision_recall_f1(tp_a, gold_n, pred_n)
+    for label, (gold_n, pred_n, rel_tp, att_tp) in sorted(counts.items()):
+        rp, rr, rf = precision_recall_f1(rel_tp, gold_n, pred_n)
+        ap, ar, af = precision_recall_f1(att_tp, gold_n, pred_n)
         per_label[label] = LabelMetrics(
             rel_p=rp, rel_r=rr, rel_f1=rf,
             relatt_p=ap, relatt_r=ar, relatt_f1=af,
             gold_support=gold_n, pred_support=pred_n,
         )
-    return EvalReport(uas=uas, las=las, counted_tokens=counted, per_label=per_label)
+    return EvalReport(uas=_percent(heads, counted), las=_percent(both, counted),
+                      counted_tokens=counted, per_label=per_label)
 
 
 # ----------------------------------------------------------------------

@@ -202,11 +202,13 @@ class EncodedSentence:
 
     ``nodes`` holds the context vectors with the padding vector as one
     more, last row, so that the feature slot -1 indexes the padding.
-    ``projected`` is ``Model.project`` of ``nodes``, row for row.
+    ``projected`` is ``Model.project`` of ``nodes``, row for row, with the
+    first-layer matrix ``first_matrix``, which the backward pass reuses.
     """
 
     nodes: np.ndarray
     projected: np.ndarray
+    first_matrix: np.ndarray
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
@@ -463,8 +465,9 @@ class Model:
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
         vectors, caches = network.bilstm_forward(inputs, self.lstm)
         nodes = np.vstack([vectors, self.params["pad_vec"]])
-        return EncodedSentence(nodes, self.project(nodes), word_ids, pos_ids,
-                               pre_ids, caches)
+        matrix = self._first_layer_matrix()
+        return EncodedSentence(nodes, self.project(nodes, matrix), matrix,
+                               word_ids, pos_ids, pre_ids, caches)
 
     # ------------------------------------------------------------------
     # configuration features and scoring
@@ -494,7 +497,8 @@ class Model:
                                self.params["conj.w1"][:, :node_dim]]
                               ).reshape(-1, node_dim // 4)
 
-    def project(self, vectors: np.ndarray) -> np.ndarray:
+    def project(self, vectors: np.ndarray,
+                matrix: Optional[np.ndarray] = None) -> np.ndarray:
         """What each node vector adds to the first layer of both MLPs.
 
         ``vectors`` holds one node vector per row.  Row i of the result is
@@ -503,9 +507,12 @@ class Model:
         slot, the pre-activation that node i adds when it fills that slot.
         One GEMM with the transpose of a C-contiguous matrix: on OpenBLAS
         a row then rounds the same in any batch of two or more rows, which
-        ``transition_scores`` relies on.
+        ``transition_scores`` relies on.  ``matrix`` is that matrix, when
+        the caller has already built it.
         """
-        return (vectors @ self._first_layer_matrix().T).reshape(len(vectors), -1, 4)
+        if matrix is None:
+            matrix = self._first_layer_matrix()
+        return (vectors @ matrix.T).reshape(len(vectors), -1, 4)
 
     def first_layer(self, projected: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """First-layer pre-activations of configurations, without the biases.
@@ -517,15 +524,16 @@ class Model:
         """
         return projected[slots, :, np.arange(slots.shape[1])].sum(axis=1)
 
-    def first_layer_backward(self, vectors: np.ndarray, slots: np.ndarray,
+    def first_layer_backward(self, encoded: EncodedSentence, slots: np.ndarray,
                              d_first: np.ndarray,
                              grads: Dict[str, np.ndarray]) -> np.ndarray:
-        """Backward of ``first_layer`` over ``project(vectors)``.
+        """Backward of ``first_layer`` over ``encoded.projected``.
 
         Accumulates the gradients of ``mlp.w1`` and of the node columns of
-        ``conj.w1`` into ``grads``; returns the gradient of ``vectors``.
+        ``conj.w1`` into ``grads``; returns the gradient of
+        ``encoded.nodes``.
         """
-        n_nodes, (rows, n_slots) = len(vectors), slots.shape
+        n_nodes, (rows, n_slots) = len(encoded.nodes), slots.shape
         # Each (slot, node) projection's gradient sums the rows of
         # ``d_first`` that put the node in the slot: a product with a 0/1
         # matrix, far faster than ``np.add.at``.  Slot -1 is the last node.
@@ -534,11 +542,11 @@ class Model:
                np.arange(rows)[:, np.newaxis]] = 1.0
         # One row per (hidden unit, slot), as the rows of the matrix.
         d_projected = (d_first.T @ routes.T).reshape(-1, n_nodes)
-        d_matrix = (d_projected @ vectors).reshape(d_first.shape[1], -1)
+        d_matrix = (d_projected @ encoded.nodes).reshape(d_first.shape[1], -1)
         mlp_dim = self.hp.mlp_dim
         grads["mlp.w1"] += d_matrix[:mlp_dim]
         grads["conj.w1"][:, :d_matrix.shape[1]] += d_matrix[mlp_dim:]
-        return d_projected.T @ self._first_layer_matrix()
+        return d_projected.T @ encoded.first_matrix
 
     def base_scores(self, first: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Transition scores and MLP hidden of ``first_layer`` rows."""

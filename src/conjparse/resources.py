@@ -120,12 +120,10 @@ class LemmaLexicon:
 
 
 class EmbeddingTable:
-    """Word -> dense vector lookup with optional lowercase fallback."""
+    """Word -> dense vector lookup, falling back to the lowercased word."""
 
-    def __init__(self, vectors: Dict[str, np.ndarray], dim: int,
-                 lowercase_fallback: bool = True):
+    def __init__(self, vectors: Dict[str, np.ndarray], dim: int):
         self.dim = dim
-        self.lowercase_fallback = lowercase_fallback
         self._vectors = vectors
 
     def __len__(self) -> int:
@@ -139,12 +137,12 @@ class EmbeddingTable:
 
     def lookup(self, word: str) -> Optional[np.ndarray]:
         vec = self._vectors.get(word)
-        if vec is None and self.lowercase_fallback:
+        if vec is None:
             vec = self._vectors.get(word.lower())
         return vec
 
     @classmethod
-    def load(cls, path, lowercase_fallback: bool = True) -> "EmbeddingTable":
+    def load(cls, path) -> "EmbeddingTable":
         vectors: Dict[str, np.ndarray] = {}
         dim = None
         with open(path, "r", encoding="utf-8") as handle:
@@ -182,7 +180,7 @@ class EmbeddingTable:
                 vectors.setdefault(word, vec)  # first entry wins
         if dim is None:
             raise ResourceError(f"{path}: no vectors found")
-        return cls(vectors, dim, lowercase_fallback)
+        return cls(vectors, dim)
 
 
 @dataclass(frozen=True)

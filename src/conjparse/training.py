@@ -205,7 +205,7 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
         grads["conj.w2"] += d_w2[0]
         grads["conj.b2"] += d_b2
         d_first[batch.conj_rows[hit], mlp_dim:] = d_pre
-    d_nodes = model.first_layer_backward(encoded.nodes, path.slots, d_first, grads)
+    d_nodes = model.first_layer_backward(encoded, path.slots, d_first, grads)
     return loss, d_nodes
 
 

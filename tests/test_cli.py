@@ -161,6 +161,25 @@ def test_analyze_outputs_and_warning(tmp_path, capsys):
     assert "head\tmodifier\tcount" in captured.out
 
 
+def test_analyze_with_one_sentiment_list_warns_once(capsys):
+    code = main(["analyze", "--input", str(DATA / "sample_treebank.conllx"),
+                 "--sentiment-neg", str(DATA / "sentiment_negative.txt")])
+    assert code == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: need both sentiment lists")
+
+
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--gold", "g.conllx", "--pred", "p.conllx"],
+    ["analyze", "--input", "g.conllx"],
+])
+def test_embeddings_flag_only_where_vectors_are_used(command):
+    with pytest.raises(SystemExit) as err:
+        main([*command, "--embeddings", str(DATA / "embeddings_sample.txt")])
+    assert err.value.code == 2
+
+
 def test_analyze_markdown(tmp_path, capsys):
     code = main(["analyze", "--input", str(DATA / "sample_treebank.conllx"),
                  "--markdown", "--sentiment-pos",
@@ -291,6 +310,8 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     (None, ["--hyper", "word_dropout_alpha=-0.5"], "word_dropout_alpha"),
     ({"margin": -1}, [], "margin"),
     (None, ["--hyper", "margin=0"], "margin"),
+    (None, ["--hyper", "pretrained_dim=7"], "pretrained_dim"),
+    ({"pretrained_dim": 7}, [], "pretrained_dim"),
 ])
 def test_bad_hyperparameter_is_a_one_line_error(tmp_path, train_file, capsys,
                                                 config, hyper, key):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_sentence, random_tree_sentence
+from conjparse import evaluation
 from conjparse.evaluation import (
     DEFAULT_PUNCT_POS,
     MisalignedCorporaError,
@@ -13,6 +14,7 @@ from conjparse.evaluation import (
     evaluate,
     feature_prevalence,
     is_punctuation,
+    precision_recall_f1,
     rel_att_counts,
     rel_att_metrics,
     rel_counts,
@@ -122,17 +124,20 @@ def _random_pair(rng, n):
     gold = random_tree_sentence(rng, n)
     heads = [int(rng.integers(0, n + 1)) for _ in range(n)]
     heads = [h if h != i + 1 else 0 for i, h in enumerate(heads)]
-    labels = [str(rng.choice(["root", "nsubj", "dobj", "conj", "punct"]))
+    # "appos" is never a gold label, so it is seen in predictions only.
+    labels = [str(rng.choice(["root", "nsubj", "dobj", "conj", "punct", "appos"]))
               for _ in range(n)]
     return gold, gold.with_predictions(heads, labels)
 
 
 def test_metrics_match_bruteforce_on_random_pairs():
     rng = np.random.default_rng(17)
+    prediction_only_seen = False
     for _ in range(1000):
         gold_s, pred_s = _random_pair(rng, int(rng.integers(1, 11)))
         gold, pred = [gold_s], [pred_s]
-        assert attachment_counts(gold, pred) == _brute_force_counts(gold, pred)
+        counts = _brute_force_counts(gold, pred)
+        assert attachment_counts(gold, pred) == counts
         for label in ("conj", "nsubj"):
             assert rel_counts(gold, pred, label) == _brute_force_label(
                 gold, pred, label, need_head=False
@@ -140,6 +145,24 @@ def test_metrics_match_bruteforce_on_random_pairs():
             assert rel_att_counts(gold, pred, label) == _brute_force_label(
                 gold, pred, label, need_head=True
             )
+        report = evaluate(gold, pred)
+        assert report.counted_tokens == counts[0]
+        seen = {
+            label
+            for gt, pt in zip(gold_s.tokens, pred_s.tokens)
+            if not (gt.gold_label == "punct" or gt.pos in DEFAULT_PUNCT_POS)
+            for label in (gt.gold_label, pt.pred_label)
+        }
+        assert sorted(report.per_label) == sorted(seen)
+        for label, m in report.per_label.items():
+            rel = _brute_force_label(gold, pred, label, need_head=False)
+            att = _brute_force_label(gold, pred, label, need_head=True)
+            assert (m.gold_support, m.pred_support) == rel[1:] == att[1:]
+            assert (m.rel_p, m.rel_r, m.rel_f1) == precision_recall_f1(*rel)
+            assert (m.relatt_p, m.relatt_r, m.relatt_f1) == \
+                precision_recall_f1(*att)
+        prediction_only_seen |= "appos" in report.per_label
+    assert prediction_only_seen
 
 
 def test_rel_att_tp_never_exceeds_rel_tp():
@@ -186,6 +209,25 @@ def test_evaluate_report_structure(gold):
     assert "conj\t100.0000" in tsv
     table = report_table(report)
     assert "UAS: 100.00" in table
+
+
+def test_evaluate_checks_alignment_once_and_visits_each_token_once(
+        sample_sentences, monkeypatch):
+    calls = {"check_aligned": 0, "is_punctuation": 0}
+
+    def counting(name):
+        original = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counting(name))
+    evaluate(sample_sentences, [_gold_as_pred(s) for s in sample_sentences])
+    assert calls == {"check_aligned": 1,
+                     "is_punctuation": sum(map(len, sample_sentences))}
 
 
 def test_f1_is_harmonic_mean():

@@ -66,10 +66,7 @@ def test_embedding_duplicate_first_wins(tmp_path):
 def test_embedding_lowercase_fallback_flag(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("word 1.0 2.0\n")
-    with_fallback = EmbeddingTable.load(path)
-    assert with_fallback.lookup("Word") is not None
-    without = EmbeddingTable.load(path, lowercase_fallback=False)
-    assert without.lookup("Word") is None
+    assert EmbeddingTable.load(path).lookup("Word") is not None
 
 
 def test_bundled_sample_embeddings_load():

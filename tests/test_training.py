@@ -457,10 +457,14 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
         return original(projected, slots)
 
     model.first_layer = counting
+    original_matrix = model._first_layer_matrix
+    model._first_layer_matrix = lambda: calls.append("matrix") or original_matrix()
     path = oracle_path(conj_sentence, model, empty_resources)
-    sentence_loss(model, conj_sentence, empty_resources,
-                  grads=model.zero_grads(), path=path)
-    assert calls == [(len(path.gold), 4)]
+    loss = sentence_loss(model, conj_sentence, empty_resources,
+                         grads=model.zero_grads(), path=path)
+    # The backward pass reuses the first-layer matrix of the forward pass.
+    assert loss > 0.0
+    assert calls == ["matrix", (len(path.gold), 4)]
 
 
 def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
