@@ -346,10 +346,22 @@ class Model:
     def build(cls, hp: Hyperparams, vocab: Vocabulary, labels: LabelInventory,
               pretrained: Optional[EmbeddingTable] = None,
               seed: int = 0) -> "Model":
+        """A freshly initialised model; ``seed`` fixes every draw.
+
+        ``hp.pretrained_dim`` must be 0 or the dimension of ``pretrained``
+        (0 without a table); the model's ``hp`` takes the table's.  Raises
+        ``ValueError`` otherwise.
+        """
+        table_dim = 0 if pretrained is None else pretrained.dim
+        if hp.pretrained_dim not in (0, table_dim):
+            raise ValueError(
+                f"pretrained_dim {hp.pretrained_dim} needs an embedding table"
+                if pretrained is None else f"pretrained_dim {hp.pretrained_dim} "
+                f"is not the embedding table's dimension {table_dim}")
         rng = np.random.default_rng(seed)
         pretrained_words = None
         # A copy: the caller's Hyperparams may build other models.
-        hp = replace(hp, pretrained_dim=0 if pretrained is None else pretrained.dim)
+        hp = replace(hp, pretrained_dim=table_dim)
         if pretrained is not None:
             pretrained_words = sorted(pretrained.words())
         model = cls(hp, vocab, labels, pretrained_words)

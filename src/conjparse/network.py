@@ -13,11 +13,16 @@ reversed sequence, so ``bilstm_forward``/``bilstm_backward`` run both
 directions as a stack of two: they reverse the backward direction's
 inputs and flip its states and gradients back into sequence order.
 
-``Adam`` updates one flat parameter vector in place.
+``Adam`` updates one flat parameter vector in place, on two threads where
+the process may use two CPUs; its moment buffers ``m`` and ``v`` hold
+values only after its first step.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -210,16 +215,43 @@ def mlp_backward(d_out: np.ndarray, hidden: np.ndarray, w2: np.ndarray
     return d_pre, d_pre.sum(axis=0), d_out.T @ hidden, d_out.sum(axis=0)
 
 
-# Elements per block of an Adam update: the two scratch blocks stay in L2.
-_ADAM_BLOCK = 16384
+# Elements per block of an Adam update.  Larger blocks mean fewer numpy
+# calls, so the two threads hand the GIL back and forth less often; each
+# thread's two scratch blocks and the blocks it streams stay in its L2.
+_ADAM_BLOCK = 49152
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_keeping_errors(context: contextvars.Context, errors: list,
+                        function, *args) -> None:
+    """Run ``function(*args)`` in ``context``; append what it raises to ``errors``."""
+    try:
+        context.run(function, *args)
+    except BaseException as error:
+        errors.append(error)
 
 
 class Adam:
     """Deterministic Adam over one flat parameter vector, updated in place.
 
     Every element sees the same operations in the same order as the
-    textbook update; the work runs block by block through two
-    preallocated scratch blocks, so an update allocates nothing.
+    textbook update; the work runs block by block through preallocated
+    scratch blocks, so an update allocates nothing.  Where the process may
+    run on more than one CPU, the caller updates the lower half of the
+    blocks and one worker thread, started for the update and joined before
+    it returns, the upper half: numpy releases the GIL inside each block's
+    operations.  The worker runs in a copy of the caller's context, so
+    ``np.errstate`` reaches it, and what it raises is raised in the caller.
+
+    ``m`` and ``v`` are allocated uninitialised and hold values only after
+    a step: the first update zeroes each of their blocks just before using
+    it.
     """
 
     def __init__(self, params: np.ndarray, learning_rate: float = 1e-3,
@@ -230,19 +262,58 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
-        self._scratch = np.empty((2, min(_ADAM_BLOCK, params.size)))
+        self.m = np.empty_like(params)
+        self.v = np.empty_like(params)
+        blocks = -(-params.size // _ADAM_BLOCK)
+        # Where the worker's blocks start; 0 leaves every block to the caller.
+        self._split = (blocks // 2) * _ADAM_BLOCK if _cpu_count() > 1 else 0
+        self._scratch = np.empty((2 if self._split else 1, 2,
+                                  min(_ADAM_BLOCK, params.size)))
 
     def step(self, grads: np.ndarray) -> None:
-        """One update from ``grads``, laid out as ``params``."""
+        """One update from ``grads``, laid out as ``params``.
+
+        Raises ``ValueError``, changing nothing, when ``grads`` has another
+        shape.  A first update that raises leaves ``t`` at 0, so the next
+        one zeroes the moments again.
+        """
+        if grads.shape != self.params.shape:
+            raise ValueError(f"gradient shape {grads.shape} is not the "
+                             f"parameter shape {self.params.shape}")
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
-        for start in range(0, self.params.size, _ADAM_BLOCK):
-            block = slice(start, start + _ADAM_BLOCK)
+        args = (grads, self.t == 1, 1.0 - self.beta1 ** self.t,
+                1.0 - self.beta2 ** self.t)
+        try:
+            if not self._split:
+                self._update(0, self.params.size, self._scratch[0], *args)
+                return
+            errors: list = []
+            worker = threading.Thread(target=_run_keeping_errors, args=(
+                contextvars.copy_context(), errors, self._update, self._split,
+                self.params.size, self._scratch[1], *args))
+            worker.start()
+            try:
+                self._update(0, self._split, self._scratch[0], *args)
+            finally:
+                worker.join()
+            if errors:
+                raise errors[0]
+        except BaseException:
+            if self.t == 1:
+                self.t = 0
+            raise
+
+    def _update(self, start: int, stop: int, scratch: np.ndarray,
+                grads: np.ndarray, first: bool, correction1: float,
+                correction2: float) -> None:
+        """Update the elements ``start:stop`` through the two rows of ``scratch``."""
+        for low in range(start, stop, _ADAM_BLOCK):
+            block = slice(low, min(low + _ADAM_BLOCK, stop))
             g, m, v = grads[block], self.m[block], self.v[block]
-            update, root = self._scratch[:, :g.size]
+            update, root = scratch[:, :g.size]
+            if first:
+                m.fill(0.0)
+                v.fill(0.0)
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=update)
             m += update

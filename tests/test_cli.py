@@ -256,11 +256,14 @@ def test_train_that_leaves_non_finite_parameters_saves_no_model(tmp_path, capsys
     assert not model_path.exists()
 
 
-def test_overflowing_training_warns_nothing_before_its_error(tmp_path, train_file,
-                                                             capsys):
+# The tiny model fits in one Adam block; the default one spans more than
+# two, so its updates run a worker thread where the machine has two CPUs.
+@pytest.mark.parametrize("hypers", [TINY_HYPERS, []], ids=["tiny", "default"])
+def test_overflowing_training_warns_nothing_before_its_error(hypers, tmp_path,
+                                                             train_file, capsys):
     model_path = tmp_path / "model.bin"
     args = ["train", "--train", str(train_file), "--seed", "1", "--epochs", "1",
-            "--model", str(model_path), *TINY_HYPERS,
+            "--model", str(model_path), *hypers,
             "--hyper", "learning_rate=1e308"]
     # Recorded warnings are the ones that would reach stderr.
     with warnings.catch_warnings(record=True) as caught:

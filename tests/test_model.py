@@ -471,3 +471,27 @@ def test_load_rejects_a_trainable_list_that_contradicts_the_hyperparameters():
     meta["trainable"] = meta["trainable"][1:]
     with pytest.raises(ModelIOError, match="'trainable' does not match"):
         Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+@pytest.mark.parametrize("dim, table, message", [
+    (7, None, "^pretrained_dim 7 needs an embedding table$"),
+    (3, 2, "^pretrained_dim 3 is not the embedding table's dimension 2$"),
+], ids=["no table", "another dimension"])
+def test_build_refuses_a_pretrained_dim_that_is_not_the_tables(dim, table, message,
+                                                                sentences):
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=1, lstm_dim=4, mlp_dim=6,
+                     conj_mlp_dim=5, pretrained_dim=dim)
+    pretrained = None if table is None else EmbeddingTable(
+        {"eats": np.arange(float(table))}, dim=table)
+    with pytest.raises(ValueError, match=message):
+        Model.build(hp, Vocabulary.from_corpus(sentences),
+                    LabelInventory.from_sentences(sentences), pretrained=pretrained)
+
+
+def test_build_takes_the_tables_own_pretrained_dim(sentences):
+    table = EmbeddingTable({"eats": np.array([1.0, 2.0])}, dim=2)
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=1, lstm_dim=4, mlp_dim=6,
+                     conj_mlp_dim=5, pretrained_dim=2)
+    model = Model.build(hp, Vocabulary.from_corpus(sentences),
+                        LabelInventory.from_sentences(sentences), pretrained=table)
+    assert model.hp.pretrained_dim == 2

@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,3 +260,84 @@ def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
         assert np.array_equal(flat, np.concatenate(list(keyed.values())))
         assert np.array_equal(opt.m, np.concatenate(list(reference.m.values())))
         assert np.array_equal(opt.v, np.concatenate(list(reference.v.values())))
+
+
+def test_adam_refuses_a_gradient_of_another_shape():
+    size = 2 * network._ADAM_BLOCK + 3
+    rng = np.random.default_rng(0)
+    opt = network.Adam(rng.normal(size=size))
+    opt.step(rng.normal(size=size))
+    before = [opt.params.copy(), opt.m.copy(), opt.v.copy()]
+    with pytest.raises(ValueError, match="gradient shape"):
+        opt.step(np.zeros(size - 1))
+    assert opt.t == 1
+    for after, saved in zip((opt.params, opt.m, opt.v), before):
+        assert np.array_equal(after, saved)
+
+
+def _two_threads(monkeypatch):
+    """Make ``Adam`` split its blocks whatever the machine's CPU count."""
+    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+
+
+def test_a_two_block_update_keeps_the_callers_errstate(monkeypatch):
+    _two_threads(monkeypatch)
+    size = 2 * network._ADAM_BLOCK
+    opt = network.Adam(np.ones(size))
+    # g * g overflows in every block, so in both threads' halves.
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        opt.step(np.full(size, 1e200))
+    assert [str(warning.message) for warning in caught] == []
+    assert np.isinf(opt.v).all()
+
+
+def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch):
+    _two_threads(monkeypatch)
+    size = 2 * network._ADAM_BLOCK
+    opt = network.Adam(np.ones(size))
+    grads = np.ones(size)
+    grads[network._ADAM_BLOCK:] = 1e200  # the worker's block only
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        opt.step(grads)
+    # The failed first update counts for nothing: the next one zeroes the
+    # moments again.
+    assert opt.t == 0
+    opt.step(np.ones(size))
+    assert opt.t == 1
+    assert np.array_equal(opt.m, np.full(size, 1.0 - opt.beta1))
+
+
+def test_adam_on_one_cpu_starts_no_thread_and_gives_the_same_bits(monkeypatch):
+    run_keeping_errors = network._run_keeping_errors
+    workers = []
+
+    def counting(*args):
+        workers.append(threading.current_thread())
+        run_keeping_errors(*args)
+
+    monkeypatch.setattr(network, "_run_keeping_errors", counting)
+    # Many small blocks and a short switch interval: the two threads hand
+    # the GIL back and forth as often as they can.
+    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
+    size = 101 * network._ADAM_BLOCK + 5
+    rng = np.random.default_rng(1)
+    start = rng.normal(size=size)
+    grads = [rng.normal(size=size) for _ in range(20)]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+            workers.clear()
+            opt = network.Adam(start.copy())
+            for g in grads:
+                opt.step(g)
+            assert len(workers) == (0 if cpus == 1 else len(grads))
+            assert threading.main_thread() not in workers
+            results.append((opt.params, opt.m, opt.v))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, two in zip(*results):
+        assert np.array_equal(one, two)

@@ -1,7 +1,9 @@
 import ast
+import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +66,16 @@ def test_every_public_definition_is_used():
                             for qualified, name in _public_definitions(tree)]
     assert definitions
     assert [qualified for qualified, name in definitions if name not in used] == []
+
+
+def test_importing_the_package_starts_no_thread():
+    # Threads the library starts, such as Adam's worker, live inside a call.
+    code = ("import threading, conjparse, conjparse.cli, conjparse.corpus_stats; "
+            "print([thread.name for thread in threading.enumerate()])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, cwd=REPO)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['MainThread']"

@@ -1,4 +1,5 @@
 import io
+import threading
 
 import numpy as np
 import pytest
@@ -551,3 +552,28 @@ def test_a_run_ends_with_the_parameters_of_its_best_epoch(seed, best,
     # Dev parsing draws nothing from the training stream, so the run equals
     # one that stops at its best epoch.
     assert run(best, None)[1] == selected
+
+
+@pytest.mark.parametrize("learning_rate, error", [
+    (1e-3, None),
+    # The first update overflows the parameters, so the second sentence's
+    # loss is not finite.
+    (1e308, "^epoch 1: training loss is nan, not a finite number$"),
+])
+def test_train_model_leaves_no_thread_running(learning_rate, error, monkeypatch,
+                                              sample_sentences):
+    # Small blocks and two CPUs: every update of the tiny model runs a worker.
+    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
+    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+    train = sample_sentences[:2]
+    model = tiny_model(train, learning_rate=learning_rate)
+    assert model.vector.size > 2 * network._ADAM_BLOCK
+    before = threading.active_count()
+    with np.errstate(all="ignore"):
+        if error is None:
+            train_model(model, train, FeatureResources.empty(), epochs=2, seed=1)
+        else:
+            with pytest.raises(ValueError, match=error):
+                train_model(model, train, FeatureResources.empty(), epochs=1,
+                            seed=1)
+    assert threading.active_count() == before
