@@ -122,7 +122,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     gradcheck.add_argument("--seed", type=int, default=7)
     gradcheck.add_argument("--step", type=float, default=1e-4)
     gradcheck.add_argument("--tolerance", type=float, default=1e-4)
-    gradcheck.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
 
     return parser
 
@@ -236,7 +235,7 @@ def cmd_parse(args) -> int:
     sentences = read_conll(args.input, fmt=args.format)
     single_root = False if args.no_single_root else None
     parsed = parse_corpus(sentences, model, resources, single_root=single_root)
-    write_conll_file(args.output, parsed, fmt=args.format, use_predicted=True)
+    write_conll_file(args.output, parsed, use_predicted=True)
     print(f"parsed {len(parsed)} sentences into {args.output}")
     return EXIT_OK
 
@@ -304,7 +303,7 @@ def cmd_gradcheck(args) -> int:
     training.jitter_params(model, seed=args.seed + 1)
     report = training.gradient_check(
         model, sentences, FeatureResources.empty(),
-        step=args.step, tolerance=args.tolerance, corrupt_key=args.corrupt,
+        step=args.step, tolerance=args.tolerance,
     )
     for entry in report.entries:
         status = "ok" if entry.max_rel_error < args.tolerance else "FAIL"

@@ -12,12 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .conj_features import (
-    SUFFIX_FIRE_THRESHOLD,
-    lemma_feature,
-    sentiment_feature,
-    suffix_feature,
-)
+from .conj_features import extract_forms
 from .resources import FeatureResources
 from .treebank import Sentence
 
@@ -54,27 +49,24 @@ def top_pairs(sentences: Sequence[Sentence], label: str, k: int
 
 def label_stats(sentences: Sequence[Sentence],
                 resources: FeatureResources) -> List[LabelStats]:
-    """Per-label symmetry-property counts over every gold edge."""
+    """Per-label symmetry-property counts over every gold edge.
+
+    A property holds when its feature fires (``ConjFeatureVector.fired``),
+    as in ``evaluation.conj_diff``; ``cap_one`` has no feature of its own.
+    """
     stats: Dict[str, LabelStats] = {}
     for sent in sentences:
         for tok in sent:
             entry = stats.setdefault(tok.gold_label, LabelStats(tok.gold_label))
             head_form = sent.form_of(tok.gold_head)
-            head_pos = sent.pos_of(tok.gold_head)
+            fired = extract_forms(head_form, sent.pos_of(tok.gold_head),
+                                  tok.form, tok.pos, resources).fired()
             entry.total_edges += 1
-            head_cap = head_form[0].isupper()
-            mod_cap = tok.form[0].isupper()
-            entry.cap_both += head_cap and mod_cap
-            entry.cap_one += head_cap != mod_cap
-            entry.suf_ge_3 += (
-                suffix_feature(head_form, tok.form) >= SUFFIX_FIRE_THRESHOLD
-            )
-            entry.lem_same += lemma_feature(
-                head_form, head_pos, tok.form, tok.pos, resources.lemmas
-            )
-            head_sent = sentiment_feature(head_form, resources.sentiment)
-            mod_sent = sentiment_feature(tok.form, resources.sentiment)
-            entry.sent_both_nonneutral += head_sent != 0 and mod_sent != 0
+            entry.cap_both += "cap" in fired
+            entry.cap_one += head_form[0].isupper() != tok.form[0].isupper()
+            entry.suf_ge_3 += "suf" in fired
+            entry.lem_same += "lem" in fired
+            entry.sent_both_nonneutral += "sent" in fired
     return [stats[label] for label in sorted(stats)]
 
 

@@ -275,7 +275,11 @@ class Adam:
 
         Raises ``ValueError``, changing nothing, when ``grads`` has another
         shape.  A first update that raises leaves ``t`` at 0, so the next
-        one zeroes the moments again.
+        one zeroes the moments again.  An update that raises part-way, e.g.
+        on overflow under ``np.errstate(over="raise")``, is not rolled back:
+        ``params``, ``m`` and ``v`` stay updated in the blocks it reached and
+        unchanged in the others.  ``train_model`` then raises too, and the
+        CLI writes no model.
         """
         if grads.shape != self.params.shape:
             raise ValueError(f"gradient shape {grads.shape} is not the "

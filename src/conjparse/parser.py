@@ -131,7 +131,7 @@ def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
         single_root = model.hp.single_root
     encoded = model.encode(sentence)
     extracted: Dict[Tuple[int, int], np.ndarray] = {}
-    config = initial_config(sentence)
+    config = initial_config(len(sentence))
     for _ in range(2 * len(sentence)):
         scores = score_config(model, config, encoded, sentence, resources,
                               extracted)

@@ -21,13 +21,25 @@ class ResourceError(ValueError):
     pass
 
 
-def _iter_resource_lines(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+def _numbered_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, newlines kept."""
+    # Undecodable bytes become lone surrogates, which name their line when
+    # they fail to encode back.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ResourceError(f"{path}, line {number}: not valid UTF-8") from None
             yield number, line
+
+
+def _iter_resource_lines(path):
+    for number, raw in _numbered_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield number, line
 
 
 @dataclass(frozen=True)
@@ -145,39 +157,38 @@ class EmbeddingTable:
     def load(cls, path) -> "EmbeddingTable":
         vectors: Dict[str, np.ndarray] = {}
         dim = None
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, raw in enumerate(handle, start=1):
-                line = raw.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                parts = line.split(" ")
-                if number == 1 and len(parts) == 2:
-                    try:
-                        int(parts[0]), int(parts[1])
-                        continue  # "count dim" header
-                    except ValueError:
-                        pass
-                word, values = parts[0], parts[1:]
-                if dim is None:
-                    dim = len(values)
-                    if dim == 0:
-                        raise ResourceError(f"{path}, line {number}: no vector values")
-                elif len(values) != dim:
-                    raise ResourceError(
-                        f"{path}, line {number}: expected {dim} values, "
-                        f"got {len(values)}"
-                    )
+        for number, raw in _numbered_lines(path):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split(" ")
+            if number == 1 and len(parts) == 2:
                 try:
-                    vec = np.array([float(v) for v in values], dtype=np.float64)
+                    int(parts[0]), int(parts[1])
+                    continue  # "count dim" header
                 except ValueError:
-                    raise ResourceError(
-                        f"{path}, line {number}: non-numeric vector value"
-                    ) from None
-                if not np.all(np.isfinite(vec)):
-                    raise ResourceError(
-                        f"{path}, line {number}: non-finite vector value"
-                    )
-                vectors.setdefault(word, vec)  # first entry wins
+                    pass
+            word, values = parts[0], parts[1:]
+            if dim is None:
+                dim = len(values)
+                if dim == 0:
+                    raise ResourceError(f"{path}, line {number}: no vector values")
+            elif len(values) != dim:
+                raise ResourceError(
+                    f"{path}, line {number}: expected {dim} values, "
+                    f"got {len(values)}"
+                )
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise ResourceError(
+                    f"{path}, line {number}: non-numeric vector value"
+                ) from None
+            if not np.all(np.isfinite(vec)):
+                raise ResourceError(
+                    f"{path}, line {number}: non-finite vector value"
+                )
+            vectors.setdefault(word, vec)  # first entry wins
         if dim is None:
             raise ResourceError(f"{path}: no vectors found")
         return cls(vectors, dim)

@@ -73,7 +73,7 @@ def _gold_steps(sentence: Sentence, model: Model
         raise NonProjectiveError("cannot derive an oracle path for a "
                                  "non-projective sentence")
     children = sentence.gold_children()
-    config = initial_config(sentence)
+    config = initial_config(len(sentence))
     while not is_terminal(config):
         transition = static_oracle(config, sentence, children)
         yield config, model.codec.encode(transition)
@@ -262,7 +262,7 @@ class TrainResult:
 def train_model(model: Model, train_sentences: Sequence[Sentence],
                 resources: FeatureResources, epochs: int, seed: int,
                 dev_sentences: Optional[Sequence[Sentence]] = None,
-                shuffle: bool = True, log=None) -> TrainResult:
+                log=None) -> TrainResult:
     """Train in place for up to ``epochs``; keep the best dev-LAS parameters.
 
     All training sentences must be projective (the CLI filters and counts
@@ -285,9 +285,7 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
     best_params = None
     batch_size = max(1, model.hp.batch_size)
     for epoch in range(1, epochs + 1):
-        order = list(range(len(train_sentences)))
-        if shuffle:
-            order = list(rng.permutation(len(train_sentences)))
+        order = list(rng.permutation(len(train_sentences)))
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
@@ -357,7 +355,7 @@ def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
     return float(margin)
 
 
-def jitter_params(model: Model, seed: int, scale: float = 0.35) -> None:
+def jitter_params(model: Model, seed: int) -> None:
     """Move all trainable parameters to a generic random point.
 
     Freshly initialized models keep every transition score within a hair
@@ -366,7 +364,7 @@ def jitter_params(model: Model, seed: int, scale: float = 0.35) -> None:
     """
     rng = np.random.default_rng(seed)
     for key in model.trainable:
-        model.params[key] += rng.normal(scale=scale, size=model.params[key].shape)
+        model.params[key] += rng.normal(scale=0.35, size=model.params[key].shape)
 
 
 @dataclass
@@ -396,13 +394,10 @@ class GradCheckReport:
 def gradient_check(model: Model, sentences: Sequence[Sentence],
                    resources: FeatureResources, step: float = 1e-4,
                    tolerance: float = 1e-4,
-                   keys: Optional[Sequence[str]] = None,
-                   corrupt_key: Optional[str] = None) -> GradCheckReport:
+                   keys: Optional[Sequence[str]] = None) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
-    ``corrupt_key`` deliberately offsets one analytic gradient so negative
-    tests can confirm the check actually detects a broken gradient.  A NaN
-    relative error fails the check.
+    A NaN relative error fails the check.
     """
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not 0.0 < value < math.inf:
@@ -411,8 +406,6 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
     paths = [oracle_path(s, model, resources) for s in sentences]
     grads = model.zero_grads()
     batch_loss(model, sentences, resources, grads=grads, paths=paths)
-    if corrupt_key is not None:
-        grads[corrupt_key] = grads[corrupt_key] + 0.5
 
     def loss_at_point() -> float:
         return batch_loss(model, sentences, resources, paths=paths)

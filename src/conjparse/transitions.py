@@ -105,12 +105,7 @@ class TransitionCodec:
         return [self.decode(i) for i in range(self.size)]
 
 
-def initial_config(sentence_or_length) -> ParseConfiguration:
-    n = (
-        sentence_or_length
-        if isinstance(sentence_or_length, int)
-        else len(sentence_or_length)
-    )
+def initial_config(n: int) -> ParseConfiguration:
     return ParseConfiguration(stack=(ROOT_ID,), buffer=tuple(range(1, n + 1)))
 
 
@@ -214,7 +209,7 @@ def oracle_sequence(sentence: Sentence) -> List[Transition]:
     if not is_projective(sentence):
         raise OracleError("static oracle undefined for non-projective sentence")
     children = sentence.gold_children()
-    config = initial_config(sentence)
+    config = initial_config(len(sentence))
     sequence: List[Transition] = []
     while not is_terminal(config):
         transition = static_oracle(config, sentence, children)

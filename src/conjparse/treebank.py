@@ -10,7 +10,6 @@ any evaluation run on them.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -119,16 +118,6 @@ class LabelInventory:
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    @property
-    def conj_index(self) -> Optional[int]:
-        try:
-            return self.labels.index("conj")
-        except ValueError:
-            return None
-
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> "LabelInventory":
         seen = {tok.gold_label for sent in sentences for tok in sent}
@@ -185,27 +174,18 @@ _CONLLU_COLUMNS = 10
 
 
 def _iter_lines(source) -> Iterator[str]:
-    if isinstance(source, os.PathLike):
-        with open(source, "rb") as handle:
-            data = handle.read()
-    elif isinstance(source, (str, bytes)) and not any(
-        mark in (source.encode() if isinstance(source, str) else source)
-        for mark in (b"\n", b"\t")
-    ):
-        # no newline or tab: this is a filename, not CoNLL data
-        with open(source, "rb") as handle:
-            data = handle.read()
-    elif isinstance(source, bytes):
-        data = source
-    elif isinstance(source, str):
-        data = source.encode("utf-8")
-    elif hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("utf-8")
+    """The lines of ``source``: CoNLL data as ``bytes``, else a file path."""
+    if isinstance(source, bytes):
+        data, where = source, ""
     else:
-        raise TypeError(f"cannot read CoNLL data from {type(source)!r}")
-    text = data.decode("utf-8")
+        with open(source, "rb") as handle:
+            data = handle.read()
+        where = f"{source}, "
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise ConllError(f"{where}line {line_number}: not valid UTF-8") from None
     return iter(text.split("\n"))
 
 
@@ -243,7 +223,7 @@ def _parse_token_line(parts: List[str], fmt: str, line_number: int) -> Optional[
 
 
 def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[Sentence]:
-    """Parse CoNLL-X or CoNLL-U data from a path, bytes, string or stream.
+    """Parse CoNLL-X or CoNLL-U data from a file path or from ``bytes``.
 
     Comment lines and, in conllu mode, multiword-range / empty-node lines
     are skipped.  With ``require_tree`` every sentence is validated as a
@@ -290,15 +270,12 @@ def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[S
     return sentences
 
 
-def write_conll(sentences: Sequence[Sentence], fmt: str = "conllx",
-                use_predicted: bool = False) -> bytes:
+def write_conll(sentences: Sequence[Sentence], use_predicted: bool = False) -> bytes:
     """Serialize sentences back to tabular CoNLL, LF line endings, UTF-8.
 
     With ``use_predicted`` the predicted head/label pair is written to the
     HEAD/DEPREL columns; every token must then carry a prediction.
     """
-    if fmt not in ("conllx", "conllu"):
-        raise ValueError(f"unknown format {fmt!r}")
     out = io.StringIO()
     for index, sent in enumerate(sentences):
         for tok in sent:
@@ -322,7 +299,7 @@ def write_conll(sentences: Sequence[Sentence], fmt: str = "conllx",
     return out.getvalue().encode("utf-8")
 
 
-def write_conll_file(path, sentences: Sequence[Sentence], fmt: str = "conllx",
+def write_conll_file(path, sentences: Sequence[Sentence],
                      use_predicted: bool = False) -> None:
     with open(path, "wb") as handle:
-        handle.write(write_conll(sentences, fmt=fmt, use_predicted=use_predicted))
+        handle.write(write_conll(sentences, use_predicted=use_predicted))

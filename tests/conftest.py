@@ -8,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+from conjparse import training
 from conjparse.model import MODEL_MAGIC, MODEL_VERSION, Hyperparams, Model, Vocabulary
 from conjparse.resources import (
     EmbeddingTable,
@@ -39,6 +40,19 @@ def make_sentence(heads, labels=None, forms=None, pos=None) -> Sentence:
               gold_label=labels[i])
         for i in range(n)
     ))
+
+
+def break_analytic_gradient(monkeypatch, key: str) -> None:
+    """Offset the analytic gradient of ``key`` by 0.5 in ``gradient_check``."""
+    real = training.batch_loss
+
+    def broken(*args, grads=None, **kwargs):
+        loss = real(*args, grads=grads, **kwargs)
+        if grads is not None:
+            grads[key] += 0.5
+        return loss
+
+    monkeypatch.setattr(training, "batch_loss", broken)
 
 
 def random_tree_sentence(rng: np.random.Generator, n: int) -> Sentence:

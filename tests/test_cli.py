@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA, join_model_file, split_model_file
+from conftest import DATA, break_analytic_gradient, join_model_file, split_model_file
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse
@@ -196,9 +196,10 @@ def test_gradcheck_subcommand(capsys):
     assert "hinge kink" in out
 
 
-def test_gradcheck_corrupted_fails(capsys):
-    assert main(["gradcheck", "--corrupt", "mlp.w1"]) == EXIT_OTHER
-    assert "FAILED" in capsys.readouterr().out
+def test_gradcheck_corrupted_fails(capsys, monkeypatch):
+    break_analytic_gradient(monkeypatch, "mlp.w1")
+    assert main(["gradcheck"]) == EXIT_OTHER
+    assert "gradient check FAILED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags", [
@@ -454,6 +455,45 @@ def test_decode_error_is_a_one_line_error(tmp_path, train_file, capsys):
                  "--output", str(tmp_path / "out.conllx")])
     assert code == EXIT_OTHER
     assert _one_line_error(capsys, "error: no legal transition at ")
+
+
+@pytest.mark.parametrize("command, flag, source", [
+    ("train", "--train", None),
+    ("train", "--dev", None),
+    ("parse", "--input", None),
+    ("evaluate", "--gold", None),
+    ("evaluate", "--pred", None),
+    ("analyze", "--input", None),
+    ("train", "--embeddings", "embeddings_sample.txt"),
+    ("train", "--lemma-lexicon", "lemmas.tsv"),
+    ("train", "--sentiment-pos", "sentiment_positive.txt"),
+    ("train", "--sentiment-neg", "sentiment_negative.txt"),
+])
+def test_non_utf8_input_is_a_one_line_data_error(tmp_path, train_file, capsys,
+                                                 command, flag, source):
+    bad = tmp_path / "bad.txt"
+    good = DATA / source if source else train_file
+    bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff", 1))
+    output = tmp_path / "out"
+    if command == "train":
+        base = ["--train", str(train_file), "--model", str(output), "--seed", "1",
+                "--epochs", "1", *TINY_HYPERS,
+                "--sentiment-pos", str(DATA / "sentiment_positive.txt"),
+                "--sentiment-neg", str(DATA / "sentiment_negative.txt")]
+    elif command == "parse":
+        base = ["--model", str(_train(tmp_path, train_file)),
+                "--input", str(train_file), "--output", str(output)]
+    elif command == "evaluate":
+        base = ["--gold", str(train_file), "--pred", str(train_file)]
+    else:
+        base = ["--input", str(train_file)]
+    capsys.readouterr()
+    # argparse keeps the last value of a repeated flag: the bad file.
+    assert main([command, *base, flag, str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {bad}, line 2: not valid UTF-8\n"
+    assert captured.out == ""
+    assert not output.exists()
 
 
 def test_exit_code_malformed_treebank(tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_projected_scores_match_an_explicit_first_layer(sample_sentences):
         batch = score_batch(model, encoded.projected, path.slots, path.conj_rows,
                             path.conj_inputs)
         inputs = dict(zip(path.conj_rows.tolist(), path.conj_inputs))
-        config = initial_config(sentence)
+        config = initial_config(len(sentence))
         for row, transition in enumerate(oracle_sequence(sentence)):
             features, _ = model.config_feature_vector(config, encoded)
             pair = conj_candidate(config)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import pathlib
 import shutil
@@ -79,3 +80,14 @@ def test_importing_the_package_starts_no_thread():
                             text=True, env=env, cwd=REPO)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['MainThread']"
+
+
+def test_generated_data_matches_its_generator(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_sample_treebank", REPO / "tools" / "make_sample_treebank.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(tmp_path)
+    for name in ("data/sample_treebank.conllx", "tests/data/sample23.conllx",
+                 "data/embeddings_sample.txt"):
+        assert (tmp_path / name).read_bytes() == (REPO / name).read_bytes(), name

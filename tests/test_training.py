@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     DATA,
     GRADCHECK_FIXTURE,
+    break_analytic_gradient,
     data_resources,
     make_sentence,
     tiny_model,
@@ -84,12 +85,12 @@ def test_gradient_check_passes_on_fixture(empty_resources):
     assert checked_keys == set(model.trainable)
 
 
-def test_gradient_check_detects_corruption(empty_resources):
+def test_gradient_check_detects_corruption(empty_resources, monkeypatch):
     sentences = read_conll(GRADCHECK_FIXTURE)
     model = tiny_model(sentences, seed=3)
     jitter_params(model, seed=4)
-    report = gradient_check(model, sentences, empty_resources,
-                            corrupt_key="mlp.w2")
+    break_analytic_gradient(monkeypatch, "mlp.w2")
+    report = gradient_check(model, sentences, empty_resources)
     assert not report.passed
     worst = {e.key: e.max_rel_error for e in report.entries}
     assert worst["mlp.w2"] > 0.9
@@ -221,7 +222,7 @@ def test_sentence_loss_at_zero_point_is_margin_per_competitive_step(
 
 def _gold_walk(sentence, model):
     """(configuration, gold transition index) pairs of the oracle sequence."""
-    config = transitions.initial_config(sentence)
+    config = transitions.initial_config(len(sentence))
     for transition in transitions.oracle_sequence(sentence):
         yield config, model.codec.encode(transition)
         config = transitions.apply(config, transition)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import TESTS_DATA, make_sentence, random_tree_sentence
 from conjparse.treebank import (
+    ConllError,
     ConllParseError,
     LabelInventory,
     Sentence,
@@ -85,6 +86,23 @@ def test_sample23_counts_match_line_oracle():
     sents = read_conll(TESTS_DATA / "sample23.conllx")
     assert len(sents) == 23
     assert [len(s) for s in sents] == expected
+
+
+def test_empty_bytes_are_no_sentences():
+    assert read_conll(b"") == []
+
+
+def test_path_forms_and_bytes_read_alike():
+    path = TESTS_DATA / "sample23.conllx"
+    expected = read_conll(path)
+    assert read_conll(str(path)) == expected
+    assert read_conll(path.read_bytes()) == expected
+
+
+def test_non_utf8_bytes_name_their_line():
+    data = THREE_TOKENS.encode() + b"1\t\xff\t_\tX\tX\t_\t0\troot\t_\t_\n"
+    with pytest.raises(ConllError, match="^line 5: not valid UTF-8$"):
+        read_conll(data)
 
 
 def test_read_single_line_without_trailing_newline():
@@ -180,9 +198,6 @@ def test_label_inventory():
     sents = read_conll(THREE_TOKENS.encode())
     inventory = LabelInventory.from_sentences(sents)
     assert inventory.labels == ("dobj", "nsubj", "root")
-    assert inventory.conj_index is None
-    with_conj = LabelInventory(("cc", "conj", "root"))
-    assert with_conj.conj_index == 1
     with pytest.raises(ValueError):
         LabelInventory(("a", "a"))
 
