@@ -82,12 +82,15 @@ def test_importing_the_package_starts_no_thread():
     assert result.stdout.strip() == "['MainThread']"
 
 
-def test_generated_data_matches_its_generator(tmp_path):
+def test_generated_data_matches_its_generator(tmp_path, monkeypatch):
+    # The generator puts src/ on sys.path when imported; undo that afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(
         "make_sample_treebank", REPO / "tools" / "make_sample_treebank.py")
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
-    generator.main(tmp_path)
+    monkeypatch.setattr(generator, "ROOT", tmp_path)
+    generator.main()
     for name in ("data/sample_treebank.conllx", "tests/data/sample23.conllx",
                  "data/embeddings_sample.txt"):
         assert (tmp_path / name).read_bytes() == (REPO / name).read_bytes(), name

@@ -225,8 +225,8 @@ def write_embeddings(path, dim=16, seed=99):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def main(root=ROOT):
-    data = root / "data"
+def main():
+    data = ROOT / "data"
     data.mkdir(exist_ok=True)
     sentences = generate(227, seed=20240817) + non_projective_sentences()
     (data / "sample_treebank.conllx").write_bytes(write_conll(sentences))
@@ -234,7 +234,7 @@ def main(root=ROOT):
           f"({sum(not is_projective(s) for s in sentences)} non-projective)")
 
     fixture = generate(23, seed=4242)
-    tests_data = root / "tests" / "data"
+    tests_data = ROOT / "tests" / "data"
     tests_data.mkdir(parents=True, exist_ok=True)
     (tests_data / "sample23.conllx").write_bytes(write_conll(fixture))
     print(f"sample23.conllx: {len(fixture)} sentences")
