@@ -37,6 +37,7 @@ from .transitions import OracleError
 from .treebank import (
     ConllError,
     LabelInventory,
+    _iter_lines,
     is_projective,
     read_conll,
     write_conll_file,
@@ -174,11 +175,12 @@ def cmd_train(args) -> int:
     check_model_path(args.model)
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                config = check_hyperparams(json.load(handle))
-            except ValueError as exc:
-                raise ValueError(f"config file {args.config}: {exc}") from None
+        # Bytes that are not UTF-8 are a data error, as in every input file.
+        text = "\n".join(_iter_lines(args.config))
+        try:
+            config = check_hyperparams(json.loads(text))
+        except ValueError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
     overrides = {**config, **_parse_hyper_flags(args.hyper)}
     if "pretrained_dim" in overrides:
         raise ValueError("hyperparameter 'pretrained_dim' cannot be set: it "

@@ -85,6 +85,11 @@ class Hyperparams:
     single_root: bool = True
     tune_pretrained: bool = False
 
+    def __post_init__(self):
+        # Checked here, so that no model is built with values that
+        # ``Model.load`` refuses; an int given for a float becomes a float.
+        vars(self).update(check_hyperparams(vars(self)))
+
     def to_dict(self) -> dict:
         return asdict(self)
 

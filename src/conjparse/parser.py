@@ -11,13 +11,14 @@ The first layer of both MLPs comes from the sentence's per-node
 projections (``Model.project``, computed by ``Model.encode``): scoring a
 configuration sums its four slot rows and runs the rest of both MLPs on
 that sum.  Training scores a whole oracle path, and parsing one
-configuration at a time, through the same ``score_batch``.
+configuration at a time, through the same ``batch_inputs`` and
+``score_batch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,14 +45,13 @@ class ScoredBatch:
     """Forward state of scoring a batch of configurations, kept for backprop.
 
     Row r of ``scores`` and ``mlp_hidden`` belongs to configuration r.
-    ``conj_hidden`` holds one row per entry of ``conj_rows``, the
+    ``conj_hidden`` holds one row per conj row of the batch, the
     configurations whose conj score was added to the score of
     ``Model.conj_transition``.
     """
 
     scores: np.ndarray
     mlp_hidden: np.ndarray
-    conj_rows: np.ndarray
     conj_hidden: Optional[np.ndarray] = None
 
 
@@ -62,6 +62,35 @@ def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
     return config.stack[-2], config.stack[-1]
 
 
+def batch_inputs(model: Model, configs: Sequence[ParseConfiguration],
+                 sentence: Sentence, resources: FeatureResources,
+                 extracted: Optional[Dict[Tuple[int, int], np.ndarray]] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``score_batch``'s slots, conj rows and conj inputs for ``configs``.
+
+    ``configs`` are configurations of ``sentence``; no row gets a conj
+    score when the coordination scorer is off.  ``extracted`` maps the
+    (head, modifier) pairs whose conj inputs are known to those inputs; a
+    new pair's inputs are added to it.
+    """
+    slots = np.array([model.feature_slots(config) for config in configs],
+                     dtype=np.intp)
+    rows, inputs = [], []
+    if model.conj_transition is not None:
+        if extracted is None:
+            extracted = {}
+        for row, config in enumerate(configs):
+            pair = conj_candidate(config)
+            if pair is None:
+                continue
+            if pair not in extracted:
+                extracted[pair] = pair_inputs(pair, sentence, resources)
+            rows.append(row)
+            inputs.append(extracted[pair])
+    return (slots, np.array(rows, dtype=np.intp),
+            np.array(inputs).reshape(len(rows), FEATURE_SIZE))
+
+
 def score_config(model: Model, config: ParseConfiguration,
                  encoded: EncodedSentence, sentence: Sentence,
                  resources: FeatureResources,
@@ -70,21 +99,13 @@ def score_config(model: Model, config: ParseConfiguration,
     """Augmented transition scores for one configuration.
 
     Scores the configuration as a batch of one with ``score_batch``, the
-    scorer that training applies to a whole oracle path.  ``extracted``
-    maps the (head, modifier) pairs of ``sentence`` whose conj inputs are
-    known to those inputs; a new pair's inputs are added to it.
+    scorer that training applies to a whole oracle path; ``extracted`` is
+    ``batch_inputs``' cache of the sentence's conj inputs.
     """
-    slots = np.array([model.feature_slots(config)])
-    pair = conj_candidate(config)
-    if pair is None or model.conj_transition is None:
-        rows, inputs = np.arange(0), np.empty((0, FEATURE_SIZE))
-    else:
-        if extracted is None:
-            extracted = {}
-        if pair not in extracted:
-            extracted[pair] = pair_inputs(pair, sentence, resources)
-        rows, inputs = np.arange(1), extracted[pair][np.newaxis]
-    return score_batch(model, encoded.projected, slots, rows, inputs).scores[0]
+    slots, conj_rows, conj_inputs = batch_inputs(model, [config], sentence,
+                                                 resources, extracted)
+    return score_batch(model, encoded.projected, slots, conj_rows,
+                       conj_inputs).scores[0]
 
 
 def score_batch(model: Model, projected: np.ndarray, slots: np.ndarray,
@@ -100,10 +121,10 @@ def score_batch(model: Model, projected: np.ndarray, slots: np.ndarray,
     first = model.first_layer(projected, slots)
     scores, mlp_hidden = model.base_scores(first)
     if not conj_rows.size:
-        return ScoredBatch(scores, mlp_hidden, conj_rows)
+        return ScoredBatch(scores, mlp_hidden)
     conj_scores, conj_hidden = model.conj_score(first[conj_rows], conj_inputs)
     scores[conj_rows, model.conj_transition] += conj_scores
-    return ScoredBatch(scores, mlp_hidden, conj_rows, conj_hidden)
+    return ScoredBatch(scores, mlp_hidden, conj_hidden)
 
 
 def pair_inputs(pair: Tuple[int, int], sentence: Sentence,

@@ -22,14 +22,7 @@ import numpy as np
 
 from . import network
 from .model import EncodedSentence, Model, Vocabulary
-from .conj_features import FEATURE_SIZE
-from .parser import (
-    conj_candidate,
-    greedy_parse,
-    pair_inputs,
-    score_batch,
-    score_config,
-)
+from .parser import batch_inputs, greedy_parse, score_batch, score_config
 from .resources import FeatureResources
 from .transitions import (
     ParseConfiguration,
@@ -85,32 +78,16 @@ def oracle_path(sentence: Sentence, model: Model,
     """The gold derivation of ``sentence`` as the arrays the loss reads.
 
     The conj features of each distinct (head, modifier) pair on the path
-    are extracted once; no row gets a conj score when the coordination
-    scorer is off.
+    are extracted once.
     """
     steps = list(_gold_steps(sentence, model))
+    configs = [config for config, _ in steps]
     gold = np.array([index for _, index in steps], dtype=np.intp)
-    competing = np.array([legal_mask(config, model.codec) for config, _ in steps])
+    competing = np.array([legal_mask(config, model.codec) for config in configs])
     competing[np.arange(len(steps)), gold] = False
-    conj_rows, conj_inputs = [], []
-    extracted: Dict[Tuple[int, int], np.ndarray] = {}
-    if model.conj_transition is not None:
-        for row, (config, _) in enumerate(steps):
-            pair = conj_candidate(config)
-            if pair is None:
-                continue
-            if pair not in extracted:
-                extracted[pair] = pair_inputs(pair, sentence, resources)
-            conj_rows.append(row)
-            conj_inputs.append(extracted[pair])
-    return OraclePath(
-        slots=np.array([model.feature_slots(config) for config, _ in steps],
-                       dtype=np.intp),
-        gold=gold,
-        competing=competing,
-        conj_rows=np.array(conj_rows, dtype=np.intp),
-        conj_inputs=np.array(conj_inputs).reshape(len(conj_rows), FEATURE_SIZE),
-    )
+    slots, conj_rows, conj_inputs = batch_inputs(model, configs, sentence,
+                                                 resources)
+    return OraclePath(slots, gold, competing, conj_rows, conj_inputs)
 
 
 def dropped_word_ids(sentence: Sentence, model: Model,
@@ -125,13 +102,10 @@ def dropped_word_ids(sentence: Sentence, model: Model,
     return ids
 
 
-def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
+def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
                   grads: Optional[Dict[str, np.ndarray]] = None,
-                  word_ids: Optional[np.ndarray] = None,
-                  path: Optional[OraclePath] = None) -> float:
-    """Total hinge loss along the oracle path; accumulates into ``grads``."""
-    if path is None:
-        path = oracle_path(sentence, model, resources)
+                  word_ids: Optional[np.ndarray] = None) -> float:
+    """Total hinge loss along the compiled oracle path; accumulates into ``grads``."""
     encoded = model.encode(sentence, word_ids=word_ids)
     loss, d_nodes = _path_hinge(model, path, encoded, grads)
     if d_nodes is None:
@@ -148,6 +122,19 @@ def sentence_loss(model: Model, sentence: Sentence, resources: FeatureResources,
     np.add.at(grads["pos_emb"], encoded.pos_ids,
               d_inputs[:, word_dim + pre_dim:])
     return loss
+
+
+def _hinge_steps(scores: np.ndarray, gold: np.ndarray, competing: np.ndarray,
+                 margin: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's violating transition and step loss.
+
+    The violator is the best-scoring transition of the row's ``competing``
+    ones, and the step loss is ``margin - score(gold) + score(violator)``;
+    both mean nothing in a row without competitors.
+    """
+    rows = np.arange(len(gold))
+    violator = np.argmax(np.where(competing, scores, -np.inf), axis=1)
+    return violator, margin - scores[rows, gold] + scores[rows, violator]
 
 
 def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
@@ -168,8 +155,8 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
                         path.conj_inputs)
     scores = batch.scores
     gold = path.gold
-    violator = np.argmax(np.where(path.competing, scores, -np.inf), axis=1)
-    step_loss = model.hp.margin - scores[rows, gold] + scores[rows, violator]
+    violator, step_loss = _hinge_steps(scores, gold, path.competing,
+                                       model.hp.margin)
     # A step counts when the gold transition has a legal competitor and the
     # margin is not met.  A NaN step loss counts too, so that NaN scores
     # give a NaN loss instead of a met margin.
@@ -189,11 +176,11 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     grads["mlp.b1"] += d_b1
     grads["mlp.w2"] += d_w2
     grads["mlp.b2"] += d_b2
-    if batch.conj_rows.size:
+    if path.conj_rows.size:
         # The conj MLP has one output, added to the score of the conj
         # transition; it gets a gradient where conj is the gold or the
         # violating transition.
-        d_conj = d_scores[batch.conj_rows, model.conj_transition]
+        d_conj = d_scores[path.conj_rows, model.conj_transition]
         hit = np.flatnonzero(d_conj)
         d_pre, d_b1, d_w2, d_b2 = network.mlp_backward(
             d_conj[hit, np.newaxis], batch.conj_hidden[hit],
@@ -204,42 +191,31 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
         grads["conj.b1"] += d_b1
         grads["conj.w2"] += d_w2[0]
         grads["conj.b2"] += d_b2
-        d_first[batch.conj_rows[hit], mlp_dim:] = d_pre
+        d_first[path.conj_rows[hit], mlp_dim:] = d_pre
     d_nodes = model.first_layer_backward(encoded, path.slots, d_first, grads)
     return loss, d_nodes
 
 
 def batch_loss(model: Model, batch: Sequence[Sentence],
-               resources: FeatureResources,
+               paths: Sequence[OraclePath],
                grads: Optional[Dict[str, np.ndarray]] = None,
-               word_ids: Optional[Sequence[np.ndarray]] = None,
-               paths: Optional[Sequence[OraclePath]] = None) -> float:
+               word_ids: Optional[Sequence[np.ndarray]] = None) -> float:
     total = 0.0
     for index, sentence in enumerate(batch):
-        total += sentence_loss(
-            model, sentence, resources,
-            grads=grads,
-            word_ids=None if word_ids is None else word_ids[index],
-            path=None if paths is None else paths[index],
-        )
+        total += sentence_loss(model, sentence, paths[index], grads,
+                               None if word_ids is None else word_ids[index])
     return total
 
 
 def train_step(batch: Sequence[Sentence], model: Model,
-               resources: FeatureResources, optimizer: network.Adam,
-               rng: Optional[np.random.Generator] = None,
-               paths: Optional[Sequence[OraclePath]] = None) -> float:
-    """One optimizer update on a batch; returns the pre-update loss.
-
-    A non-projective sentence raises ``NonProjectiveError`` from
-    ``oracle_path`` before any update.
-    """
+               paths: Sequence[OraclePath], optimizer: network.Adam,
+               rng: Optional[np.random.Generator] = None) -> float:
+    """One optimizer update on a batch and its paths; returns the pre-update loss."""
     ids = None
     if rng is not None and model.hp.word_dropout_alpha > 0.0:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
     grads = model.zero_grads()
-    loss = batch_loss(model, batch, resources, grads=grads,
-                      word_ids=ids, paths=paths)
+    loss = batch_loss(model, batch, paths, grads=grads, word_ids=ids)
     optimizer.step(model.grad_vector)
     return loss
 
@@ -283,15 +259,15 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
     paths = [oracle_path(s, model, resources) for s in train_sentences]
     result = TrainResult()
     best_params = None
-    batch_size = max(1, model.hp.batch_size)
+    batch_size = model.hp.batch_size
     for epoch in range(1, epochs + 1):
         order = list(rng.permutation(len(train_sentences)))
         epoch_loss = 0.0
         for start in range(0, len(order), batch_size):
             chunk = order[start:start + batch_size]
             batch = [train_sentences[i] for i in chunk]
-            loss = train_step(batch, model, resources, optimizer, rng=rng,
-                              paths=[paths[i] for i in chunk])
+            loss = train_step(batch, model, [paths[i] for i in chunk],
+                              optimizer, rng=rng)
             if not math.isfinite(loss):
                 raise ValueError(f"epoch {epoch}: training loss is {loss}, "
                                  "not a finite number")
@@ -327,31 +303,31 @@ def _format_epoch(record: EpochRecord) -> str:
 
 
 def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
-                      resources: FeatureResources) -> float:
+                      resources: FeatureResources,
+                      paths: Sequence[OraclePath]) -> float:
     """Distance of the current loss to its nearest non-differentiability.
 
     The hinge loss is piecewise linear: it bends where a step loss crosses
     zero and where the violating argmax switches transitions.  Central
     finite differences are only trustworthy when this margin is well above
     the probe step, so gradient-check fixtures should verify it.
+    ``paths`` are the sentences' compiled oracle paths.
     """
     margin = np.inf
-    for sentence in sentences:
+    for sentence, path in zip(sentences, paths):
         encoded = model.encode(sentence)
-        for config, gold_index in _gold_steps(sentence, model):
-            scores = score_config(model, config, encoded, sentence, resources)
-            mask = legal_mask(config, model.codec)
-            mask[gold_index] = False
-            if not mask.any():
-                continue
-            competitors = np.where(mask, scores, -np.inf)
-            violator = int(np.argmax(competitors))
-            step_loss = model.hp.margin - scores[gold_index] + scores[violator]
-            margin = min(margin, abs(step_loss))
-            competitors[violator] = -np.inf
-            rest = competitors[np.isfinite(competitors)]
-            if rest.size:
-                margin = min(margin, float(scores[violator] - rest.max()))
+        scores = np.array([score_config(model, config, encoded, sentence, resources)
+                           for config, _ in _gold_steps(sentence, model)])
+        violator, step_loss = _hinge_steps(scores, path.gold, path.competing,
+                                           model.hp.margin)
+        rows = np.flatnonzero(path.competing.any(axis=1))
+        violator = violator[rows]
+        # The best competitor after the violator; -inf where there is none.
+        rest = np.where(path.competing[rows], scores[rows], -np.inf)
+        rest[np.arange(len(rows)), violator] = -np.inf
+        switch = scores[rows, violator] - rest.max(axis=1)
+        margin = min(margin, np.abs(step_loss[rows]).min(initial=np.inf),
+                     switch.min(initial=np.inf))
     return float(margin)
 
 
@@ -405,10 +381,10 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
                              f"got {value!r}")
     paths = [oracle_path(s, model, resources) for s in sentences]
     grads = model.zero_grads()
-    batch_loss(model, sentences, resources, grads=grads, paths=paths)
+    batch_loss(model, sentences, paths, grads=grads)
 
     def loss_at_point() -> float:
-        return batch_loss(model, sentences, resources, paths=paths)
+        return batch_loss(model, sentences, paths)
 
     entries = []
     for key in keys if keys is not None else model.trainable:
@@ -428,6 +404,6 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
         entries.append(GradCheckEntry(
             key=key, max_rel_error=float(np.max(errors, initial=0.0)),
             checked=len(errors)))
-    margin = hinge_kink_margin(model, sentences, resources)
+    margin = hinge_kink_margin(model, sentences, resources, paths)
     return GradCheckReport(entries=entries, step=step, tolerance=tolerance,
                            kink_margin=margin)

@@ -468,11 +468,16 @@ def test_decode_error_is_a_one_line_error(tmp_path, train_file, capsys):
     ("train", "--lemma-lexicon", "lemmas.tsv"),
     ("train", "--sentiment-pos", "sentiment_positive.txt"),
     ("train", "--sentiment-neg", "sentiment_negative.txt"),
+    ("train", "--config", None),
 ])
 def test_non_utf8_input_is_a_one_line_data_error(tmp_path, train_file, capsys,
                                                  command, flag, source):
     bad = tmp_path / "bad.txt"
-    good = DATA / source if source else train_file
+    if flag == "--config":
+        good = tmp_path / "config.json"
+        good.write_text('{"lstm_dim": 4,\n "mlp_dim": 6}\n')
+    else:
+        good = DATA / source if source else train_file
     bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff", 1))
     output = tmp_path / "out"
     if command == "train":

@@ -16,7 +16,7 @@ from conjparse.model import (
     check_hyperparams,
 )
 from conjparse.resources import EmbeddingTable, FeatureResources
-from conjparse.training import jitter_params, sentence_loss
+from conjparse.training import jitter_params, oracle_path, sentence_loss
 from conjparse.transitions import ParseConfiguration
 from conjparse.treebank import LabelInventory
 
@@ -347,6 +347,25 @@ def test_check_hyperparams_names_the_bad_key():
             check_hyperparams(bad)
 
 
+@pytest.mark.parametrize("key, value", [("mlp_dim", 0), ("lstm_layers", 0),
+                                        ("margin", -1.0),
+                                        ("word_dropout_alpha", -1.0)])
+def test_hyperparams_are_checked_when_built(key, value):
+    # Model.load would refuse them, so no model may be built with them.
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        Hyperparams(**{key: value})
+
+
+def test_an_int_margin_re_saves_byte_identically(sentences):
+    model = tiny_model(sentences, margin=2)
+    assert type(model.hp.margin) is float
+    first = io.BytesIO()
+    model.save(first)
+    second = io.BytesIO()
+    Model.load(io.BytesIO(first.getvalue())).save(second)
+    assert second.getvalue() == first.getvalue()
+
+
 def test_pretrained_lookup_and_freeze(sentences):
     table = EmbeddingTable(
         {"eats": np.array([1.0, 2.0]), "apples": np.array([3.0, 4.0])}, dim=2
@@ -379,8 +398,8 @@ def test_build_leaves_the_callers_hyperparams_alone(sentences):
         {"eats": np.arange(4.0)}, dim=4))
     assert (hp.pretrained_dim, first.hp.pretrained_dim,
             second.hp.pretrained_dim) == (0, 2, 4)
-    assert sentence_loss(first, sentences[0], FeatureResources.empty(),
-                         grads=first.zero_grads()) > 0.0
+    path = oracle_path(sentences[0], first, FeatureResources.empty())
+    assert sentence_loss(first, sentences[0], path, grads=first.zero_grads()) > 0.0
     buffer = io.BytesIO()
     first.save(buffer)
     assert Model.load(io.BytesIO(buffer.getvalue())).hp == first.hp
@@ -458,8 +477,8 @@ def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
     assert sorted(grads) == sorted(model.trainable)
     for key in model.trainable:
         assert np.shares_memory(grads[key], vector), key
-    assert sentence_loss(model, sentences[0], FeatureResources.empty(),
-                         grads=grads) > 0.0
+    path = oracle_path(sentences[0], model, FeatureResources.empty())
+    assert sentence_loss(model, sentences[0], path, grads=grads) > 0.0
     assert vector.any()
     again = model.zero_grads()
     assert model.grad_vector is vector and not vector.any()

@@ -53,8 +53,8 @@ def test_hinge_dead_zone_leaves_parameters_unchanged(empty_resources):
                  for i in range(4)]
     model = tiny_model(sentences)
     before = {k: v.copy() for k, v in model.params.items()}
-    loss = train_step(sentences, model, FeatureResources.empty(),
-                      _optimizer(model))
+    paths = [oracle_path(s, model, empty_resources) for s in sentences]
+    loss = train_step(sentences, model, paths, _optimizer(model))
     assert loss == 0.0
     for key, value in before.items():
         np.testing.assert_array_equal(model.params[key], value)
@@ -65,7 +65,7 @@ def test_loss_strictly_decreases_on_fixed_fixture(conj_sentence, empty_resources
     optimizer = _optimizer(model)
     paths = [oracle_path(conj_sentence, model, empty_resources)]
     losses = [
-        train_step([conj_sentence], model, empty_resources, optimizer, paths=paths)
+        train_step([conj_sentence], model, paths, optimizer)
         for _ in range(50)
     ]
     assert all(
@@ -116,7 +116,8 @@ def test_nan_parameter_gives_a_nan_loss_not_a_zero_one(empty_resources):
     jitter_params(model, seed=1)
     model.params["mlp.b1"][0] = np.nan
     grads = model.zero_grads()
-    assert np.isnan(batch_loss(model, [sentence], empty_resources, grads=grads))
+    paths = [oracle_path(sentence, model, empty_resources)]
+    assert np.isnan(batch_loss(model, [sentence], paths, grads=grads))
     assert np.isnan(grads["mlp.w2"]).any()
     report = gradient_check(model, [sentence], empty_resources,
                             keys=["mlp.b2", "lstm.0.fwd.b"])
@@ -141,7 +142,8 @@ def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources)
     report = gradient_check(model, sentences, empty_resources, keys=flat_keys)
     assert report.max_rel_error == 0.0
     grads = model.zero_grads()
-    loss = batch_loss(model, sentences, empty_resources, grads=grads)
+    paths = [oracle_path(s, model, empty_resources) for s in sentences]
+    loss = batch_loss(model, sentences, paths, grads=grads)
     assert loss > 0.0
     for key in flat_keys:
         np.testing.assert_array_equal(grads[key], 0.0)
@@ -200,7 +202,7 @@ def test_train_step_rejects_non_projective(empty_resources):
     bad = make_sentence([3, 4, 0, 3])
     model = tiny_model([bad])
     with pytest.raises(NonProjectiveError):
-        train_step([bad], model, empty_resources, _optimizer(model))
+        oracle_path(bad, model, empty_resources)
     with pytest.raises(NonProjectiveError):
         train_model(model, [bad], empty_resources, epochs=1, seed=0)
 
@@ -213,7 +215,7 @@ def test_sentence_loss_at_zero_point_is_margin_per_competitive_step(
     for key in model.trainable:
         model.params[key][...] = 0.0
     path = oracle_path(conj_sentence, model, empty_resources)
-    loss = sentence_loss(model, conj_sentence, empty_resources, path=path)
+    loss = sentence_loss(model, conj_sentence, path)
     assert loss == float(
         sum(1 for c, g in _gold_walk(conj_sentence, model)
             if len(_legal_non_gold(model, c, g)) > 0)
@@ -311,7 +313,52 @@ def test_kink_margin_reports_small_value_at_zero_point(conj_sentence,
     model = tiny_model([conj_sentence])
     for key in model.trainable:
         model.params[key][...] = 0.0
-    assert hinge_kink_margin(model, [conj_sentence], empty_resources) == 0.0
+    paths = [oracle_path(conj_sentence, model, empty_resources)]
+    assert hinge_kink_margin(model, [conj_sentence], empty_resources, paths) == 0.0
+
+
+def _reference_kink_margin(model, sentences, resources):
+    """The per-configuration loop that ``hinge_kink_margin`` ran before it
+    read gold and competitors from the compiled paths."""
+    margin = np.inf
+    for sentence in sentences:
+        encoded = model.encode(sentence)
+        for config, gold_index in _gold_walk(sentence, model):
+            scores = parser.score_config(model, config, encoded, sentence,
+                                         resources)
+            mask = legal_mask(config, model.codec)
+            mask[gold_index] = False
+            if not mask.any():
+                continue
+            competitors = np.where(mask, scores, -np.inf)
+            violator = int(np.argmax(competitors))
+            step_loss = model.hp.margin - scores[gold_index] + scores[violator]
+            margin = min(margin, abs(step_loss))
+            competitors[violator] = -np.inf
+            rest = competitors[np.isfinite(competitors)]
+            if rest.size:
+                margin = min(margin, float(scores[violator] - rest.max()))
+    return float(margin)
+
+
+@pytest.mark.parametrize("use_conj_features", [True, False])
+def test_kink_margin_matches_the_per_configuration_loop(use_conj_features,
+                                                       sample_sentences):
+    resources = data_resources()
+    sentences = [s for s in sample_sentences[:40] if is_projective(s)]
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=1, lstm_dim=4,
+                     mlp_dim=6, conj_mlp_dim=5,
+                     use_conj_features=use_conj_features)
+    model = Model.build(hp, Vocabulary.from_corpus(sentences),
+                        LabelInventory.from_sentences(sentences),
+                        pretrained=resources.embeddings, seed=2)
+    assert (model.conj_transition is not None) == use_conj_features
+    paths = [oracle_path(s, model, resources) for s in sentences]
+    for seed in (1, 2, 3):
+        jitter_params(model, seed=seed)
+        expected = _reference_kink_margin(model, sentences, resources)
+        assert 0.0 < expected < np.inf
+        assert hinge_kink_margin(model, sentences, resources, paths) == expected
 
 
 def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
@@ -401,8 +448,8 @@ def _assert_matches_reference(model, sentences, resources, word_ids):
     batched = model.zero_grads()
     reference = {key: np.zeros_like(value) for key, value in batched.items()}
     for sentence, ids in zip(sentences, word_ids):
-        loss = sentence_loss(model, sentence, resources, grads=batched,
-                             word_ids=ids)
+        path = oracle_path(sentence, model, resources)
+        loss = sentence_loss(model, sentence, path, grads=batched, word_ids=ids)
         expected = _reference_sentence_loss(model, sentence, resources,
                                             reference, word_ids=ids)
         assert expected > 0.0
@@ -462,8 +509,7 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
     original_matrix = model._first_layer_matrix
     model._first_layer_matrix = lambda: calls.append("matrix") or original_matrix()
     path = oracle_path(conj_sentence, model, empty_resources)
-    loss = sentence_loss(model, conj_sentence, empty_resources,
-                         grads=model.zero_grads(), path=path)
+    loss = sentence_loss(model, conj_sentence, path, grads=model.zero_grads())
     # The backward pass reuses the first-layer matrix of the forward pass.
     assert loss > 0.0
     assert calls == ["matrix", (len(path.gold), 4)]
@@ -484,14 +530,13 @@ def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
 
     for module, name in ((transitions, "legal_mask"), (training, "legal_mask"),
                          (parser, "legal_mask"), (parser, "conj_candidate"),
-                         (training, "conj_candidate"),
+                         (parser, "batch_inputs"), (training, "batch_inputs"),
                          (conj_features, "extract_forms"),
                          (parser, "extract_forms")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Model, "feature_slots",
                         counted("feature_slots", Model.feature_slots))
-    loss = sentence_loss(model, conj_sentence, empty_resources,
-                         grads=model.zero_grads(), path=path)
+    loss = sentence_loss(model, conj_sentence, path, grads=model.zero_grads())
     assert loss > 0.0
     assert calls == []
 
