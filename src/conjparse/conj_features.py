@@ -107,7 +107,7 @@ def sym_feature(head: str, modifier: str,
     b = embeddings.lookup(modifier)
     if a is None or b is None:
         return 0.0
-    norm = np.linalg.norm(a) * np.linalg.norm(b)
+    norm = embeddings.norm_of(head) * embeddings.norm_of(modifier)
     if norm == 0.0:
         return 0.0
     return float(np.dot(a, b) / norm)

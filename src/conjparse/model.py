@@ -3,12 +3,12 @@
 Holds every parameter tensor in one name -> array dict: embedding tables,
 the stacked BiLSTM, the transition-scoring MLP and the auxiliary
 coordination MLP.  Every trainable array is a view into one flat float64
-vector, and the gradients are views into a second one, so zeroing the
-gradients, an optimizer update and a best-epoch snapshot each touch one
-vector.  Token vectors are the concatenated forward/backward
-LSTM states over [trainable word embedding ; pretrained embedding ;
-POS embedding] inputs, with the artificial root encoded as an extra
-leading position.
+vector, and the gradients are views into a second one, laid out the same
+way, so an optimizer update and a best-epoch snapshot each touch one
+vector; the backward pass writes each gradient into its view.  Token
+vectors are the concatenated forward/backward LSTM states over
+[trainable word embedding ; pretrained embedding ; POS embedding]
+inputs, with the artificial root encoded as an extra leading position.
 
 A configuration's feature vector is the context vectors of its four
 feature slots, and the first layer of both MLPs is linear in it.  So
@@ -95,12 +95,15 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, data) -> "Hyperparams":
-        """Inverse of ``to_dict``: every field present, each well typed."""
-        checked = check_hyperparams(data)
-        missing = [name for name in HYPERPARAM_TYPES if name not in checked]
+        """Inverse of ``to_dict``: every field present, each well typed.
+
+        Checks the names here; the constructor checks the values.
+        """
+        _check_names(data)
+        missing = [name for name in HYPERPARAM_TYPES if name not in data]
         if missing:
             raise ValueError(f"missing hyperparameter {missing[0]!r}")
-        return cls(**checked)
+        return cls(**data)
 
 
 # Declared type of every hyperparameter; the annotations are strings.
@@ -125,21 +128,27 @@ HYPERPARAM_RANGES = {
 }
 
 
+def _check_names(values) -> None:
+    """Raise ``ValueError`` unless ``values`` is a dict of hyperparameter names."""
+    if not isinstance(values, dict):
+        raise ValueError("hyperparameters must be a JSON object, "
+                         f"got {type(values).__name__}")
+    for name in values:
+        if name not in HYPERPARAM_TYPES:
+            raise ValueError(f"unknown hyperparameter {name!r}")
+
+
 def check_hyperparams(values) -> dict:
     """Validate hyperparameter values by name, type and range.
 
     Returns a copy in which integers given for float fields become floats.
     Raises ``ValueError`` naming the first unknown, mistyped or
-    out-of-range key.
+    out-of-range key; unknown keys are named before the others.
     """
-    if not isinstance(values, dict):
-        raise ValueError("hyperparameters must be a JSON object, "
-                         f"got {type(values).__name__}")
+    _check_names(values)
     checked = {}
     for name, value in values.items():
-        kind = HYPERPARAM_TYPES.get(name)
-        if kind is None:
-            raise ValueError(f"unknown hyperparameter {name!r}")
+        kind = HYPERPARAM_TYPES[name]
         # bool is a subclass of int, so it is matched exactly.
         if kind is float and type(value) is int:
             value = float(value)
@@ -290,6 +299,21 @@ def _vector_layout(shapes: Dict[str, Tuple[int, ...]], trainable: Sequence[str]
     return layout
 
 
+class Gradients(dict):
+    """Gradients of a model's trainable arrays, keyed by parameter name.
+
+    Each array is a view into the flat ``vector``, laid out as
+    ``Model.vector``; ``lstm`` holds each BiLSTM layer's (w_x, w_h, b)
+    gradients as views with the direction axis first, as ``Model.lstm``.
+    """
+
+    def __init__(self, arrays: Dict[str, np.ndarray], vector: np.ndarray,
+                 lstm: List[Tuple[np.ndarray, ...]]):
+        super().__init__(arrays)
+        self.vector = vector
+        self.lstm = lstm
+
+
 class Model:
     """All trainable state plus the label inventory and vocabulary.
 
@@ -298,7 +322,9 @@ class Model:
     rebound name no longer reaches the vector.  ``lstm`` holds each BiLSTM
     layer's (w_x, w_h, b) as views with a leading direction axis, ordered
     as ``network.DIRECTIONS``.  A new model's arrays are uninitialised;
-    ``build`` and ``load`` fill them in place.
+    ``build`` and ``load`` fill them in place.  The gradients
+    (``gradients``) are laid out the same way, in vectors of their own that
+    a model which only parses never allocates.
     """
 
     def __init__(self, hp: Hyperparams, vocab: Vocabulary, labels: LabelInventory,
@@ -316,12 +342,8 @@ class Model:
         views = self._views(self.vector)
         self.params = {name: views[name] if name in views else np.empty(shape)
                        for name, shape in shapes.items()}
-        self.lstm = [self._direction_stack(self.vector, layer)
-                     for layer in range(hp.lstm_layers)]
-        # The gradient vector and its views, allocated by the first
-        # ``zero_grads``: a model that only parses never needs them.
-        self.grad_vector: Optional[np.ndarray] = None
-        self._grads: Dict[str, np.ndarray] = {}
+        self.lstm = self._direction_stacks(self.vector)
+        self._gradients: Dict[int, Gradients] = {}
         self.pretrained_words = pretrained_words
         self._pre_index = (
             {w: i + 2 for i, w in enumerate(pretrained_words)}
@@ -334,15 +356,17 @@ class Model:
         return {name: vector[offset:offset + math.prod(shape)].reshape(shape)
                 for name, (offset, shape) in self._layout.items()}
 
-    def _direction_stack(self, vector: np.ndarray, layer: int
-                         ) -> Tuple[np.ndarray, ...]:
-        """One LSTM layer's (w_x, w_h, b) views with the direction axis first."""
-        stack = []
-        for kind in ("w_x", "w_h", "b"):
-            offset, shape = self._layout[f"lstm.{layer}.fwd.{kind}"]
-            stack.append(vector[offset:offset + 2 * math.prod(shape)].reshape(
-                (2,) + shape))
-        return tuple(stack)
+    def _direction_stacks(self, vector: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
+        """Each LSTM layer's (w_x, w_h, b) views with the direction axis first."""
+        stacks = []
+        for layer in range(self.hp.lstm_layers):
+            stack = []
+            for kind in ("w_x", "w_h", "b"):
+                offset, shape = self._layout[f"lstm.{layer}.fwd.{kind}"]
+                stack.append(vector[offset:offset + 2 * math.prod(shape)].reshape(
+                    (2,) + shape))
+            stacks.append(tuple(stack))
+        return stacks
 
     # ------------------------------------------------------------------
     # construction
@@ -542,13 +566,12 @@ class Model:
         return projected[slots, :, np.arange(slots.shape[1])].sum(axis=1)
 
     def first_layer_backward(self, encoded: EncodedSentence, slots: np.ndarray,
-                             d_first: np.ndarray,
-                             grads: Dict[str, np.ndarray]) -> np.ndarray:
+                             d_first: np.ndarray, grads: Gradients) -> np.ndarray:
         """Backward of ``first_layer`` over ``encoded.projected``.
 
-        Accumulates the gradients of ``mlp.w1`` and of the node columns of
-        ``conj.w1`` into ``grads``; returns the gradient of
-        ``encoded.nodes``.
+        Writes the gradients of ``mlp.w1`` and of the node columns of
+        ``conj.w1`` into ``grads``, from one product; returns the gradient
+        of ``encoded.nodes``.
         """
         n_nodes, (rows, n_slots) = len(encoded.nodes), slots.shape
         # Each (slot, node) projection's gradient sums the rows of
@@ -561,8 +584,8 @@ class Model:
         d_projected = (d_first.T @ routes.T).reshape(-1, n_nodes)
         d_matrix = (d_projected @ encoded.nodes).reshape(d_first.shape[1], -1)
         mlp_dim = self.hp.mlp_dim
-        grads["mlp.w1"] += d_matrix[:mlp_dim]
-        grads["conj.w1"][:, :d_matrix.shape[1]] += d_matrix[mlp_dim:]
+        grads["mlp.w1"][...] = d_matrix[:mlp_dim]
+        grads["conj.w1"][:, :d_matrix.shape[1]] = d_matrix[mlp_dim:]
         return d_projected.T @ encoded.first_matrix
 
     def base_scores(self, first: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -736,18 +759,21 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def zero_grads(self) -> Dict[str, np.ndarray]:
-        """Zeroed gradients of the trainable arrays, as views into ``grad_vector``.
+    def gradients(self, buffer: int = 0) -> Gradients:
+        """Gradient buffer ``buffer`` of the trainable arrays.
 
-        The vector is allocated by the first call and reused by every later
-        one, so a call zeroes the gradients that an earlier call returned.
+        A buffer's vector is allocated uninitialised by its first call and
+        returned by every later one; no call writes it.  The backward pass
+        (``training.sentence_loss``) writes every element of the buffer it
+        is given.  ``training.batch_loss`` sums a batch through buffer 1,
+        so buffer 0, the default, is the one to give it.
         """
-        if self.grad_vector is None:
-            self.grad_vector = np.zeros_like(self.vector)
-            self._grads = self._views(self.grad_vector)
-        else:
-            self.grad_vector.fill(0.0)
-        return dict(self._grads)
+        grads = self._gradients.get(buffer)
+        if grads is None:
+            vector = np.empty_like(self.vector)
+            grads = self._gradients[buffer] = Gradients(
+                self._views(vector), vector, self._direction_stacks(vector))
+        return grads
 
     def copy_params(self) -> np.ndarray:
         """A snapshot of the trainable parameters, for ``set_params``."""

@@ -11,7 +11,10 @@ and one cell-kernel call for all of them; a single LSTM is a stack of one.
 The backward half of each BiLSTM layer is the same LSTM run over the
 reversed sequence, so ``bilstm_forward``/``bilstm_backward`` run both
 directions as a stack of two: they reverse the backward direction's
-inputs and flip its states and gradients back into sequence order.
+inputs and flip its states and gradients back into sequence order.  The
+backward pass writes each weight gradient with ``out=`` into the arrays
+the caller gives, laid out as the weights: it neither adds to them nor
+allocates its own.
 
 ``Adam`` updates one flat parameter vector in place, on two threads where
 the process may use two CPUs; its moment buffers ``m`` and ``v`` hold
@@ -23,7 +26,7 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,12 +120,13 @@ def _backward_factors(cache: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
-                  w_h: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                  w_h: np.ndarray, out: Sequence[np.ndarray]) -> np.ndarray:
     """Backpropagate through a stack of left-to-right LSTMs.
 
-    ``d_hidden`` holds dLoss/dh per LSTM and step, (D, T, H).  Returns
-    (d_inputs, d_w_x, d_w_h, d_b), each with the stack axis first.
+    ``d_hidden`` holds dLoss/dh per LSTM and step, (D, T, H).  Writes the
+    gradients of (w_x, w_h, b) into the three arrays of ``out``, shaped as
+    the weights, with the stack axis first; their old values are not read.
+    Returns d_inputs, (D, T, In).
     """
     stack, steps, hidden_size = d_hidden.shape
     factors = _backward_factors(cache.gates, cache.cells)
@@ -137,13 +141,13 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
         kernels.cell_backward(dh_total, dc, cache.gates[t], factors[t], d_gates, dc)
         d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
         dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
-    d_w_x = np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs)
-    d_b = d_preacts.sum(axis=1)
+    d_w_x, d_w_h, d_b = out
+    np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs, out=d_w_x)
+    np.sum(d_preacts, axis=1, out=d_b)
     # Step t read the hidden state of step t - 1; the first step read zeros.
     hidden = np.ascontiguousarray(cache.hidden[:-1].transpose(1, 0, 2))
-    d_w_h = np.matmul(d_preacts[:, 1:].transpose(0, 2, 1), hidden)
-    d_inputs = np.matmul(d_preacts, w_x)
-    return d_inputs, d_w_x, d_w_h, d_b
+    np.matmul(d_preacts[:, 1:].transpose(0, 2, 1), hidden, out=d_w_h)
+    return np.matmul(d_preacts, w_x)
 
 
 # Row order of the direction axis of a BiLSTM layer's weights.
@@ -169,10 +173,11 @@ def bilstm_forward(inputs: np.ndarray, layers: Sequence[Tuple[np.ndarray, ...]]
 
 def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
                     layers: Sequence[Tuple[np.ndarray, ...]],
-                    grads: Dict[str, np.ndarray]) -> np.ndarray:
-    """Backward through the stacked BiLSTM, accumulating into ``grads``.
+                    grads: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Backward through the stacked BiLSTM; returns the inputs' gradient.
 
-    ``grads`` is keyed by parameter name, ``lstm.<layer>.<direction>.<w>``.
+    ``grads`` holds each layer's (w_x, w_h, b) gradients, laid out as
+    ``layers``; ``lstm_backward`` writes every element of them.
     """
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
@@ -180,12 +185,7 @@ def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
         w_x, w_h, _ = layers[layer]
         d_hidden = np.stack((d_current[:, :hidden_size],
                              d_current[::-1, hidden_size:]))
-        d_in, d_w_x, d_w_h, d_b = lstm_backward(d_hidden, caches[layer], w_x, w_h)
-        for index, direction in enumerate(DIRECTIONS):
-            prefix = f"lstm.{layer}.{direction}"
-            grads[f"{prefix}.w_x"] += d_w_x[index]
-            grads[f"{prefix}.w_h"] += d_w_h[index]
-            grads[f"{prefix}.b"] += d_b[index]
+        d_in = lstm_backward(d_hidden, caches[layer], w_x, w_h, grads[layer])
         d_current = d_in[0] + d_in[1, ::-1]
     return d_current
 

@@ -11,6 +11,7 @@ Loaded resources are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -132,11 +133,18 @@ class LemmaLexicon:
 
 
 class EmbeddingTable:
-    """Word -> dense vector lookup, falling back to the lowercased word."""
+    """Word -> dense vector lookup, falling back to the lowercased word.
 
-    def __init__(self, vectors: Dict[str, np.ndarray], dim: int):
+    Each vector's Euclidean norm is computed once: here, unless ``norms``
+    already holds them by word.
+    """
+
+    def __init__(self, vectors: Dict[str, np.ndarray], dim: int,
+                 norms: Optional[Dict[str, float]] = None):
         self.dim = dim
         self._vectors = vectors
+        self._norms = norms if norms is not None else {
+            word: float(np.linalg.norm(vec)) for word, vec in vectors.items()}
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -153,9 +161,17 @@ class EmbeddingTable:
             vec = self._vectors.get(word.lower())
         return vec
 
+    def norm_of(self, word: str) -> float:
+        """The norm of ``lookup(word)``, which must be a vector."""
+        norm = self._norms.get(word)
+        return self._norms[word.lower()] if norm is None else norm
+
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
+        """Read a table; a vector with a value or norm that is not finite
+        raises ``ResourceError`` naming its line."""
         vectors: Dict[str, np.ndarray] = {}
+        norms: Dict[str, float] = {}
         dim = None
         for number, raw in _numbered_lines(path):
             line = raw.rstrip("\n").rstrip("\r")
@@ -188,10 +204,18 @@ class EmbeddingTable:
                 raise ResourceError(
                     f"{path}, line {number}: non-finite vector value"
                 )
-            vectors.setdefault(word, vec)  # first entry wins
+            # Finite values can still square past the float range, and the
+            # embedding similarity feature divides by the norm.
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm):
+                raise ResourceError(f"{path}, line {number}: vector norm overflows")
+            if word not in vectors:  # first entry wins
+                vectors[word] = vec
+                norms[word] = norm
         if dim is None:
             raise ResourceError(f"{path}: no vectors found")
-        return cls(vectors, dim)
+        return cls(vectors, dim, norms)
 
 
 @dataclass(frozen=True)

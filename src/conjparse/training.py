@@ -8,20 +8,22 @@ whenever the "conj" right transition is the gold or the violating one.
 The oracle path's configurations are scored as one batch from the
 sentence's per-node first-layer projections, and their gradients flow
 back through that batch to the first layer and from there to the nodes.
-All gradients are analytic; ``gradient_check`` compares them against
-central finite differences.
+Each backward step writes its gradient into its place in a
+``Model.gradients`` buffer instead of adding to it, so no buffer needs
+zeroing first.  All gradients are analytic; ``gradient_check`` compares
+them against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import network
-from .model import EncodedSentence, Model, Vocabulary
+from .model import EncodedSentence, Gradients, Model, Vocabulary
 from .parser import batch_inputs, greedy_parse, score_batch, score_config
 from .resources import FeatureResources
 from .transitions import (
@@ -103,24 +105,35 @@ def dropped_word_ids(sentence: Sentence, model: Model,
 
 
 def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
-                  grads: Optional[Dict[str, np.ndarray]] = None,
+                  grads: Optional[Gradients] = None,
                   word_ids: Optional[np.ndarray] = None) -> float:
-    """Total hinge loss along the compiled oracle path; accumulates into ``grads``."""
+    """Total hinge loss along the compiled oracle path.
+
+    With ``grads``, a ``Model.gradients`` buffer, writes the loss's
+    gradient into every element of it, whatever it held: each backward
+    step writes its product into its place, and only what gets no product
+    is zeroed (the embedding tables before their scattered rows are added
+    in, and the whole buffer when the loss is 0).
+    """
     encoded = model.encode(sentence, word_ids=word_ids)
     loss, d_nodes = _path_hinge(model, path, encoded, grads)
     if d_nodes is None:
+        if grads is not None:
+            grads.vector.fill(0.0)
         return loss
-    grads["pad_vec"] += d_nodes[-1]
+    grads["pad_vec"][...] = d_nodes[-1]
     d_inputs = network.bilstm_backward(d_nodes[:-1], encoded.lstm_caches,
-                                       model.lstm, grads)
+                                       model.lstm, grads.lstm)
     word_dim = model.hp.word_dim
     pre_dim = model.hp.pretrained_dim
-    np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
-    if pre_dim and "pre_emb" in grads:
-        np.add.at(grads["pre_emb"], encoded.pre_ids,
-                  d_inputs[:, word_dim:word_dim + pre_dim])
-    np.add.at(grads["pos_emb"], encoded.pos_ids,
-              d_inputs[:, word_dim + pre_dim:])
+    # A frozen pre_emb has no gradient.
+    for name, ids, columns in (
+            ("word_emb", encoded.word_ids, slice(None, word_dim)),
+            ("pre_emb", encoded.pre_ids, slice(word_dim, word_dim + pre_dim)),
+            ("pos_emb", encoded.pos_ids, slice(word_dim + pre_dim, None))):
+        if name in grads:
+            grads[name].fill(0.0)
+            np.add.at(grads[name], ids, d_inputs[:, columns])
     return loss
 
 
@@ -138,17 +151,18 @@ def _hinge_steps(scores: np.ndarray, gold: np.ndarray, competing: np.ndarray,
 
 
 def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
-                grads: Optional[Dict[str, np.ndarray]]
+                grads: Optional[Gradients]
                 ) -> Tuple[float, Optional[np.ndarray]]:
     """Hinge loss of every configuration on the path, and its gradient.
 
     The path's configurations are scored as one batch, one row each, and
     backpropagated with matrix products over the rows down to their first
     layer, and from there with two products over the sentence's nodes
-    (``Model.first_layer_backward``).  Accumulates the MLP gradients into
-    ``grads`` and returns the gradient with respect to ``encoded.nodes``,
-    or None when nothing is to be backpropagated.  The batch arrays are
-    freed on return, before the BiLSTM backward pass allocates its own.
+    (``Model.first_layer_backward``).  Writes every gradient of both MLPs
+    into ``grads`` and returns the gradient with respect to
+    ``encoded.nodes``; writes nothing and returns None when nothing is to
+    be backpropagated.  The batch arrays are freed on return, before the
+    BiLSTM backward pass allocates its own.
     """
     rows = np.arange(len(path.gold))
     batch = score_batch(model, encoded.projected, path.slots, path.conj_rows,
@@ -173,37 +187,54 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     d_first = np.zeros((len(rows), mlp_dim + model.hp.conj_mlp_dim))
     d_first[:, :mlp_dim], d_b1, d_w2, d_b2 = network.mlp_backward(
         d_scores, batch.mlp_hidden, model.params["mlp.w2"])
-    grads["mlp.b1"] += d_b1
-    grads["mlp.w2"] += d_w2
-    grads["mlp.b2"] += d_b2
+    grads["mlp.b1"][...] = d_b1
+    grads["mlp.w2"][...] = d_w2
+    grads["mlp.b2"][...] = d_b2
+    # The conj MLP's pair columns; its node columns get their gradient with
+    # the transition MLP's first layer.
+    conj_pairs = grads["conj.w1"][:, Model.feature_dim(model.hp):]
     if path.conj_rows.size:
         # The conj MLP has one output, added to the score of the conj
         # transition; it gets a gradient where conj is the gold or the
-        # violating transition.
+        # violating transition (none, and so zeros, where no row is hit).
         d_conj = d_scores[path.conj_rows, model.conj_transition]
         hit = np.flatnonzero(d_conj)
         d_pre, d_b1, d_w2, d_b2 = network.mlp_backward(
             d_conj[hit, np.newaxis], batch.conj_hidden[hit],
             model.params["conj.w2"][np.newaxis],
         )
-        node_dim = Model.feature_dim(model.hp)
-        grads["conj.w1"][:, node_dim:] += d_pre.T @ path.conj_inputs[hit]
-        grads["conj.b1"] += d_b1
-        grads["conj.w2"] += d_w2[0]
-        grads["conj.b2"] += d_b2
+        conj_pairs[...] = d_pre.T @ path.conj_inputs[hit]
+        grads["conj.b1"][...] = d_b1
+        grads["conj.w2"][...] = d_w2[0]
+        grads["conj.b2"][...] = d_b2
         d_first[path.conj_rows[hit], mlp_dim:] = d_pre
+    else:
+        for array in (conj_pairs, grads["conj.b1"], grads["conj.w2"],
+                      grads["conj.b2"]):
+            array.fill(0.0)
     d_nodes = model.first_layer_backward(encoded, path.slots, d_first, grads)
     return loss, d_nodes
 
 
 def batch_loss(model: Model, batch: Sequence[Sentence],
-               paths: Sequence[OraclePath],
-               grads: Optional[Dict[str, np.ndarray]] = None,
+               paths: Sequence[OraclePath], grads: Optional[Gradients] = None,
                word_ids: Optional[Sequence[np.ndarray]] = None) -> float:
+    """Summed loss of the sentences of ``batch``, along their ``paths``.
+
+    With ``grads``, writes the summed gradient into every element of it:
+    the first sentence's gradient is written into ``grads``, and each later
+    sentence's into ``model.gradients(1)`` and then added to ``grads`` as
+    one vector, so ``grads`` must be another buffer.
+    """
+    if grads is not None and not batch:
+        grads.vector.fill(0.0)
     total = 0.0
     for index, sentence in enumerate(batch):
-        total += sentence_loss(model, sentence, paths[index], grads,
+        target = grads if index == 0 or grads is None else model.gradients(1)
+        total += sentence_loss(model, sentence, paths[index], target,
                                None if word_ids is None else word_ids[index])
+        if target is not grads:
+            grads.vector += target.vector
     return total
 
 
@@ -214,9 +245,9 @@ def train_step(batch: Sequence[Sentence], model: Model,
     ids = None
     if rng is not None and model.hp.word_dropout_alpha > 0.0:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
-    grads = model.zero_grads()
+    grads = model.gradients()
     loss = batch_loss(model, batch, paths, grads=grads, word_ids=ids)
-    optimizer.step(model.grad_vector)
+    optimizer.step(grads.vector)
     return loss
 
 
@@ -380,7 +411,7 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
             raise ValueError(f"gradient check {name} must be positive and finite, "
                              f"got {value!r}")
     paths = [oracle_path(s, model, resources) for s in sentences]
-    grads = model.zero_grads()
+    grads = model.gradients()
     batch_loss(model, sentences, paths, grads=grads)
 
     def loss_at_point() -> float:

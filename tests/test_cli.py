@@ -241,6 +241,34 @@ def test_train_with_a_non_finite_loss_is_a_one_line_error(tmp_path, train_file,
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "parse"])
+def test_embeddings_whose_norm_overflows_are_a_one_line_data_error(
+        tmp_path, train_file, capsys, command):
+    # Finite values, but their squares are not: the similarity feature
+    # used to turn NaN, failing training on a NaN loss and parsing with
+    # numpy warnings.
+    lines = (DATA / "embeddings_sample.txt").read_text().splitlines()
+    word = lines[2].split(" ")[0]
+    lines[2] = " ".join([word] + ["1e200"] * 16)
+    bad = tmp_path / "big.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    output = tmp_path / "out"
+    if command == "train":
+        args = ["train", "--train", str(train_file), "--model", str(output),
+                "--seed", "1", "--epochs", "1", *TINY_HYPERS]
+    else:
+        args = ["parse", "--model", str(_train(tmp_path, train_file)),
+                "--input", str(train_file), "--output", str(output)]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--embeddings", str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {bad}, line 3: vector norm overflows\n"
+    assert captured.out == ""
+    assert not output.exists()
+
+
 def test_train_that_leaves_non_finite_parameters_saves_no_model(tmp_path, capsys):
     # One sentence and one epoch: the only update overflows parameters and
     # no later loss sees them.  Such a model used to be written, and

@@ -129,6 +129,18 @@ def test_sym_scale_invariance():
         assert abs(sym_feature("a", "b", t1) - sym_feature("a", "b", t2)) < 1e-9
 
 
+def test_sym_is_the_cosine_of_the_stored_norms():
+    rng = np.random.default_rng(4)
+    vectors = {f"w{i}": rng.normal(size=7) * 10.0 ** rng.integers(-3, 4)
+               for i in range(6)}
+    table = EmbeddingTable(vectors, dim=7)
+    for a in vectors:
+        for b in vectors:
+            expected = float(np.dot(vectors[a], vectors[b])
+                             / (np.linalg.norm(vectors[a]) * np.linalg.norm(vectors[b])))
+            assert sym_feature(a, b, table) == expected
+
+
 def test_sentiment_values(sentiment):
     assert sentiment_feature("winners", sentiment) == 1
     assert sentiment_feature("losers", sentiment) == -1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import join_model_file, make_sentence, split_model_file, tiny_model
+from conjparse import model as model_module
 from conjparse import network
 from conjparse.model import (
     Hyperparams,
@@ -267,6 +268,16 @@ def test_load_rejects_bad_hyperparameters(edit, message):
         Model.load(io.BytesIO(join_model_file(meta, arrays)))
 
 
+def test_load_checks_the_hyperparameters_once(monkeypatch):
+    payload = _saved_tiny_model()
+    calls = []
+    check = model_module.check_hyperparams
+    monkeypatch.setattr(model_module, "check_hyperparams",
+                        lambda values: calls.append(values) or check(values))
+    Model.load(io.BytesIO(payload))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda meta: meta["hyperparams"].update(lstm_dim=5),
      r"array 'lstm.0.fwd.w_x' has shape \[16, 8\], the header implies \[20, 8\]"),
@@ -399,7 +410,7 @@ def test_build_leaves_the_callers_hyperparams_alone(sentences):
     assert (hp.pretrained_dim, first.hp.pretrained_dim,
             second.hp.pretrained_dim) == (0, 2, 4)
     path = oracle_path(sentences[0], first, FeatureResources.empty())
-    assert sentence_loss(first, sentences[0], path, grads=first.zero_grads()) > 0.0
+    assert sentence_loss(first, sentences[0], path, grads=first.gradients()) > 0.0
     buffer = io.BytesIO()
     first.save(buffer)
     assert Model.load(io.BytesIO(buffer.getvalue())).hp == first.hp
@@ -470,19 +481,29 @@ def test_save_then_load_round_trips_the_bytes(sentences):
 
 def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
     model = tiny_model(sentences)
-    assert model.grad_vector is None
-    grads = model.zero_grads()
-    vector = model.grad_vector
-    assert vector.shape == model.vector.shape and not vector.any()
+    assert model._gradients == {}
+    grads = model.gradients()
+    vector = grads.vector
+    assert vector.shape == model.vector.shape
     assert sorted(grads) == sorted(model.trainable)
     for key in model.trainable:
         assert np.shares_memory(grads[key], vector), key
+    for layer, stack in enumerate(grads.lstm):
+        for kind, array in zip(("w_x", "w_h", "b"), stack):
+            for d, direction in enumerate(network.DIRECTIONS):
+                name = f"lstm.{layer}.{direction}.{kind}"
+                assert np.shares_memory(array[d], grads[name]), name
+                assert array[d].shape == grads[name].shape, name
+    # The loss writes every element, whatever the vector held.
+    vector.fill(np.nan)
     path = oracle_path(sentences[0], model, FeatureResources.empty())
     assert sentence_loss(model, sentences[0], path, grads=grads) > 0.0
-    assert vector.any()
-    again = model.zero_grads()
-    assert model.grad_vector is vector and not vector.any()
-    assert all(np.shares_memory(again[key], vector) for key in model.trainable)
+    assert np.isfinite(vector).all() and vector.any()
+    written = vector.copy()
+    # Asking again neither allocates nor zeroes.
+    assert model.gradients() is grads and grads.vector is vector
+    assert np.array_equal(vector, written)
+    assert not np.shares_memory(model.gradients(1).vector, vector)
 
 
 def test_load_rejects_a_trainable_list_that_contradicts_the_hyperparameters():

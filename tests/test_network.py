@@ -66,9 +66,11 @@ def test_lstm_layer_gradients():
         return float((mix * h[0]).sum())
 
     hidden, cache = network.lstm_forward(*_one(inputs, w_x, w_h, b))
-    d_inputs, d_wx, d_wh, d_b = (
-        grad[0] for grad in network.lstm_backward(mix[np.newaxis].copy(), cache,
-                                                  *_one(w_x, w_h)))
+    # Filled with NaN: the backward pass must write every element.
+    out = [np.full((1,) + a.shape, np.nan) for a in (w_x, w_h, b)]
+    d_inputs = network.lstm_backward(mix[np.newaxis].copy(), cache,
+                                     *_one(w_x, w_h), out)[0]
+    d_wx, d_wh, d_b = (grad[0] for grad in out)
     eps = 1e-6
     for arr, grad in ((inputs, d_inputs), (w_x, d_wx), (w_h, d_wh), (b, d_b)):
         for index in np.ndindex(arr.shape):
@@ -154,6 +156,11 @@ def _bilstm_params(rng, dim, hidden_size, n_layers=2, scale=0.4):
     return params, _stacks(params, n_layers)
 
 
+def _flat(stacks):
+    """The arrays of per-layer stacks, layer by layer."""
+    return [array for stack in stacks for array in stack]
+
+
 def _stacks(arrays, n_layers):
     return [tuple(np.stack([arrays[f"lstm.{layer}.{direction}.{kind}"]
                             for direction in network.DIRECTIONS])
@@ -184,14 +191,12 @@ def test_bilstm_backward_finite_differences():
         return float((mix * out).sum())
 
     _, caches = network.bilstm_forward(inputs, layers)
-    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    grads = [tuple(np.full_like(a, np.nan) for a in stack) for stack in layers]
     d_inputs = network.bilstm_backward(mix.copy(), caches, layers, grads)
     eps = 1e-6
-    # The loss reads the stacks; grads are keyed by name.
-    stacked = {f"lstm.{layer}.{direction}.{kind}": layers[layer][k][d]
-               for layer in range(2) for d, direction in enumerate(network.DIRECTIONS)
-               for k, kind in enumerate(("w_x", "w_h", "b"))}
-    checks = [(inputs, d_inputs)] + [(stacked[key], grads[key]) for key in params]
+    checks = [(inputs, d_inputs)] + [
+        (weights, grad) for stack, grad_stack in zip(layers, grads)
+        for weights, grad in zip(stack, grad_stack)]
     for arr, grad in checks:
         for index in np.ndindex(arr.shape):
             orig = arr[index]
@@ -216,15 +221,15 @@ def test_bilstm_is_bit_identical_to_the_per_direction_loop(steps, n_layers):
         out, caches = network.bilstm_forward(inputs, layers)
         ref_out, ref_caches = reference_nets.bilstm_forward(inputs, params, n_layers)
     assert np.array_equal(out, ref_out)
-    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    grads = [tuple(np.full_like(a, np.nan) for a in stack) for stack in layers]
     ref_grads = {key: np.zeros_like(value) for key, value in params.items()}
-    for _ in range(2):  # the second pass accumulates onto the first
+    ref_d_inputs = reference_nets.bilstm_backward(d_output, ref_caches, params,
+                                                  ref_grads, n_layers)
+    for _ in range(2):  # the second pass overwrites the first
         d_inputs = network.bilstm_backward(d_output, caches, layers, grads)
-        ref_d_inputs = reference_nets.bilstm_backward(d_output, ref_caches, params,
-                                                      ref_grads, n_layers)
-    assert np.array_equal(d_inputs, ref_d_inputs)
-    for key in params:
-        assert np.array_equal(grads[key], ref_grads[key]), key
+        assert np.array_equal(d_inputs, ref_d_inputs)
+        assert all(np.array_equal(grad, expected) for grad, expected
+                   in zip(_flat(grads), _flat(_stacks(ref_grads, n_layers))))
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

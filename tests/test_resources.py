@@ -49,6 +49,23 @@ def test_embedding_non_finite_rejected_with_line_number(tmp_path, bad):
         EmbeddingTable.load(path)
 
 
+def test_embedding_whose_norm_overflows_is_rejected_with_line_number(tmp_path):
+    # Finite values whose squares are not: the cosine similarity would be NaN.
+    path = tmp_path / "vec.txt"
+    path.write_text("ok 0.5 1.0\nbig 1e200 2.0\n")
+    with pytest.raises(ResourceError, match=r"vec\.txt, line 2: vector norm overflows"):
+        EmbeddingTable.load(path)
+
+
+def test_embedding_norm_of_is_the_norm_of_the_looked_up_vector(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("word 3.0 4.0\nother 1e150 1e150\nword 1.0 0.0\n")
+    table = EmbeddingTable.load(path)
+    for word in ("word", "Word", "other", "OTHER"):
+        assert table.norm_of(word) == np.linalg.norm(table.lookup(word))
+    assert table.norm_of("Word") == 5.0  # the first entry's
+
+
 def test_embedding_empty_file(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("")

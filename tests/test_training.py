@@ -1,5 +1,6 @@
 import io
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from conftest import (
     break_analytic_gradient,
     data_resources,
     make_sentence,
+    random_projective_sentence,
     tiny_model,
 )
 from conjparse import conj_features, network, parser, training, transitions
 from conjparse.conj_features import extract_forms
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import conj_candidate
-from conjparse.resources import FeatureResources
+from conjparse.resources import EmbeddingTable, FeatureResources
 from conjparse.training import (
     NonProjectiveError,
     batch_loss,
@@ -115,7 +117,7 @@ def test_nan_parameter_gives_a_nan_loss_not_a_zero_one(empty_resources):
     model = tiny_model([sentence])
     jitter_params(model, seed=1)
     model.params["mlp.b1"][0] = np.nan
-    grads = model.zero_grads()
+    grads = model.gradients()
     paths = [oracle_path(sentence, model, empty_resources)]
     assert np.isnan(batch_loss(model, [sentence], paths, grads=grads))
     assert np.isnan(grads["mlp.w2"]).any()
@@ -141,7 +143,7 @@ def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources)
     flat_keys = [k for k in model.trainable if k not in ("mlp.b2", "conj.b2")]
     report = gradient_check(model, sentences, empty_resources, keys=flat_keys)
     assert report.max_rel_error == 0.0
-    grads = model.zero_grads()
+    grads = model.gradients()
     paths = [oracle_path(s, model, empty_resources) for s in sentences]
     loss = batch_loss(model, sentences, paths, grads=grads)
     assert loss > 0.0
@@ -424,8 +426,13 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
             else:
                 grads["pad_vec"] += segment
     if loss > 0.0:
+        lstm_grads = [tuple(np.empty_like(a) for a in stack) for stack in model.lstm]
         d_inputs = network.bilstm_backward(d_vectors, encoded.lstm_caches,
-                                           model.lstm, grads)
+                                           model.lstm, lstm_grads)
+        for layer, stack in enumerate(lstm_grads):
+            for kind, array in zip(("w_x", "w_h", "b"), stack):
+                for d, direction in enumerate(network.DIRECTIONS):
+                    grads[f"lstm.{layer}.{direction}.{kind}"] += array[d]
         word_dim, pre_dim = model.hp.word_dim, model.hp.pretrained_dim
         np.add.at(grads["word_emb"], encoded.word_ids, d_inputs[:, :word_dim])
         if pre_dim and "pre_emb" in grads:
@@ -445,15 +452,18 @@ def _extract(sentence, pair, resources):
 
 
 def _assert_matches_reference(model, sentences, resources, word_ids):
-    batched = model.zero_grads()
+    batched = model.gradients()
+    batched.vector.fill(np.nan)  # every element must be written
     reference = {key: np.zeros_like(value) for key, value in batched.items()}
+    paths = [oracle_path(sentence, model, resources) for sentence in sentences]
+    loss = batch_loss(model, sentences, paths, grads=batched, word_ids=word_ids)
+    expected = 0.0
     for sentence, ids in zip(sentences, word_ids):
-        path = oracle_path(sentence, model, resources)
-        loss = sentence_loss(model, sentence, path, grads=batched, word_ids=ids)
-        expected = _reference_sentence_loss(model, sentence, resources,
-                                            reference, word_ids=ids)
-        assert expected > 0.0
-        assert abs(loss - expected) <= 1e-12 * expected
+        sentence_expected = _reference_sentence_loss(model, sentence, resources,
+                                                     reference, word_ids=ids)
+        assert sentence_expected > 0.0
+        expected += sentence_expected
+    assert abs(loss - expected) <= 1e-12 * expected
     for key in model.trainable:
         np.testing.assert_allclose(batched[key], reference[key],
                                    rtol=1e-9, atol=1e-12, err_msg=key)
@@ -495,6 +505,71 @@ def test_batched_loss_matches_per_configuration_loop_with_resources():
     _assert_matches_reference(model, [sentence], resources, [ids])
 
 
+@pytest.mark.parametrize("tune_pretrained", [True, False])
+@pytest.mark.parametrize("use_conj_features", [True, False])
+@pytest.mark.parametrize("names", ["conj", "conj+zero", "zero+conj", "zero"])
+def test_batch_loss_writes_every_gradient_element(conj_sentence, names,
+                                                  use_conj_features,
+                                                  tune_pretrained):
+    zero = make_sentence([0], labels=["root"], forms=["bonds"], pos=["NNS"])
+    batch = [{"conj": conj_sentence, "zero": zero}[name]
+             for name in names.split("+")]
+    table = EmbeddingTable({"shares": np.array([1.0, -2.0]),
+                            "bonds": np.array([0.5, 3.0])}, dim=2)
+    hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=2, lstm_dim=4,
+                     mlp_dim=6, conj_mlp_dim=5, word_dropout_alpha=0.0,
+                     use_conj_features=use_conj_features,
+                     tune_pretrained=tune_pretrained)
+    model = Model.build(hp, Vocabulary.from_corpus([conj_sentence]),
+                        LabelInventory.from_sentences([conj_sentence]),
+                        pretrained=table, seed=2)
+    jitter_params(model, seed=3)
+    # The one-token sentence's only step with competitors is its gold
+    # right(root); a large bias meets its margin, so its loss is 0.
+    model.params["mlp.b2"][model.codec.right_index("root")] += 50.0
+    resources = FeatureResources(embeddings=table)
+    paths = [oracle_path(sentence, model, resources) for sentence in batch]
+    assert [batch_loss(model, [s], [p]) > 0.0 for s, p in zip(batch, paths)] == [
+        name == "conj" for name in names.split("+")]
+    grads = model.gradients()
+    results = []
+    for fill in (np.nan, 0.0):
+        for buffer in (0, 1):
+            model.gradients(buffer).vector.fill(fill)
+        loss = batch_loss(model, batch, paths, grads=grads)
+        results.append((loss, grads.vector.copy()))
+    (loss, nan_filled), (again, zero_filled) = results
+    assert loss == again
+    assert np.isfinite(nan_filled).all()
+    assert np.array_equal(nan_filled, zero_filled)
+    assert nan_filled.any() == ("conj" in names)
+
+
+def test_batch_loss_of_no_sentences_zeroes_the_gradients(conj_sentence):
+    model = tiny_model([conj_sentence])
+    model.gradients().vector.fill(np.nan)
+    assert batch_loss(model, [], [], grads=model.gradients()) == 0.0
+    assert not model.gradients().vector.any()
+
+
+def test_sentence_loss_needs_no_gradient_sized_temporaries():
+    # Default sizes, 100 tokens.  The backward pass writes into the
+    # gradient vector, so what the loss allocates, its forward state
+    # included, peaks well below one more vector's worth on top of it.
+    sentence = random_projective_sentence(np.random.default_rng(0), 100)
+    model = Model.build(Hyperparams(), Vocabulary.from_corpus([sentence]),
+                        LabelInventory.from_sentences([sentence]), seed=1)
+    paths = [oracle_path(sentence, model, FeatureResources.empty())]
+    grads = model.gradients()
+    tracemalloc.start()
+    try:
+        assert batch_loss(model, [sentence], paths, grads=grads) > 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grads.vector.nbytes
+
+
 def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
                                                     empty_resources):
     model = tiny_model([conj_sentence])
@@ -509,7 +584,7 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
     original_matrix = model._first_layer_matrix
     model._first_layer_matrix = lambda: calls.append("matrix") or original_matrix()
     path = oracle_path(conj_sentence, model, empty_resources)
-    loss = sentence_loss(model, conj_sentence, path, grads=model.zero_grads())
+    loss = sentence_loss(model, conj_sentence, path, grads=model.gradients())
     # The backward pass reuses the first-layer matrix of the forward pass.
     assert loss > 0.0
     assert calls == ["matrix", (len(path.gold), 4)]
@@ -536,7 +611,7 @@ def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Model, "feature_slots",
                         counted("feature_slots", Model.feature_slots))
-    loss = sentence_loss(model, conj_sentence, path, grads=model.zero_grads())
+    loss = sentence_loss(model, conj_sentence, path, grads=model.gradients())
     assert loss > 0.0
     assert calls == []
 
