@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .transitions import OracleError
 from .treebank import (
     ConllError,
     LabelInventory,
+    Sentence,
     _iter_lines,
     is_projective,
     read_conll,
@@ -170,6 +171,23 @@ def _parse_hyper_flags(pairs: List[str]) -> dict:
     return check_hyperparams(values)
 
 
+def _projective_sentences(path, fmt: str, purpose: str
+                          ) -> Tuple[List[Sentence], int]:
+    """The projective sentences of a treebank and the number skipped.
+
+    Raises ``training.NonProjectiveError`` naming ``path`` when there is
+    none to ``purpose``.
+    """
+    sentences = read_conll(path, fmt=fmt)
+    projective = [s for s in sentences if is_projective(s)]
+    skipped = len(sentences) - len(projective)
+    if not projective:
+        raise training.NonProjectiveError(
+            f"{path}: no projective sentence to {purpose} "
+            f"({skipped} non-projective skipped)")
+    return projective, skipped
+
+
 def cmd_train(args) -> int:
     # Checked first: training can take long, and the model is saved last.
     check_model_path(args.model)
@@ -194,14 +212,9 @@ def cmd_train(args) -> int:
         hp.tune_pretrained = True
 
     resources = load_resources(args)
-    train_all = read_conll(args.train, fmt=args.format)
-    train_sents = [s for s in train_all if is_projective(s)]
-    skipped = len(train_all) - len(train_sents)
-    if not train_sents:
-        # A model trained on nothing has no labels and cannot parse.
-        raise training.NonProjectiveError(
-            f"{args.train}: no projective sentence to train on "
-            f"({skipped} non-projective skipped)")
+    # A model trained on nothing has no labels and cannot parse.
+    train_sents, skipped = _projective_sentences(args.train, args.format,
+                                                 "train on")
     dev_sents = read_conll(args.dev, fmt=args.format) if args.dev else None
 
     vocab = Vocabulary.from_corpus(train_sents)
@@ -290,9 +303,7 @@ def _bundled_gradcheck_fixture() -> str:
 
 def cmd_gradcheck(args) -> int:
     path = args.input or _bundled_gradcheck_fixture()
-    sentences = [s for s in read_conll(path, fmt=args.format) if is_projective(s)]
-    if not sentences:
-        raise ValueError("gradcheck needs at least one projective sentence")
+    sentences, _ = _projective_sentences(path, args.format, "check gradients on")
     hp = Hyperparams(
         word_dim=6, pos_dim=3, lstm_layers=2, lstm_dim=5, mlp_dim=8,
         conj_mlp_dim=7, word_dropout_alpha=0.0,

@@ -15,10 +15,14 @@ feature slots, and the first layer of both MLPs is linear in it.  So
 ``encode`` projects every node once, for every slot, through the first
 layers (``project``); a configuration's first-layer pre-activations are
 then the sum of its four slot rows (``first_layer``), the precomputation
-of Chen & Manning (EMNLP 2014).
+of Chen & Manning (EMNLP 2014).  The coordination MLP's first layer
+``conj.w1`` is held as its node columns, which follow ``mlp.w1`` in the
+vector, and its six pair columns, ``conj.w1_pairs``, apart; so both
+first layers are one view of the vector (``Model.first_weights``), and
+their gradient one view of the gradient vector.
 
-Models serialize to a small versioned binary container; loading restores
-every parameter bit-exactly.
+Models serialize to a small versioned binary container, with ``conj.w1``
+stored whole; loading restores every parameter bit-exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .treebank import LabelInventory, Sentence
 
 MODEL_MAGIC = b"CJPMODEL"
 MODEL_VERSION = 1
+# The pair columns of the stored ``conj.w1``, held as an array of their own.
+CONJ_PAIRS = "conj.w1_pairs"
 
 
 class ModelIOError(ValueError):
@@ -216,13 +222,11 @@ class EncodedSentence:
 
     ``nodes`` holds the context vectors with the padding vector as one
     more, last row, so that the feature slot -1 indexes the padding.
-    ``projected`` is ``Model.project`` of ``nodes``, row for row, with the
-    first-layer matrix ``first_matrix``, which the backward pass reuses.
+    ``projected`` is ``Model.project`` of ``nodes``, row for row.
     """
 
     nodes: np.ndarray
     projected: np.ndarray
-    first_matrix: np.ndarray
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
@@ -282,15 +286,20 @@ def _vector_layout(shapes: Dict[str, Tuple[int, ...]], trainable: Sequence[str]
                    ) -> Dict[str, Tuple[int, Tuple[int, ...]]]:
     """Offset and shape of each trainable array in the flat vector.
 
-    The arrays follow ``trainable``, except that each LSTM array of the
-    backward direction directly follows its forward twin, so that the two
-    form one array with a leading direction axis.
+    The arrays follow ``trainable``, except that some directly follow a
+    partner: each LSTM array of the backward direction its forward twin,
+    so that the two form one array with a leading direction axis, and the
+    node columns of ``conj.w1`` ``mlp.w1``, so that the two form one
+    first-layer matrix.
     """
+    partner = {name: name.replace(".fwd.", ".bwd.")
+               for name in trainable if ".fwd." in name}
+    partner["mlp.w1"] = "conj.w1"
     order = []
     for name in trainable:
-        if ".fwd." in name:
-            order += [name, name.replace(".fwd.", ".bwd.")]
-        elif ".bwd." not in name:
+        if name in partner:
+            order += [name, partner[name]]
+        elif name not in partner.values():
             order.append(name)
     layout, offset = {}, 0
     for name in order:
@@ -304,14 +313,17 @@ class Gradients(dict):
 
     Each array is a view into the flat ``vector``, laid out as
     ``Model.vector``; ``lstm`` holds each BiLSTM layer's (w_x, w_h, b)
-    gradients as views with the direction axis first, as ``Model.lstm``.
+    gradients as views with the direction axis first, as ``Model.lstm``,
+    and ``first_weights`` the first layers' as one view, as
+    ``Model.first_weights``.
     """
 
     def __init__(self, arrays: Dict[str, np.ndarray], vector: np.ndarray,
-                 lstm: List[Tuple[np.ndarray, ...]]):
+                 lstm: List[Tuple[np.ndarray, ...]], first_weights: np.ndarray):
         super().__init__(arrays)
         self.vector = vector
         self.lstm = lstm
+        self.first_weights = first_weights
 
 
 class Model:
@@ -321,10 +333,16 @@ class Model:
     a frozen ``pre_emb`` lives outside it.  Write into the arrays: a
     rebound name no longer reaches the vector.  ``lstm`` holds each BiLSTM
     layer's (w_x, w_h, b) as views with a leading direction axis, ordered
-    as ``network.DIRECTIONS``.  A new model's arrays are uninitialised;
-    ``build`` and ``load`` fill them in place.  The gradients
-    (``gradients``) are laid out the same way, in vectors of their own that
-    a model which only parses never allocates.
+    as ``network.DIRECTIONS``, and ``first_weights`` the first layers of
+    both MLPs as one view (``project``).  A new model's arrays are
+    uninitialised; ``build`` and ``load`` fill them in place.  The
+    gradients (``gradients``) are laid out the same way, in vectors of
+    their own that a model which only parses never allocates.
+
+    ``stored_shapes`` and ``stored_trainable`` name the arrays as a model
+    file stores them; ``params`` and ``trainable`` hold the stored
+    ``conj.w1`` as two arrays, its node columns (``conj.w1``) and its pair
+    columns (``CONJ_PAIRS``).
     """
 
     def __init__(self, hp: Hyperparams, vocab: Vocabulary, labels: LabelInventory,
@@ -333,9 +351,18 @@ class Model:
         self.vocab = vocab
         self.labels = labels
         self.codec = TransitionCodec(labels.labels)
-        shapes = self.param_shapes(hp, vocab, labels, pretrained_words)
+        self.stored_shapes = self.param_shapes(hp, vocab, labels, pretrained_words)
+        shapes = {}
+        for name, shape in self.stored_shapes.items():
+            shapes[name] = shape
+            if name == "conj.w1":
+                node_dim = self.feature_dim(hp)
+                shapes[name] = (shape[0], node_dim)
+                shapes[CONJ_PAIRS] = (shape[0], shape[1] - node_dim)
         self.trainable = [name for name in shapes
                           if name != "pre_emb" or hp.tune_pretrained]
+        self.stored_trainable = [name for name in self.trainable
+                                 if name != CONJ_PAIRS]
         self._layout = _vector_layout(shapes, self.trainable)
         self.vector = np.empty(sum(math.prod(shape) for _, shape
                                    in self._layout.values()))
@@ -343,6 +370,7 @@ class Model:
         self.params = {name: views[name] if name in views else np.empty(shape)
                        for name, shape in shapes.items()}
         self.lstm = self._direction_stacks(self.vector)
+        self.first_weights = self._first_weights(self.vector)
         self._gradients: Dict[int, Gradients] = {}
         self.pretrained_words = pretrained_words
         self._pre_index = (
@@ -367,6 +395,26 @@ class Model:
                     (2,) + shape))
             stacks.append(tuple(stack))
         return stacks
+
+    def _first_weights(self, vector: np.ndarray) -> np.ndarray:
+        """``mlp.w1`` over the node columns of ``conj.w1`` in ``vector``, as
+        one C-contiguous (4*(mlp_dim + conj_mlp_dim), 2*lstm_dim) view with
+        one row per (hidden unit, slot)."""
+        offset = self._layout["mlp.w1"][0]
+        node_dim = self.feature_dim(self.hp)
+        size = (self.hp.mlp_dim + self.hp.conj_mlp_dim) * node_dim
+        return vector[offset:offset + size].reshape(-1, node_dim // 4)
+
+    def held_columns(self, name: str, stored: np.ndarray
+                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """(array of ``params``, its columns of ``stored``) for each array
+        that holds the stored array ``name``; ``stored`` has its stored
+        shape."""
+        if name != "conj.w1":
+            return [(self.params[name], stored)]
+        node_dim = self.feature_dim(self.hp)
+        return [(self.params[name], stored[:, :node_dim]),
+                (self.params[CONJ_PAIRS], stored[:, node_dim:])]
 
     # ------------------------------------------------------------------
     # construction
@@ -394,9 +442,12 @@ class Model:
         if pretrained is not None:
             pretrained_words = sorted(pretrained.words())
         model = cls(hp, vocab, labels, pretrained_words)
-        # Initialised in table order, which fixes the draws for a seed; the
-        # draws go straight into the parameter views.
-        for name, value in model.params.items():
+        # Initialised in table order and stored shapes, which fixes the
+        # draws for a seed.  The draws go straight into the parameter views,
+        # but ``conj.w1``'s go into its stored shape first.
+        for name, shape in model.stored_shapes.items():
+            split = name == "conj.w1"
+            value = np.empty(shape) if split else model.params[name]
             if name == "pre_emb":
                 value[:2] = 0.0
                 for row, word in enumerate(pretrained_words, start=2):
@@ -409,6 +460,9 @@ class Model:
                 network.glorot(rng, value)
             else:  # biases and the padding vector
                 value.fill(0.0)
+            if split:
+                for array, columns in model.held_columns(name, value):
+                    array[...] = columns
         return model
 
     @classmethod
@@ -416,7 +470,8 @@ class Model:
                      labels: LabelInventory,
                      pretrained_words: Optional[Sequence[str]]
                      ) -> Dict[str, Tuple[int, ...]]:
-        """Name and shape of every parameter array, in initialisation order.
+        """Name and shape of every parameter array as stored, in
+        initialisation order.
 
         ``pre_emb`` is there when the model has pretrained words; its first
         two rows stand for unknown words and the root.
@@ -506,9 +561,8 @@ class Model:
         inputs = np.ascontiguousarray(np.concatenate(parts, axis=1))
         vectors, caches = network.bilstm_forward(inputs, self.lstm)
         nodes = np.vstack([vectors, self.params["pad_vec"]])
-        matrix = self._first_layer_matrix()
-        return EncodedSentence(nodes, self.project(nodes, matrix), matrix,
-                               word_ids, pos_ids, pre_ids, caches)
+        return EncodedSentence(nodes, self.project(nodes), word_ids, pos_ids,
+                               pre_ids, caches)
 
     # ------------------------------------------------------------------
     # configuration features and scoring
@@ -529,31 +583,19 @@ class Model:
         slots = self.feature_slots(config)
         return encoded.nodes[slots].reshape(-1), slots
 
-    def _first_layer_matrix(self) -> np.ndarray:
-        """``mlp.w1`` over the node columns of ``conj.w1``, one row per
-        (hidden unit, slot): C-contiguous, (4*(mlp_dim + conj_mlp_dim),
-        2*lstm_dim)."""
-        node_dim = self.feature_dim(self.hp)
-        return np.concatenate([self.params["mlp.w1"],
-                               self.params["conj.w1"][:, :node_dim]]
-                              ).reshape(-1, node_dim // 4)
-
-    def project(self, vectors: np.ndarray,
-                matrix: Optional[np.ndarray] = None) -> np.ndarray:
+    def project(self, vectors: np.ndarray) -> np.ndarray:
         """What each node vector adds to the first layer of both MLPs.
 
         ``vectors`` holds one node vector per row.  Row i of the result is
         (mlp_dim + conj_mlp_dim, 4): for each hidden unit of the
         transition MLP, then of the coordination MLP, and each feature
         slot, the pre-activation that node i adds when it fills that slot.
-        One GEMM with the transpose of a C-contiguous matrix: on OpenBLAS
-        a row then rounds the same in any batch of two or more rows, which
-        ``transition_scores`` relies on.  ``matrix`` is that matrix, when
-        the caller has already built it.
+        One GEMM with the transpose of ``first_weights``, a C-contiguous
+        view of the parameters: on OpenBLAS a row then rounds the same in
+        any batch of two or more rows, which ``transition_scores`` relies
+        on.
         """
-        if matrix is None:
-            matrix = self._first_layer_matrix()
-        return (vectors @ matrix.T).reshape(len(vectors), -1, 4)
+        return (vectors @ self.first_weights.T).reshape(len(vectors), -1, 4)
 
     def first_layer(self, projected: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """First-layer pre-activations of configurations, without the biases.
@@ -570,8 +612,8 @@ class Model:
         """Backward of ``first_layer`` over ``encoded.projected``.
 
         Writes the gradients of ``mlp.w1`` and of the node columns of
-        ``conj.w1`` into ``grads``, from one product; returns the gradient
-        of ``encoded.nodes``.
+        ``conj.w1`` with one product into their view
+        ``grads.first_weights``; returns the gradient of ``encoded.nodes``.
         """
         n_nodes, (rows, n_slots) = len(encoded.nodes), slots.shape
         # Each (slot, node) projection's gradient sums the rows of
@@ -580,13 +622,10 @@ class Model:
         routes = np.zeros((n_slots * n_nodes, rows))
         routes[np.arange(n_slots) * n_nodes + slots % n_nodes,
                np.arange(rows)[:, np.newaxis]] = 1.0
-        # One row per (hidden unit, slot), as the rows of the matrix.
+        # One row per (hidden unit, slot), as the rows of ``first_weights``.
         d_projected = (d_first.T @ routes.T).reshape(-1, n_nodes)
-        d_matrix = (d_projected @ encoded.nodes).reshape(d_first.shape[1], -1)
-        mlp_dim = self.hp.mlp_dim
-        grads["mlp.w1"][...] = d_matrix[:mlp_dim]
-        grads["conj.w1"][:, :d_matrix.shape[1]] = d_matrix[mlp_dim:]
-        return d_projected.T @ encoded.first_matrix
+        np.matmul(d_projected, encoded.nodes, out=grads.first_weights)
+        return d_projected.T @ self.first_weights
 
     def base_scores(self, first: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Transition scores and MLP hidden of ``first_layer`` rows."""
@@ -625,9 +664,8 @@ class Model:
         ``conj_inputs`` their six conj inputs, one row each; the score is
         one value per row.
         """
-        w1 = self.params["conj.w1"]
         pre = (first[:, self.hp.mlp_dim:]
-               + conj_inputs @ w1[:, self.feature_dim(self.hp):].T)
+               + conj_inputs @ self.params[CONJ_PAIRS].T)
         hidden = np.tanh(pre + self.params["conj.b1"])
         score = hidden @ self.params["conj.w2"] + self.params["conj.b2"][0]
         return score, hidden
@@ -650,7 +688,7 @@ class Model:
             raise _unusable_path("write", sink, exc) from None
 
     def _write(self, handle) -> None:
-        order = sorted(self.params)
+        order = sorted(self.stored_shapes)
         meta = {
             "hyperparams": self.hp.to_dict(),
             "labels": list(self.labels.labels),
@@ -660,12 +698,12 @@ class Model:
                 "counts": self.vocab.counts,
             },
             "pretrained_words": self.pretrained_words,
-            "trainable": self.trainable,
+            "trainable": self.stored_trainable,
             "arrays": [
                 {
                     "name": name,
                     "dtype": str(self.params[name].dtype),
-                    "shape": list(self.params[name].shape),
+                    "shape": list(self.stored_shapes[name]),
                 }
                 for name in order
             ],
@@ -676,7 +714,10 @@ class Model:
         handle.write(struct.pack("<Q", len(meta_bytes)))
         handle.write(meta_bytes)
         for name in order:
-            handle.write(np.ascontiguousarray(self.params[name]).tobytes())
+            array = self.params[name]
+            if name == "conj.w1":
+                array = np.concatenate([array, self.params[CONJ_PAIRS]], axis=1)
+            handle.write(np.ascontiguousarray(array))
 
     @classmethod
     def load(cls, source) -> "Model":
@@ -745,16 +786,23 @@ class Model:
                     f"corrupt model metadata: array {name!r} has shape "
                     f"{list(params[name].shape)}, the header implies "
                     f"{list(expected[name])}")
+        # ``build`` writes both or neither: a dimension without words would
+        # make the BiLSTM inputs narrower than its weights.
+        if (hp.pretrained_dim > 0) != (meta["pretrained_words"] is not None):
+            raise ModelIOError("corrupt model metadata: " + (
+                f"'pretrained_dim' {hp.pretrained_dim} without 'pretrained_words'"
+                if hp.pretrained_dim else "'pretrained_words' with 'pretrained_dim' 0"))
         model = cls(hp, vocab, labels, meta["pretrained_words"])
-        if meta["trainable"] != model.trainable:
+        if meta["trainable"] != model.stored_trainable:
             raise ModelIOError("corrupt model metadata: 'trainable' does not "
                                "match the hyperparameters")
         # Checked in the model's own arrays: numpy checks aligned memory
         # faster than the views into ``data``.
         for name, array in params.items():
-            model.params[name][...] = array
-            if not np.isfinite(model.params[name]).all():
-                raise ModelIOError(f"non-finite values in parameter {name}")
+            for held, columns in model.held_columns(name, array):
+                held[...] = columns
+                if not np.isfinite(held).all():
+                    raise ModelIOError(f"non-finite values in parameter {name}")
         return model
 
     # ------------------------------------------------------------------
@@ -772,7 +820,8 @@ class Model:
         if grads is None:
             vector = np.empty_like(self.vector)
             grads = self._gradients[buffer] = Gradients(
-                self._views(vector), vector, self._direction_stacks(vector))
+                self._views(vector), vector, self._direction_stacks(vector),
+                self._first_weights(vector))
         return grads
 
     def copy_params(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import network
-from .model import EncodedSentence, Gradients, Model, Vocabulary
+from .model import CONJ_PAIRS, EncodedSentence, Gradients, Model, Vocabulary
 from .parser import batch_inputs, greedy_parse, score_batch, score_config
 from .resources import FeatureResources
 from .transitions import (
@@ -121,16 +121,20 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
         if grads is not None:
             grads.vector.fill(0.0)
         return loss
-    grads["pad_vec"][...] = d_nodes[-1]
-    d_inputs = network.bilstm_backward(d_nodes[:-1], encoded.lstm_caches,
-                                       model.lstm, grads.lstm)
     word_dim = model.hp.word_dim
     pre_dim = model.hp.pretrained_dim
+    tables = (("word_emb", encoded.word_ids, slice(None, word_dim)),
+              ("pre_emb", encoded.pre_ids, slice(word_dim, word_dim + pre_dim)),
+              ("pos_emb", encoded.pos_ids, slice(word_dim + pre_dim, None)))
+    caches = encoded.lstm_caches
+    # Frees the node table and its projection before the BiLSTM backward
+    # pass allocates its arrays.
+    del encoded
+    grads["pad_vec"][...] = d_nodes[-1]
+    d_inputs = network.bilstm_backward(d_nodes[:-1], caches, model.lstm,
+                                       grads.lstm)
     # A frozen pre_emb has no gradient.
-    for name, ids, columns in (
-            ("word_emb", encoded.word_ids, slice(None, word_dim)),
-            ("pre_emb", encoded.pre_ids, slice(word_dim, word_dim + pre_dim)),
-            ("pos_emb", encoded.pos_ids, slice(word_dim + pre_dim, None))):
+    for name, ids, columns in tables:
         if name in grads:
             grads[name].fill(0.0)
             np.add.at(grads[name], ids, d_inputs[:, columns])
@@ -192,7 +196,7 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     grads["mlp.b2"][...] = d_b2
     # The conj MLP's pair columns; its node columns get their gradient with
     # the transition MLP's first layer.
-    conj_pairs = grads["conj.w1"][:, Model.feature_dim(model.hp):]
+    conj_pairs = grads[CONJ_PAIRS]
     if path.conj_rows.size:
         # The conj MLP has one output, added to the score of the conj
         # transition; it gets a gradient where conj is the gold or the
@@ -370,8 +374,12 @@ def jitter_params(model: Model, seed: int) -> None:
     top of its kinks; gradient checking needs a point in general position.
     """
     rng = np.random.default_rng(seed)
-    for key in model.trainable:
-        model.params[key] += rng.normal(scale=0.35, size=model.params[key].shape)
+    # Drawn in the stored shapes, so that the draws do not depend on how
+    # the model holds its arrays.
+    for name in model.stored_trainable:
+        noise = rng.normal(scale=0.35, size=model.stored_shapes[name])
+        for array, columns in model.held_columns(name, noise):
+            array += columns
 
 
 @dataclass

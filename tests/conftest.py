@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import struct
 import sys
@@ -9,7 +10,14 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from conjparse import training
-from conjparse.model import MODEL_MAGIC, MODEL_VERSION, Hyperparams, Model, Vocabulary
+from conjparse.model import (
+    CONJ_PAIRS,
+    MODEL_MAGIC,
+    MODEL_VERSION,
+    Hyperparams,
+    Model,
+    Vocabulary,
+)
 from conjparse.resources import (
     EmbeddingTable,
     FeatureResources,
@@ -109,6 +117,13 @@ def tiny_model(sentences, seed=3, **hp_overrides) -> Model:
     return Model.build(hp, vocab, labels, seed=seed)
 
 
+def conj_w1(arrays) -> np.ndarray:
+    """The coordination MLP's whole first-layer matrix, as a model file
+    stores it: the node columns ``conj.w1`` of ``arrays`` (parameters or
+    gradients by name) joined to their pair columns."""
+    return np.concatenate([arrays["conj.w1"], arrays[CONJ_PAIRS]], axis=1)
+
+
 def split_model_file(payload: bytes):
     """(metadata dict, array bytes) of a saved model file."""
     start = len(MODEL_MAGIC) + 12
@@ -121,6 +136,19 @@ def join_model_file(meta, arrays: bytes) -> bytes:
     meta_bytes = json.dumps(meta).encode("utf-8")
     return (MODEL_MAGIC + struct.pack("<I", MODEL_VERSION)
             + struct.pack("<Q", len(meta_bytes)) + meta_bytes + arrays)
+
+
+def drop_model_array(meta, arrays: bytes, name: str) -> bytes:
+    """Remove array ``name`` from ``split_model_file``'s manifest ``meta``;
+    returns ``arrays`` without its bytes."""
+    offset = 0
+    for index, spec in enumerate(meta["arrays"]):
+        size = 8 * math.prod(spec["shape"])
+        if spec["name"] == name:
+            del meta["arrays"][index]
+            return arrays[:offset] + arrays[offset + size:]
+        offset += size
+    raise KeyError(name)
 
 
 @pytest.fixture(scope="session")

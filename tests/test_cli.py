@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA, break_analytic_gradient, join_model_file, split_model_file
+from conftest import (
+    DATA,
+    break_analytic_gradient,
+    drop_model_array,
+    join_model_file,
+    split_model_file,
+)
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse
@@ -393,6 +399,23 @@ def test_exit_code_model_header_contradicting_its_arrays(tmp_path, train_file,
     assert f"'{key}'" in err
 
 
+def test_model_with_a_pretrained_dim_but_no_words_is_a_model_error(
+        tmp_path, train_file, capsys):
+    model_path = _train(tmp_path, train_file, "--embeddings",
+                        str(DATA / "embeddings_sample.txt"), epochs=1)
+    meta, arrays = split_model_file(model_path.read_bytes())
+    arrays = drop_model_array(meta, arrays, "pre_emb")
+    meta["pretrained_words"] = None
+    model_path.write_bytes(join_model_file(meta, arrays))
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_MODEL
+    assert _one_line_error(capsys, "model error: ") == (
+        "model error: corrupt model metadata: 'pretrained_dim' 16 without "
+        "'pretrained_words'\n")
+
+
 def _one_line_error(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
@@ -468,6 +491,19 @@ def test_train_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
         f"data error: {corpus}: no projective sentence to train on "
         "(1 non-projective skipped)\n")
     assert not model_path.exists()
+
+
+def test_gradcheck_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "np.conllx"
+    sentences = [s for s in read_conll(DATA / "sample_treebank.conllx")
+                 if not is_projective(s)]
+    corpus.write_bytes(write_conll(sentences[:2]))
+    assert main(["gradcheck", "--input", str(corpus)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"data error: {corpus}: no projective sentence to check gradients on "
+        "(2 non-projective skipped)\n")
+    assert captured.out == ""
 
 
 def test_decode_error_is_a_one_line_error(tmp_path, train_file, capsys):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import join_model_file, make_sentence, split_model_file, tiny_model
+from conftest import (
+    DATA,
+    conj_w1,
+    drop_model_array,
+    join_model_file,
+    make_sentence,
+    split_model_file,
+    tiny_model,
+)
 from conjparse import model as model_module
 from conjparse import network
 from conjparse.model import (
@@ -153,7 +162,9 @@ def test_projection_rows_do_not_depend_on_their_batch(sentences, lstm_dim,
 def test_conj_score_golden(sentences):
     # Hand-set weights; expected value frozen from a scalar simulation.
     model = tiny_model(sentences, lstm_dim=1, conj_mlp_dim=3)
-    model.params["conj.w1"] = CONJ_GOLD_W1
+    for array, columns in model.held_columns("conj.w1", CONJ_GOLD_W1):
+        array[...] = columns
+    assert np.array_equal(conj_w1(model.params), CONJ_GOLD_W1)
     model.params["conj.b1"] = np.array([0.02, -0.03, 0.04])
     model.params["conj.w2"] = np.array([0.5, -0.4, 0.3])
     model.params["conj.b2"] = np.array([0.1])
@@ -292,6 +303,27 @@ def test_load_rejects_arrays_that_contradict_the_header(edit, message):
     meta, arrays = split_model_file(_saved_tiny_model())
     edit(meta)
     with pytest.raises(ModelIOError, match=message):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+def test_load_rejects_a_pretrained_dim_without_words(sentences):
+    frozen, _ = _pretrained_models(sentences)
+    buffer = io.BytesIO()
+    frozen.save(buffer)
+    meta, arrays = split_model_file(buffer.getvalue())
+    arrays = drop_model_array(meta, arrays, "pre_emb")
+    meta["pretrained_words"] = None
+    with pytest.raises(ModelIOError, match="^corrupt model metadata: "
+                       "'pretrained_dim' 2 without 'pretrained_words'$"):
+        Model.load(io.BytesIO(join_model_file(meta, arrays)))
+
+
+def test_load_rejects_pretrained_words_without_a_dim():
+    meta, arrays = split_model_file(_saved_tiny_model())
+    meta["pretrained_words"] = ["w1"]
+    meta["arrays"].append({"name": "pre_emb", "dtype": "float64", "shape": [3, 0]})
+    with pytest.raises(ModelIOError, match="^corrupt model metadata: "
+                       "'pretrained_words' with 'pretrained_dim' 0$"):
         Model.load(io.BytesIO(join_model_file(meta, arrays)))
 
 
@@ -443,6 +475,17 @@ def test_trainable_arrays_are_views_into_one_vector(sentences):
                 name = f"lstm.{layer}.{direction}.{kind}"
                 assert np.shares_memory(array[d], model.params[name]), name
                 assert np.array_equal(array[d], model.params[name]), name
+    # Both first layers are one view, a row per (hidden unit, slot).
+    _assert_first_layers_view(model.first_weights, model.params, model.vector)
+
+
+def _assert_first_layers_view(first_weights, arrays, vector):
+    assert first_weights.flags.c_contiguous
+    assert np.shares_memory(first_weights, vector)
+    for key in ("mlp.w1", "conj.w1"):
+        assert np.shares_memory(first_weights, arrays[key]), key
+    assert np.array_equal(first_weights.reshape(-1, 4 * first_weights.shape[1]),
+                          np.concatenate([arrays["mlp.w1"], arrays["conj.w1"]]))
 
 
 def test_set_params_writes_into_the_existing_views(sentences):
@@ -479,6 +522,41 @@ def test_save_then_load_round_trips_the_bytes(sentences):
         assert second.getvalue() == first.getvalue()
 
 
+_GOLDEN_TINY = dict(word_dim=5, pos_dim=3, lstm_layers=2, lstm_dim=4, mlp_dim=6,
+                    conj_mlp_dim=5)
+
+
+@pytest.mark.parametrize("hp, embeddings, seed, built, jittered", [
+    (_GOLDEN_TINY, False, 3,
+     "793f91599c27f60adfa8d9d9d764f558694af590d3926dc70d4d7be2630b9373",
+     "c19e162c6c6a085e4056f6975c33bc43dc1b6027319c51a6c6d4e6b26d2156e0"),
+    (dict(_GOLDEN_TINY, tune_pretrained=True), True, 5,
+     "00282870af18aed1ef6602dd80a72207de2c8547ce532497bf562ab1a22366ff",
+     "2dea0a6bc85caf45d3782021ca39bd60c86c52f5b8204728c03842bd0122b765"),
+    ({}, True, 1,
+     "cd12466f178a0009dbd4f0208a36b11f0c646546e4dfb731de595b5f4d5c7e02",
+     "eca945c357ec5e17e03a55faec70c391396c799d85ec572a7aa3dce98ddc773c"),
+], ids=["tiny", "tiny, tuned embeddings", "default sizes, embeddings"])
+def test_built_and_jittered_models_save_the_golden_bytes(
+        sample_sentences, hp, embeddings, seed, built, jittered):
+    # Frozen from models that held ``conj.w1`` as one array: holding its
+    # node and pair columns apart changes no draw, no value and no byte.
+    sentences = sample_sentences[:50]
+    table = EmbeddingTable.load(DATA / "embeddings_sample.txt") if embeddings else None
+    model = Model.build(Hyperparams(**hp), Vocabulary.from_corpus(sentences),
+                        LabelInventory.from_sentences(sentences),
+                        pretrained=table, seed=seed)
+
+    def sha256() -> str:
+        buffer = io.BytesIO()
+        model.save(buffer)
+        return hashlib.sha256(buffer.getvalue()).hexdigest()
+
+    assert sha256() == built
+    jitter_params(model, seed=seed + 1)
+    assert sha256() == jittered
+
+
 def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
     model = tiny_model(sentences)
     assert model._gradients == {}
@@ -499,6 +577,7 @@ def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
     path = oracle_path(sentences[0], model, FeatureResources.empty())
     assert sentence_loss(model, sentences[0], path, grads=grads) > 0.0
     assert np.isfinite(vector).all() and vector.any()
+    _assert_first_layers_view(grads.first_weights, grads, vector)
     written = vector.copy()
     # Asking again neither allocates nor zeroes.
     assert model.gradients() is grads and grads.vector is vector

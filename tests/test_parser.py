@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    conj_w1,
     data_resources,
     make_sentence,
     random_projective_sentence,
@@ -110,7 +111,7 @@ def _explicit_scores(model, features, inputs):
     scores = hidden @ params["mlp.w2"].T + params["mlp.b2"]
     if inputs is not None:
         joint = np.concatenate([features, inputs])
-        conj_hidden = np.tanh(joint @ params["conj.w1"].T + params["conj.b1"])
+        conj_hidden = np.tanh(joint @ conj_w1(params).T + params["conj.b1"])
         scores[model.conj_transition] += (conj_hidden @ params["conj.w2"]
                                           + params["conj.b2"][0])
     return scores

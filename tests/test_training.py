@@ -9,6 +9,7 @@ from conftest import (
     DATA,
     GRADCHECK_FIXTURE,
     break_analytic_gradient,
+    conj_w1,
     data_resources,
     make_sentence,
     random_projective_sentence,
@@ -385,7 +386,7 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
         if model.hp.use_conj_features and right_conj is not None and pair:
             conj_joint = np.concatenate([features,
                                          _extract(sentence, pair, resources)])
-            conj_hidden = np.tanh(model.params["conj.w1"] @ conj_joint
+            conj_hidden = np.tanh(conj_w1(model.params) @ conj_joint
                                   + model.params["conj.b1"])
             scores[right_conj] += (conj_hidden @ model.params["conj.w2"]
                                    + model.params["conj.b2"][0])
@@ -417,7 +418,7 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
             grads["conj.b2"][0] += coeff
             grads["conj.w1"] += np.outer(d_conj_pre, conj_joint)
             grads["conj.b1"] += d_conj_pre
-            d_joint = model.params["conj.w1"].T @ d_conj_pre
+            d_joint = conj_w1(model.params).T @ d_conj_pre
             d_features += d_joint[:features.shape[0]]
         for number, node in enumerate(slots):
             segment = d_features[number * width:(number + 1) * width]
@@ -454,7 +455,9 @@ def _extract(sentence, pair, resources):
 def _assert_matches_reference(model, sentences, resources, word_ids):
     batched = model.gradients()
     batched.vector.fill(np.nan)  # every element must be written
-    reference = {key: np.zeros_like(value) for key, value in batched.items()}
+    # As stored, with ``conj.w1`` whole.
+    reference = {key: np.zeros(shape) for key, shape in model.stored_shapes.items()
+                 if key in model.stored_trainable}
     paths = [oracle_path(sentence, model, resources) for sentence in sentences]
     loss = batch_loss(model, sentences, paths, grads=batched, word_ids=word_ids)
     expected = 0.0
@@ -464,7 +467,8 @@ def _assert_matches_reference(model, sentences, resources, word_ids):
         assert sentence_expected > 0.0
         expected += sentence_expected
     assert abs(loss - expected) <= 1e-12 * expected
-    for key in model.trainable:
+    batched = {**batched, "conj.w1": conj_w1(batched)}
+    for key in model.stored_trainable:
         np.testing.assert_allclose(batched[key], reference[key],
                                    rtol=1e-9, atol=1e-12, err_msg=key)
     assert np.abs(batched["conj.w1"]).sum() > 0.0  # the conj MLP was reached
@@ -555,7 +559,8 @@ def test_batch_loss_of_no_sentences_zeroes_the_gradients(conj_sentence):
 def test_sentence_loss_needs_no_gradient_sized_temporaries():
     # Default sizes, 100 tokens.  The backward pass writes into the
     # gradient vector, so what the loss allocates, its forward state
-    # included, peaks well below one more vector's worth on top of it.
+    # included, peaks well below one more vector's worth on top of it;
+    # with the first layers read and written in place, below 7.5 MB.
     sentence = random_projective_sentence(np.random.default_rng(0), 100)
     model = Model.build(Hyperparams(), Vocabulary.from_corpus([sentence]),
                         LabelInventory.from_sentences([sentence]), seed=1)
@@ -568,11 +573,17 @@ def test_sentence_loss_needs_no_gradient_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 2 * grads.vector.nbytes
+    assert peak < 7.5e6
 
 
 def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
                                                     empty_resources):
-    model = tiny_model([conj_sentence])
+    # Wide first layers over five tokens, so that one first-layer matrix
+    # (4 * (100 + 100) rows of 2 * 100 values) outweighs all else the loss
+    # allocates.
+    model = tiny_model([conj_sentence], lstm_dim=100, mlp_dim=100,
+                       conj_mlp_dim=100)
+    matrix_bytes = 4 * (100 + 100) * 2 * 100 * 8
     calls = []
     original = model.first_layer
 
@@ -581,13 +592,19 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
         return original(projected, slots)
 
     model.first_layer = counting
-    original_matrix = model._first_layer_matrix
-    model._first_layer_matrix = lambda: calls.append("matrix") or original_matrix()
     path = oracle_path(conj_sentence, model, empty_resources)
-    loss = sentence_loss(model, conj_sentence, path, grads=model.gradients())
-    # The backward pass reuses the first-layer matrix of the forward pass.
+    grads = model.gradients()
+    tracemalloc.start()
+    try:
+        loss = sentence_loss(model, conj_sentence, path, grads=grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert loss > 0.0
-    assert calls == ["matrix", (len(path.gold), 4)]
+    assert calls == [(len(path.gold), 4)]
+    # No per-sentence copy of the first-layer weights, and no first-layer
+    # weight gradient outside the gradient vector.
+    assert peak < matrix_bytes
 
 
 def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
