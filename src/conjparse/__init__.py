@@ -6,7 +6,6 @@ for measuring the effect on "conj" attachment."""
 from .conj_features import (
     ConjFeatureVector,
     cap_feature,
-    extract,
     lemma_feature,
     sentiment_feature,
     suffix_feature,
@@ -18,7 +17,6 @@ from .evaluation import (
     conj_diff,
     evaluate,
     rel_att_metrics,
-    rel_metrics,
 )
 from .model import Hyperparams, Model, Vocabulary
 from .parser import augmented_scores, greedy_parse, parse_corpus

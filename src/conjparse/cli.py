@@ -175,14 +175,14 @@ def _projective_sentences(path, fmt: str, purpose: str
                           ) -> Tuple[List[Sentence], int]:
     """The projective sentences of a treebank and the number skipped.
 
-    Raises ``training.NonProjectiveError`` naming ``path`` when there is
-    none to ``purpose``.
+    Raises ``OracleError`` naming ``path`` when there is none to
+    ``purpose``.
     """
     sentences = read_conll(path, fmt=fmt)
     projective = [s for s in sentences if is_projective(s)]
     skipped = len(sentences) - len(projective)
     if not projective:
-        raise training.NonProjectiveError(
+        raise OracleError(
             f"{path}: no projective sentence to {purpose} "
             f"({skipped} non-projective skipped)")
     return projective, skipped
@@ -349,7 +349,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ModelIOError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (ConllError, ResourceError, OracleError, training.NonProjectiveError,
+    except (ConllError, ResourceError, OracleError,
             evaluation.MisalignedCorporaError, OSError) as exc:
         # OSError: a treebank, resource or config path that cannot be used.
         print(f"data error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from typing import FrozenSet, Optional
 import numpy as np
 
 from .resources import EmbeddingTable, FeatureResources, LemmaLexicon, SentimentLexicon
-from .treebank import Token
 
 # Common-suffix lengths are capped here and scaled into [0, 1] before they
 # reach the scorer; raw lengths stay available for corpus statistics.
@@ -122,14 +121,9 @@ def sentiment_feature(word: str, lexicon: SentimentLexicon) -> int:
     return 0
 
 
-def extract(head: Token, modifier: Token,
-            resources: FeatureResources) -> ConjFeatureVector:
-    """Feature vector for a candidate head/modifier token pair."""
-    return extract_forms(head.form, head.pos, modifier.form, modifier.pos, resources)
-
-
 def extract_forms(head_form: str, head_pos: str, modifier_form: str,
                   modifier_pos: str, resources: FeatureResources) -> ConjFeatureVector:
+    """Feature vector for a candidate head/modifier word pair."""
     return ConjFeatureVector(
         cap=cap_feature(head_form, modifier_form),
         suffix_len=suffix_feature(head_form, modifier_form),

@@ -135,10 +135,6 @@ def precision_recall_f1(tp: int, gold_n: int, pred_n: int
     return precision, recall, f1
 
 
-def rel_metrics(gold, pred, label):
-    return precision_recall_f1(*rel_counts(gold, pred, label))
-
-
 def rel_att_metrics(gold, pred, label):
     return precision_recall_f1(*rel_att_counts(gold, pred, label))
 

@@ -232,10 +232,6 @@ class EncodedSentence:
     pre_ids: Optional[np.ndarray]
     lstm_caches: list
 
-    @property
-    def vectors(self) -> np.ndarray:
-        return self.nodes[:-1]
-
 
 def _is_list_of(value, kind) -> bool:
     return isinstance(value, list) and all(type(item) is kind for item in value)
@@ -509,10 +505,6 @@ class Model:
     def feature_dim(hp: Hyperparams) -> int:
         # Context vectors of the top three stack items and the buffer front.
         return 4 * 2 * hp.lstm_dim
-
-    @property
-    def n_transitions(self) -> int:
-        return self.codec.size
 
     @property
     def conj_transition(self) -> Optional[int]:

@@ -27,6 +27,7 @@ from .model import CONJ_PAIRS, EncodedSentence, Gradients, Model, Vocabulary
 from .parser import batch_inputs, greedy_parse, score_batch, score_config
 from .resources import FeatureResources
 from .transitions import (
+    OracleError,
     ParseConfiguration,
     apply,
     initial_config,
@@ -35,10 +36,6 @@ from .transitions import (
     static_oracle,
 )
 from .treebank import Sentence, is_projective
-
-
-class NonProjectiveError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,8 @@ def _gold_steps(sentence: Sentence, model: Model
                 ) -> Iterator[Tuple[ParseConfiguration, int]]:
     """(configuration, gold transition index) along the gold derivation."""
     if not is_projective(sentence):
-        raise NonProjectiveError("cannot derive an oracle path for a "
-                                 "non-projective sentence")
+        raise OracleError("cannot derive an oracle path for a "
+                          "non-projective sentence")
     children = sentence.gold_children()
     config = initial_config(len(sentence))
     while not is_terminal(config):
@@ -95,7 +92,7 @@ def oracle_path(sentence: Sentence, model: Model,
 def dropped_word_ids(sentence: Sentence, model: Model,
                      rng: np.random.Generator) -> np.ndarray:
     """Word ids with infrequent words stochastically replaced by the unknown id."""
-    ids = model.word_ids_of(sentence).copy()
+    ids = model.word_ids_of(sentence)
     alpha = model.hp.word_dropout_alpha
     if alpha <= 0.0:
         return ids
@@ -245,9 +242,12 @@ def batch_loss(model: Model, batch: Sequence[Sentence],
 def train_step(batch: Sequence[Sentence], model: Model,
                paths: Sequence[OraclePath], optimizer: network.Adam,
                rng: Optional[np.random.Generator] = None) -> float:
-    """One optimizer update on a batch and its paths; returns the pre-update loss."""
+    """One optimizer update on a batch and its paths; returns the pre-update loss.
+
+    With ``rng``, words are dropped out (none, and nothing drawn, at alpha 0).
+    """
     ids = None
-    if rng is not None and model.hp.word_dropout_alpha > 0.0:
+    if rng is not None:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
     grads = model.gradients()
     loss = batch_loss(model, batch, paths, grads=grads, word_ids=ids)

@@ -7,7 +7,7 @@ Three transition kinds over a stack / buffer / arc-set configuration:
 * ``right(l)`` -- attach the stack top to the item below it, pop it
 
 A sentence of n tokens is parsed in exactly 2n transitions.  The system
-derives projective trees only; the static oracle refuses non-projective
+derives projective trees only; ``oracle_sequence`` refuses non-projective
 input outright.
 """
 
@@ -101,9 +101,6 @@ class TransitionCodec:
             return None
         return 1 + len(self.labels) + pos
 
-    def all_transitions(self) -> List[Transition]:
-        return [self.decode(i) for i in range(self.size)]
-
 
 def initial_config(n: int) -> ParseConfiguration:
     return ParseConfiguration(stack=(ROOT_ID,), buffer=tuple(range(1, n + 1)))
@@ -172,22 +169,15 @@ def apply(config: ParseConfiguration, transition: Transition) -> ParseConfigurat
 
 
 def static_oracle(config: ParseConfiguration, sentence: Sentence,
-                  gold_children: Optional[Dict[int, List[int]]] = None
-                  ) -> Transition:
+                  gold_children: Dict[int, List[int]]) -> Transition:
     """Gold transition for a configuration on the oracle path.
 
     Reduce the stack top as soon as its gold head is reachable and all of
     its gold dependents are attached; otherwise shift.  Undefined for
-    non-projective sentences.
-
-    ``gold_children`` is ``sentence.gold_children()``.  A caller that walks
-    a whole derivation checks once that the sentence is projective and
-    passes it, so that neither is redone at every step.
+    non-projective sentences, which it does not check: a caller walks a
+    whole derivation, checks once that the sentence is projective, and
+    passes ``gold_children``, which is ``sentence.gold_children()``.
     """
-    if gold_children is None:
-        if not is_projective(sentence):
-            raise OracleError("static oracle undefined for non-projective sentence")
-        gold_children = sentence.gold_children()
     if is_terminal(config):
         raise OracleError("oracle called on terminal configuration")
     top = config.stack[-1] if config.stack else None

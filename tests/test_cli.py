@@ -13,7 +13,7 @@ from conftest import (
 )
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Hyperparams, Model, Vocabulary
-from conjparse.parser import greedy_parse
+from conjparse.parser import greedy_parse, parse_corpus
 from conjparse.resources import FeatureResources
 from conjparse.treebank import LabelInventory, is_projective, read_conll, write_conll
 
@@ -111,6 +111,31 @@ def test_no_conj_features_path_equals_zeroed_conj(tmp_path, train_file):
         zero = greedy_parse(sentence, zeroed, resources)
         assert [t.pred_head for t in off] == [t.pred_head for t in zero]
         assert [t.pred_label for t in off] == [t.pred_label for t in zero]
+
+
+def test_train_no_single_root_is_saved_in_the_model_header(tmp_path, train_file):
+    model_path = _train(tmp_path, train_file, "--no-single-root", epochs=1)
+    meta, _ = split_model_file(model_path.read_bytes())
+    assert meta["hyperparams"]["single_root"] is False
+    default_path = _train(tmp_path, train_file, epochs=1, name="default.bin")
+    meta, _ = split_model_file(default_path.read_bytes())
+    assert meta["hyperparams"]["single_root"] is True
+
+
+def test_parse_no_single_root_decodes_without_the_constraint(tmp_path, train_file):
+    model_path = _train(tmp_path, train_file, epochs=1)
+    out_path = tmp_path / "parsed.conllx"
+    assert main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(out_path), "--no-single-root"]) == EXIT_OK
+    model = Model.load(model_path)
+    assert model.hp.single_root is True
+    sentences = read_conll(train_file)
+    resources = FeatureResources.empty()
+    lifted = write_conll(parse_corpus(sentences, model, resources,
+                                      single_root=False), use_predicted=True)
+    assert out_path.read_bytes() == lifted
+    assert lifted != write_conll(parse_corpus(sentences, model, resources),
+                                 use_predicted=True)
 
 
 def test_train_skips_non_projective(tmp_path, capsys):

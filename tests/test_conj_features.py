@@ -8,7 +8,6 @@ from conjparse.conj_features import (
     SUFFIX_CAP,
     ConjFeatureVector,
     cap_feature,
-    extract,
     extract_forms,
     lemma_feature,
     sentiment_feature,
@@ -21,7 +20,6 @@ from conjparse.resources import (
     LemmaLexicon,
     SentimentLexicon,
 )
-from conjparse.treebank import Token
 
 
 @pytest.fixture(scope="module")
@@ -162,12 +160,8 @@ def test_sentiment_overlap_rejected():
         SentimentLexicon(frozenset({"odd"}), frozenset({"odd"}))
 
 
-def _token(form, pos="NN", tid=1):
-    return Token(id=tid, form=form, pos=pos, gold_head=0, gold_label="root")
-
-
 def test_extract_corp_inc_empty_resources(empty_resources):
-    fv = extract(_token("Corp."), _token("Inc.", tid=2), empty_resources)
+    fv = extract_forms("Corp.", "NN", "Inc.", "NN", empty_resources)
     assert fv == ConjFeatureVector(
         cap=True, suffix_len=1, lemma_match=False, similarity=0.0,
         head_sentiment=0, modifier_sentiment=0,
@@ -177,7 +171,7 @@ def test_extract_corp_inc_empty_resources(empty_resources):
 def test_extract_word_with_itself():
     table = EmbeddingTable({"echo": np.array([0.3, -0.2])}, dim=2)
     resources = FeatureResources(embeddings=table)
-    fv = extract(_token("echo"), _token("echo", tid=2), resources)
+    fv = extract_forms("echo", "NN", "echo", "NN", resources)
     assert fv.cap is False
     assert fv.suffix_len == 4
     assert fv.lemma_match is True

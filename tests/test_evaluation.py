@@ -18,7 +18,6 @@ from conjparse.evaluation import (
     rel_att_counts,
     rel_att_metrics,
     rel_counts,
-    rel_metrics,
     report_table,
     report_tsv,
 )
@@ -51,7 +50,8 @@ def test_perfect_predictions(gold):
     pred = [_gold_as_pred(s) for s in gold]
     assert attachment_scores(gold, pred) == (100.0, 100.0)
     for label in ("nsubj", "root", "dobj", "conj"):
-        assert rel_metrics(gold, pred, label) == (100.0, 100.0, 100.0)
+        assert precision_recall_f1(*rel_counts(gold, pred, label)) == (
+            100.0, 100.0, 100.0)
         assert rel_att_metrics(gold, pred, label) == (100.0, 100.0, 100.0)
 
 
@@ -73,7 +73,7 @@ def test_punctuation_excluded(gold):
 
 def test_absent_label_reports_zero_with_zero_support(gold):
     pred = [_gold_as_pred(s) for s in gold]
-    assert rel_metrics(gold, pred, "xcomp") == (0.0, 0.0, 0.0)
+    assert precision_recall_f1(*rel_counts(gold, pred, "xcomp")) == (0.0, 0.0, 0.0)
     tp, gold_n, pred_n = rel_counts(gold, pred, "xcomp")
     assert (tp, gold_n, pred_n) == (0, 0, 0)
 
@@ -85,7 +85,7 @@ def test_rel_att_recall_with_one_wrong_head(gold):
         gold[1].with_predictions([2, 0, 2, 3, 2],
                                  ["nsubj", "root", "dobj", "cc", "conj"]),
     ]
-    p, r, f1 = rel_metrics(gold, pred, "conj")
+    p, r, f1 = precision_recall_f1(*rel_counts(gold, pred, "conj"))
     assert (p, r) == (100.0, 100.0)
     p, r, f1 = rel_att_metrics(gold, pred, "conj")
     assert (p, r, f1) == (0.0, 0.0, 0.0)
@@ -184,7 +184,7 @@ def test_permutation_invariance(gold):
     forward = attachment_scores(gold, pred)
     backward = attachment_scores(gold[::-1], pred[::-1])
     assert forward == backward
-    assert rel_metrics(gold, pred, "conj") == rel_metrics(
+    assert rel_counts(gold, pred, "conj") == rel_counts(
         gold[::-1], pred[::-1], "conj"
     )
 
@@ -233,7 +233,7 @@ def test_evaluate_checks_alignment_once_and_visits_each_token_once(
 def test_f1_is_harmonic_mean():
     gold = [make_sentence([0, 1], labels=["root", "conj"], forms=["a", "b"])]
     pred = [gold[0].with_predictions([0, 1], ["conj", "root"])]
-    p, r, f1 = rel_metrics(gold, pred, "conj")
+    p, r, f1 = precision_recall_f1(*rel_counts(gold, pred, "conj"))
     assert p == 0.0 and r == 0.0 and f1 == 0.0
 
 

@@ -51,9 +51,9 @@ def test_vocabulary_reserved_entries(sentences):
 def test_encode_shapes_and_determinism(sentences):
     model = tiny_model(sentences)
     enc = model.encode(sentences[0])
-    assert enc.vectors.shape == (4, 2 * model.hp.lstm_dim)
+    assert enc.nodes[:-1].shape == (4, 2 * model.hp.lstm_dim)
     enc2 = model.encode(sentences[0])
-    np.testing.assert_array_equal(enc.vectors, enc2.vectors)
+    np.testing.assert_array_equal(enc.nodes[:-1], enc2.nodes[:-1])
 
 
 def test_encode_backward_mirrors_forward_on_palindromic_input(sentences):
@@ -70,7 +70,7 @@ def test_encode_backward_mirrors_forward_on_palindromic_input(sentences):
     enc = model.encode(sentences[0])
     hidden = model.hp.lstm_dim
     np.testing.assert_allclose(
-        enc.vectors[:, hidden:], enc.vectors[::-1, :hidden], atol=1e-14
+        enc.nodes[:-1][:, hidden:], enc.nodes[:-1][::-1, :hidden], atol=1e-14
     )
 
 
@@ -79,7 +79,7 @@ def test_encode_zero_parameters_zero_vectors(sentences):
     for key in model.params:
         model.params[key][...] = 0.0
     enc = model.encode(sentences[0])
-    np.testing.assert_array_equal(enc.vectors, 0.0)
+    np.testing.assert_array_equal(enc.nodes[:-1], 0.0)
 
 
 def test_unknown_words_use_unk_row(sentences):
@@ -111,7 +111,7 @@ def test_config_feature_vector_uses_padding(sentences):
     width = 2 * model.hp.lstm_dim
     assert slots == [0, -1, -1, -1]
     np.testing.assert_array_equal(features[width:], 7.5)
-    np.testing.assert_array_equal(features[:width], enc.vectors[0])
+    np.testing.assert_array_equal(features[:width], enc.nodes[:-1][0])
 
 
 def test_transition_scores_rejects_bad_length(sentences):

@@ -153,7 +153,8 @@ def test_parse_extracts_each_conj_pair_once(sample_sentences, monkeypatch):
     model = tiny_model(sample_sentences[:60], seed=7)
     jitter_params(model, seed=4)
     # Right arcs whenever legal: each one returns to the pair below it.
-    for index, transition in enumerate(model.codec.all_transitions()):
+    for index in range(model.codec.size):
+        transition = model.codec.decode(index)
         model.params["mlp.b2"][index] = {"left": -50.0, "right": 50.0}.get(
             transition.kind, 0.0)
     met, extracted = [], []

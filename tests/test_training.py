@@ -17,11 +17,10 @@ from conftest import (
 )
 from conjparse import conj_features, network, parser, training, transitions
 from conjparse.conj_features import extract_forms
-from conjparse.model import Hyperparams, Model, Vocabulary
+from conjparse.model import CONJ_PAIRS, Hyperparams, Model, Vocabulary
 from conjparse.parser import conj_candidate
 from conjparse.resources import EmbeddingTable, FeatureResources
 from conjparse.training import (
-    NonProjectiveError,
     batch_loss,
     dropped_word_ids,
     gradient_check,
@@ -34,6 +33,7 @@ from conjparse.training import (
 )
 from conjparse.transitions import legal_mask
 from conjparse.treebank import LabelInventory, is_projective, read_conll
+from synth import coordination_corpus
 
 
 @pytest.fixture()
@@ -86,6 +86,30 @@ def test_gradient_check_passes_on_fixture(empty_resources):
     assert report.passed, max(report.entries, key=lambda e: e.max_rel_error)
     checked_keys = {entry.key for entry in report.entries}
     assert checked_keys == set(model.trainable)
+
+
+def test_gradient_check_of_the_conj_pair_columns_is_not_vacuous(sample_sentences):
+    # With empty resources every conj input is 0, and so is the gradient of
+    # every pair column.  Here each of the six columns is nonzero somewhere:
+    # CAP, SUF, SYM and both SENT on two sample sentences, LEM on a
+    # synthetic lemma sentence with its lexicon.
+    corpus, lexicon = coordination_corpus(3)
+    shipped = data_resources()
+    resources = FeatureResources(lemmas=lexicon, sentiment=shipped.sentiment,
+                                 embeddings=shipped.embeddings)
+    sentences = [sample_sentences[1], sample_sentences[5], corpus[2]]
+    model = tiny_model(sentences, seed=3)
+    jitter_params(model, seed=4)
+    paths = [oracle_path(s, model, resources) for s in sentences]
+    fired = np.any([(p.conj_inputs != 0.0).any(axis=0) for p in paths], axis=0)
+    assert fired.all(), fired
+    grads = model.gradients()
+    batch_loss(model, sentences, paths, grads=grads)
+    assert (np.abs(grads[CONJ_PAIRS]).sum(axis=0) > 0.0).all()
+    report = gradient_check(model, sentences, resources,
+                            keys=[CONJ_PAIRS, "conj.b1", "conj.w2", "conj.b2"])
+    assert report.kink_margin > 50 * report.step
+    assert report.passed, max(report.entries, key=lambda e: e.max_rel_error)
 
 
 def test_gradient_check_detects_corruption(empty_resources, monkeypatch):
@@ -204,9 +228,9 @@ def test_word_dropout_behaviour(conj_sentence):
 def test_train_step_rejects_non_projective(empty_resources):
     bad = make_sentence([3, 4, 0, 3])
     model = tiny_model([bad])
-    with pytest.raises(NonProjectiveError):
+    with pytest.raises(transitions.OracleError):
         oracle_path(bad, model, empty_resources)
-    with pytest.raises(NonProjectiveError):
+    with pytest.raises(transitions.OracleError):
         train_model(model, [bad], empty_resources, epochs=1, seed=0)
 
 
@@ -284,7 +308,7 @@ def test_oracle_paths_cover_whole_derivation(conj_sentence, empty_resources,
     np.testing.assert_array_equal(
         path.gold, [model.codec.encode(t)
                     for t in transitions.oracle_sequence(conj_sentence)])
-    transition_ids = np.arange(model.n_transitions)
+    transition_ids = np.arange(model.codec.size)
     np.testing.assert_array_equal(
         path.competing, [legal_mask(c, model.codec) & (transition_ids != g)
                          for c, g in steps])
@@ -373,7 +397,7 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
     the projected, batched code but computes the same function.
     """
     encoded = model.encode(sentence, word_ids=word_ids)
-    d_vectors = np.zeros_like(encoded.vectors)
+    d_vectors = np.zeros_like(encoded.nodes[:-1])
     width = d_vectors.shape[1]
     right_conj = model.codec.right_index("conj")
     loss = 0.0
@@ -400,7 +424,7 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
         if step_loss <= 0.0:
             continue
         loss += step_loss
-        d_scores = np.zeros(model.n_transitions)
+        d_scores = np.zeros(model.codec.size)
         d_scores[gold] -= 1.0
         d_scores[violator] += 1.0
         d_pre = (model.params["mlp.w2"].T @ d_scores) * (1.0 - hidden * hidden)
