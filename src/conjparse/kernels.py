@@ -12,7 +12,7 @@ write their results into caller-owned output arrays:
     c_prev, h_out and c_out are (D, H).
 ``cell_backward(dh, dc, cache, factors, dpreact_out, dc_prev_out)``
     ``factors`` (7, D, H) holds the step's factors that do not depend on
-    the recurrence, which the caller computes once per sequence:
+    the recurrence, which the caller computes for a block of steps at a time:
     ``1 - i``, ``1 - f``, ``1 - o``, ``1 - tanh(c)^2``, ``1 - g^2``, ``g``
     and the previous cell state.
 

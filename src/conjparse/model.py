@@ -222,11 +222,12 @@ class EncodedSentence:
 
     ``nodes`` holds the context vectors with the padding vector as one
     more, last row, so that the feature slot -1 indexes the padding.
-    ``projected`` is ``Model.project`` of ``nodes``, row for row.
+    ``projected`` is ``Model.project`` of ``nodes``, row for row; the
+    training loss sets it to None once it has scored the oracle path.
     """
 
     nodes: np.ndarray
-    projected: np.ndarray
+    projected: Optional[np.ndarray]
     word_ids: np.ndarray
     pos_ids: np.ndarray
     pre_ids: Optional[np.ndarray]
@@ -596,8 +597,12 @@ class Model:
         one configuration's four rows of that table per row.  Row r is the
         sum of its slots' projections; its first ``mlp_dim`` columns
         belong to the transition MLP and the rest to the coordination MLP.
+        The slots are added left to right into the first one's gather.
         """
-        return projected[slots, :, np.arange(slots.shape[1])].sum(axis=1)
+        first = projected[slots[:, 0], :, 0]
+        for slot in range(1, slots.shape[1]):
+            first += projected[slots[:, slot], :, slot]
+        return first
 
     def first_layer_backward(self, encoded: EncodedSentence, slots: np.ndarray,
                              d_first: np.ndarray, grads: Gradients) -> np.ndarray:

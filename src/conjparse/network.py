@@ -14,11 +14,13 @@ directions as a stack of two: they reverse the backward direction's
 inputs and flip its states and gradients back into sequence order.  The
 backward pass writes each weight gradient with ``out=`` into the arrays
 the caller gives, laid out as the weights: it neither adds to them nor
-allocates its own.
+allocates its own.  It computes the per-step factors that the recurrence
+leaves alone for one block of steps at a time, into one reused buffer.
 
 ``Adam`` updates one flat parameter vector in place, on two threads where
-the process may use two CPUs; its moment buffers ``m`` and ``v`` hold
-values only after its first step.
+the process may use two CPUs, through one scratch block per thread and
+the gradient itself, which it overwrites with the update; its moment
+buffers ``m`` and ``v`` hold values only after its first step.
 """
 
 from __future__ import annotations
@@ -99,24 +101,25 @@ def lstm_forward(inputs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     return hidden.transpose(1, 0, 2), LstmLayerCache(inputs, hidden, cells, gates)
 
 
-def _backward_factors(cache: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _backward_factors(gates: np.ndarray, cells: np.ndarray, start: int,
+                      out: np.ndarray) -> None:
     """Per-step factors of the backward pass that the recurrence leaves alone.
 
-    ``cache`` is a (T, 5, D, H) forward cache and ``cells`` the (T, D, H)
-    cell states.  Row t of the (T, 7, D, H) result holds the factors that
-    ``kernels.cell_backward`` takes for step t; its previous cell state is
-    zeros for the first step.
+    ``gates`` is a (T, 5, D, H) forward cache and ``cells`` the (T, D, H)
+    cell states.  Fills row r of the (n, 7, D, H) ``out`` with the factors
+    that ``kernels.cell_backward`` takes for step ``start + r``; the
+    previous cell state of the first step is zeros.
     """
-    steps, _, stack, hidden = cache.shape
-    factors = np.empty((steps, 7, stack, hidden))
-    np.subtract(1.0, cache[:, :3], out=factors[:, :3])
+    stop = start + len(out)
+    cache = gates[start:stop]
+    np.subtract(1.0, cache[:, :3], out=out[:, :3])
     for row, source in ((3, cache[:, 4]), (4, cache[:, 3])):
-        np.multiply(source, source, out=factors[:, row])
-        np.subtract(1.0, factors[:, row], out=factors[:, row])
-    factors[:, 5] = cache[:, 3]
-    factors[0, 6] = 0.0
-    factors[1:, 6] = cells[:-1]
-    return factors
+        np.multiply(source, source, out=out[:, row])
+        np.subtract(1.0, out[:, row], out=out[:, row])
+    out[:, 5] = cache[:, 3]
+    first = max(start, 1)
+    out[:first - start, 6] = 0.0
+    out[first - start:, 6] = cells[first - 1:stop - 1]
 
 
 def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
@@ -126,27 +129,36 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
     ``d_hidden`` holds dLoss/dh per LSTM and step, (D, T, H).  Writes the
     gradients of (w_x, w_h, b) into the three arrays of ``out``, shaped as
     the weights, with the stack axis first; their old values are not read.
-    Returns d_inputs, (D, T, In).
+    Returns d_inputs, (D, T, In).  The step factors are computed for
+    ``_FACTOR_BLOCK`` steps at a time, into one buffer reused block by
+    block.
     """
     stack, steps, hidden_size = d_hidden.shape
-    factors = _backward_factors(cache.gates, cache.cells)
+    factors = np.empty((min(_FACTOR_BLOCK, steps), 7, stack, hidden_size))
     d_preacts = np.empty((stack, steps, 4 * hidden_size))
     d_preact_gates = d_preacts.reshape(stack, steps, 4, hidden_size)
     d_gates = np.empty((4, stack, hidden_size))
     w_h_t = w_h.transpose(0, 2, 1)
     dc = np.zeros((stack, hidden_size))
     dh_rec = np.zeros((stack, hidden_size))
-    for t in range(steps - 1, -1, -1):
-        dh_total = d_hidden[:, t] + dh_rec
-        kernels.cell_backward(dh_total, dc, cache.gates[t], factors[t], d_gates, dc)
-        d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
-        dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
+    for stop in range(steps, 0, -_FACTOR_BLOCK):
+        start = max(stop - _FACTOR_BLOCK, 0)
+        block = factors[:stop - start]
+        _backward_factors(cache.gates, cache.cells, start, block)
+        for t in range(stop - 1, start - 1, -1):
+            dh_total = d_hidden[:, t] + dh_rec
+            kernels.cell_backward(dh_total, dc, cache.gates[t], block[t - start],
+                                  d_gates, dc)
+            d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
+            dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
     d_w_x, d_w_h, d_b = out
     np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs, out=d_w_x)
     np.sum(d_preacts, axis=1, out=d_b)
-    # Step t read the hidden state of step t - 1; the first step read zeros.
-    hidden = np.ascontiguousarray(cache.hidden[:-1].transpose(1, 0, 2))
-    np.matmul(d_preacts[:, 1:].transpose(0, 2, 1), hidden, out=d_w_h)
+    # Step t read the hidden state of step t - 1; the first step read
+    # zeros.  Each LSTM's hidden states are rows with a stride, which BLAS
+    # reads as they lie.
+    np.matmul(d_preacts[:, 1:].transpose(0, 2, 1),
+              cache.hidden[:-1].transpose(1, 0, 2), out=d_w_h)
     return np.matmul(d_preacts, w_x)
 
 
@@ -217,8 +229,12 @@ def mlp_backward(d_out: np.ndarray, hidden: np.ndarray, w2: np.ndarray
 
 # Elements per block of an Adam update.  Larger blocks mean fewer numpy
 # calls, so the two threads hand the GIL back and forth less often; each
-# thread's two scratch blocks and the blocks it streams stay in its L2.
+# thread's scratch block and the blocks it streams stay in its L2.
 _ADAM_BLOCK = 49152
+
+# Steps per block of ``lstm_backward``'s factor table: the factors of a
+# whole 100-step sequence would take 1.4 MB per layer at the default sizes.
+_FACTOR_BLOCK = 16
 
 
 def _cpu_count() -> int:
@@ -241,13 +257,14 @@ class Adam:
     """Deterministic Adam over one flat parameter vector, updated in place.
 
     Every element sees the same operations in the same order as the
-    textbook update; the work runs block by block through preallocated
-    scratch blocks, so an update allocates nothing.  Where the process may
-    run on more than one CPU, the caller updates the lower half of the
-    blocks and one worker thread, started for the update and joined before
-    it returns, the upper half: numpy releases the GIL inside each block's
-    operations.  The worker runs in a copy of the caller's context, so
-    ``np.errstate`` reaches it, and what it raises is raised in the caller.
+    textbook update; the work runs block by block, in the gradient's own
+    block and one preallocated scratch block per thread, so an update
+    allocates nothing.  Where the process may run on more than one CPU,
+    the caller updates the lower half of the blocks and one worker thread,
+    started for the update and joined before it returns, the upper half:
+    numpy releases the GIL inside each block's operations.  The worker
+    runs in a copy of the caller's context, so ``np.errstate`` reaches it,
+    and what it raises is raised in the caller.
 
     ``m`` and ``v`` are allocated uninitialised and hold values only after
     a step: the first update zeroes each of their blocks just before using
@@ -267,19 +284,22 @@ class Adam:
         blocks = -(-params.size // _ADAM_BLOCK)
         # Where the worker's blocks start; 0 leaves every block to the caller.
         self._split = (blocks // 2) * _ADAM_BLOCK if _cpu_count() > 1 else 0
-        self._scratch = np.empty((2 if self._split else 1, 2,
+        self._scratch = np.empty((2 if self._split else 1,
                                   min(_ADAM_BLOCK, params.size)))
 
     def step(self, grads: np.ndarray) -> None:
         """One update from ``grads``, laid out as ``params``.
 
-        Raises ``ValueError``, changing nothing, when ``grads`` has another
-        shape.  A first update that raises leaves ``t`` at 0, so the next
-        one zeroes the moments again.  An update that raises part-way, e.g.
-        on overflow under ``np.errstate(over="raise")``, is not rolled back:
-        ``params``, ``m`` and ``v`` stay updated in the blocks it reached and
-        unchanged in the others.  ``train_model`` then raises too, and the
-        CLI writes no model.
+        ``grads`` is the update's scratch space: on return it holds the
+        update that was subtracted from ``params``, so that ``params`` fell
+        by exactly ``grads``.  Raises ``ValueError``, changing nothing,
+        when ``grads`` has another shape.  A first update that raises
+        leaves ``t`` at 0, so the next one zeroes the moments again.  An
+        update that raises part-way, e.g. on overflow under
+        ``np.errstate(over="raise")``, is not rolled back: ``params``,
+        ``m``, ``v`` and ``grads`` stay updated or partly overwritten in the
+        blocks it reached and unchanged in the others.  ``train_model``
+        then raises too, and the CLI writes no model.
         """
         if grads.shape != self.params.shape:
             raise ValueError(f"gradient shape {grads.shape} is not the "
@@ -310,26 +330,27 @@ class Adam:
     def _update(self, start: int, stop: int, scratch: np.ndarray,
                 grads: np.ndarray, first: bool, correction1: float,
                 correction2: float) -> None:
-        """Update the elements ``start:stop`` through the two rows of ``scratch``."""
+        """Update the elements ``start:stop``, through ``scratch`` and ``grads``."""
         for low in range(start, stop, _ADAM_BLOCK):
             block = slice(low, min(low + _ADAM_BLOCK, stop))
             g, m, v = grads[block], self.m[block], self.v[block]
-            update, root = scratch[:, :g.size]
+            root = scratch[:g.size]
             if first:
                 m.fill(0.0)
                 v.fill(0.0)
             m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=update)
-            m += update
+            np.multiply(g, 1.0 - self.beta1, out=root)
+            m += root
             v *= self.beta2
-            np.multiply(g, g, out=update)
-            update *= 1.0 - self.beta2
-            v += update
+            # The gradient's last read: from here on its block holds the update.
+            np.multiply(g, g, out=g)
+            g *= 1.0 - self.beta2
+            v += g
             # learning_rate * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, correction1, out=update)
-            update *= self.learning_rate
+            np.divide(m, correction1, out=g)
+            g *= self.learning_rate
             np.divide(v, correction2, out=root)
             np.sqrt(root, out=root)
             root += self.eps
-            update /= root
-            self.params[block] -= update
+            g /= root
+            self.params[block] -= g

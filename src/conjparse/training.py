@@ -110,7 +110,9 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
     gradient into every element of it, whatever it held: each backward
     step writes its product into its place, and only what gets no product
     is zeroed (the embedding tables before their scattered rows are added
-    in, and the whole buffer when the loss is 0).
+    in, and the whole buffer when the loss is 0).  The sentence's
+    first-layer projection is dropped once the path is scored, and its
+    node table before the BiLSTM backward pass.
     """
     encoded = model.encode(sentence, word_ids=word_ids)
     loss, d_nodes = _path_hinge(model, path, encoded, grads)
@@ -124,8 +126,8 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
               ("pre_emb", encoded.pre_ids, slice(word_dim, word_dim + pre_dim)),
               ("pos_emb", encoded.pos_ids, slice(word_dim + pre_dim, None)))
     caches = encoded.lstm_caches
-    # Frees the node table and its projection before the BiLSTM backward
-    # pass allocates its arrays.
+    # Frees the node table before the BiLSTM backward pass allocates its
+    # arrays; ``_path_hinge`` dropped the projection.
     del encoded
     grads["pad_vec"][...] = d_nodes[-1]
     d_inputs = network.bilstm_backward(d_nodes[:-1], caches, model.lstm,
@@ -162,12 +164,15 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     (``Model.first_layer_backward``).  Writes every gradient of both MLPs
     into ``grads`` and returns the gradient with respect to
     ``encoded.nodes``; writes nothing and returns None when nothing is to
-    be backpropagated.  The batch arrays are freed on return, before the
-    BiLSTM backward pass allocates its own.
+    be backpropagated.  Sets ``encoded.projected`` to None once the path is
+    scored, since the backward pass reads only the nodes, and frees the
+    batch and its score gradient before ``first_layer_backward`` allocates
+    its own arrays.
     """
     rows = np.arange(len(path.gold))
     batch = score_batch(model, encoded.projected, path.slots, path.conj_rows,
                         path.conj_inputs)
+    encoded.projected = None
     scores = batch.scores
     gold = path.gold
     violator, step_loss = _hinge_steps(scores, gold, path.competing,
@@ -213,6 +218,7 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
         for array in (conj_pairs, grads["conj.b1"], grads["conj.w2"],
                       grads["conj.b2"]):
             array.fill(0.0)
+    del batch, scores, d_scores
     d_nodes = model.first_layer_backward(encoded, path.slots, d_first, grads)
     return loss, d_nodes
 
@@ -245,6 +251,8 @@ def train_step(batch: Sequence[Sentence], model: Model,
     """One optimizer update on a batch and its paths; returns the pre-update loss.
 
     With ``rng``, words are dropped out (none, and nothing drawn, at alpha 0).
+    The gradient goes into ``model.gradients()``, which ``Adam.step`` then
+    overwrites with the update it subtracted from the parameters.
     """
     ids = None
     if rng is not None:

@@ -3,6 +3,7 @@ import math
 import pathlib
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ def drop_model_array(meta, arrays: bytes, name: str) -> bytes:
             return arrays[:offset] + arrays[offset + size:]
         offset += size
     raise KeyError(name)
+
+
+def peak_bytes(fn):
+    """(``fn()``, the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,8 @@ def _run_backward(dh, dc, cache, c_prev):
     # step under test.
     cells = np.stack([c_prev, np.zeros_like(c_prev)])
     caches = np.stack([np.zeros_like(cache), cache])
-    factors = network._backward_factors(caches, cells)
+    factors = np.empty((2, 7) + c_prev.shape)
+    network._backward_factors(caches, cells, 0, factors)
     dpre = np.zeros((4,) + c_prev.shape)
     dcp = dc.copy()
     kernels.cell_backward(dh, dcp, cache, factors[1], dpre, dcp)

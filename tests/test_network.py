@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conjparse import network
+from conjparse import kernels, network
 
 import reference_nets
+from conftest import peak_bytes
 
 # Golden values below were produced by an independent scalar simulation of
 # the gate equations (plain math.exp/math.tanh loops) and frozen here.
@@ -232,6 +233,60 @@ def test_bilstm_is_bit_identical_to_the_per_direction_loop(steps, n_layers):
                    in zip(_flat(grads), _flat(_stacks(ref_grads, n_layers))))
 
 
+def _whole_table_lstm_backward(d_hidden, cache, w_x, w_h):
+    """``lstm_backward`` from one factor table for the whole sequence and a
+    contiguous copy of the hidden states; returns (d_inputs, d_w_x, d_w_h,
+    d_b)."""
+    stack, steps, hidden_size = d_hidden.shape
+    gates = cache.gates
+    factors = np.empty((steps, 7, stack, hidden_size))
+    factors[:, :3] = 1.0 - gates[:, :3]
+    factors[:, 3] = 1.0 - gates[:, 4] * gates[:, 4]
+    factors[:, 4] = 1.0 - gates[:, 3] * gates[:, 3]
+    factors[:, 5] = gates[:, 3]
+    factors[0, 6] = 0.0
+    factors[1:, 6] = cache.cells[:-1]
+    d_preacts = np.empty((stack, steps, 4 * hidden_size))
+    d_gates = np.empty((4, stack, hidden_size))
+    dc = np.zeros((stack, hidden_size))
+    dh_rec = np.zeros((stack, hidden_size))
+    for t in range(steps - 1, -1, -1):
+        kernels.cell_backward(d_hidden[:, t] + dh_rec, dc, gates[t], factors[t],
+                              d_gates, dc)
+        d_preacts.reshape(stack, steps, 4, hidden_size)[:, t] = (
+            d_gates.transpose(1, 0, 2))
+        dh_rec = np.matmul(w_h.transpose(0, 2, 1),
+                           d_preacts[:, t, :, np.newaxis])[:, :, 0]
+    hidden = np.ascontiguousarray(cache.hidden[:-1].transpose(1, 0, 2))
+    return (np.matmul(d_preacts, w_x),
+            np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs),
+            np.matmul(d_preacts[:, 1:].transpose(0, 2, 1), hidden),
+            np.sum(d_preacts, axis=1))
+
+
+_BLOCK = network._FACTOR_BLOCK
+
+
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 3])
+def test_blocked_factors_give_the_whole_table_bits(steps):
+    rng = np.random.default_rng(steps)
+    stack, dim, hidden_size = 2, 6, 5
+    # Large weights, so that some gates saturate and exp overflows.
+    w_x = rng.normal(size=(stack, 4 * hidden_size, dim)) * 3.0
+    w_h = rng.normal(size=(stack, 4 * hidden_size, hidden_size)) * 3.0
+    b = rng.normal(size=(stack, 4 * hidden_size))
+    with np.errstate(over="ignore"):
+        _, cache = network.lstm_forward(rng.normal(size=(stack, steps, dim)),
+                                        w_x, w_h, b)
+    d_hidden = rng.normal(size=(stack, steps, hidden_size))
+    out = [np.full_like(a, np.nan) for a in (w_x, w_h, b)]
+    d_inputs = network.lstm_backward(d_hidden, cache, w_x, w_h, out)
+    expected = _whole_table_lstm_backward(d_hidden, cache, w_x, w_h)
+    for got, want in zip([d_inputs] + out, expected):
+        assert np.array_equal(got, want)
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
     opt = network.Adam(params)
@@ -260,7 +315,7 @@ def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
     reference = reference_nets.KeyedAdam(keyed, **hyper)
     for _ in range(5):
         grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
-        opt.step(grads)
+        opt.step(grads.copy())
         reference.step(dict(zip(keyed, np.split(grads, cuts))))
         assert np.array_equal(flat, np.concatenate(list(keyed.values())))
         assert np.array_equal(opt.m, np.concatenate(list(reference.m.values())))
@@ -338,7 +393,7 @@ def test_adam_on_one_cpu_starts_no_thread_and_gives_the_same_bits(monkeypatch):
             workers.clear()
             opt = network.Adam(start.copy())
             for g in grads:
-                opt.step(g)
+                opt.step(g.copy())
             assert len(workers) == (0 if cpus == 1 else len(grads))
             assert threading.main_thread() not in workers
             results.append((opt.params, opt.m, opt.v))
@@ -346,3 +401,31 @@ def test_adam_on_one_cpu_starts_no_thread_and_gives_the_same_bits(monkeypatch):
         sys.setswitchinterval(interval)
     for one, two in zip(*results):
         assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adam_leaves_the_update_it_subtracted_in_the_gradient(monkeypatch, cpus):
+    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+    size = 2 * network._ADAM_BLOCK + 3
+    rng = np.random.default_rng(cpus)
+    opt = network.Adam(rng.normal(size=size), learning_rate=0.05)
+    for _ in range(3):
+        before = opt.params.copy()
+        grads = rng.normal(size=size)
+        opt.step(grads)
+        assert np.array_equal(opt.params, before - grads)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adam_allocates_its_moments_and_one_block_per_thread(monkeypatch, cpus):
+    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+    size = 4 * network._ADAM_BLOCK + 5
+    rng = np.random.default_rng(0)
+    params, grads = rng.normal(size=size), rng.normal(size=size)
+
+    def first_step():
+        network.Adam(params).step(grads)
+
+    _, peak = peak_bytes(first_step)
+    block = network._ADAM_BLOCK * params.itemsize
+    assert peak <= 2 * params.nbytes + cpus * block + 64 * 1024
