@@ -3,9 +3,12 @@
 Holds every parameter tensor in one name -> array dict: embedding tables,
 the stacked BiLSTM, the transition-scoring MLP and the auxiliary
 coordination MLP.  Every trainable array is a view into one flat float64
-vector, and the gradients are views into a second one, laid out the same
-way, so an optimizer update and a best-epoch snapshot each touch one
-vector; the backward pass writes each gradient into its view.  Token
+vector, so a best-epoch snapshot touches one vector.  The vector falls
+into contiguous regions that the backward pass finishes one after another
+(``Model.gradients``): the scoring MLPs with the padding vector, each
+BiLSTM layer from the top down, and the embedding tables.  Each region's
+gradient is written into one buffer the size of the largest region, and
+the backward pass writes each gradient into its view of it.  Token
 vectors are the concatenated forward/backward LSTM states over
 [trainable word embedding ; pretrained embedding ; POS embedding]
 inputs, with the artificial root encoded as an extra leading position.
@@ -19,7 +22,7 @@ of Chen & Manning (EMNLP 2014).  The coordination MLP's first layer
 ``conj.w1`` is held as its node columns, which follow ``mlp.w1`` in the
 vector, and its six pair columns, ``conj.w1_pairs``, apart; so both
 first layers are one view of the vector (``Model.first_weights``), and
-their gradient one view of the gradient vector.
+their gradient one view of the gradient buffer.
 
 Models serialize to a small versioned binary container, with ``conj.w1``
 stored whole; loading restores every parameter bit-exactly.
@@ -32,7 +35,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,21 +309,37 @@ def _vector_layout(shapes: Dict[str, Tuple[int, ...]], trainable: Sequence[str]
 
 
 class Gradients(dict):
-    """Gradients of a model's trainable arrays, keyed by parameter name.
+    """A training step's gradient buffer, keyed by parameter name.
 
-    Each array is a view into the flat ``vector``, laid out as
-    ``Model.vector``; ``lstm`` holds each BiLSTM layer's (w_x, w_h, b)
+    ``regions`` holds each region of ``Model.vector`` that the backward
+    pass finishes as one, in the order it finishes them, as (gradient,
+    offset in the vector); every region's gradient is a view of the start
+    of the one ``buffer``.  So each trainable array's gradient is a view
+    into ``buffer`` at its place in its region, and the gradients of
+    different regions share memory: a region must be handed on before the
+    next one is written.  ``lstm`` holds each BiLSTM layer's (w_x, w_h, b)
     gradients as views with the direction axis first, as ``Model.lstm``,
     and ``first_weights`` the first layers' as one view, as
     ``Model.first_weights``.
     """
 
-    def __init__(self, arrays: Dict[str, np.ndarray], vector: np.ndarray,
+    def __init__(self, arrays: Dict[str, np.ndarray], buffer: np.ndarray,
+                 regions: List[Tuple[np.ndarray, int]],
                  lstm: List[Tuple[np.ndarray, ...]], first_weights: np.ndarray):
         super().__init__(arrays)
-        self.vector = vector
+        self.buffer = buffer
+        self.regions = regions
         self.lstm = lstm
         self.first_weights = first_weights
+
+
+# Where an array of the vector layout lies: (offset, size) -> flat view.
+_Place = Callable[[int, int], np.ndarray]
+
+
+def _in(vector: np.ndarray) -> _Place:
+    """Places in ``vector`` itself."""
+    return lambda offset, size: vector[offset:offset + size]
 
 
 class Model:
@@ -333,8 +352,8 @@ class Model:
     as ``network.DIRECTIONS``, and ``first_weights`` the first layers of
     both MLPs as one view (``project``).  A new model's arrays are
     uninitialised; ``build`` and ``load`` fill them in place.  The
-    gradients (``gradients``) are laid out the same way, in vectors of
-    their own that a model which only parses never allocates.
+    gradient buffer (``gradients``) is allocated by the first training
+    step, so a model which only parses never allocates it.
 
     ``stored_shapes`` and ``stored_trainable`` name the arrays as a model
     file stores them; ``params`` and ``trainable`` hold the stored
@@ -363,12 +382,12 @@ class Model:
         self._layout = _vector_layout(shapes, self.trainable)
         self.vector = np.empty(sum(math.prod(shape) for _, shape
                                    in self._layout.values()))
-        views = self._views(self.vector)
+        views = self.arrays_of(self.vector)
         self.params = {name: views[name] if name in views else np.empty(shape)
                        for name, shape in shapes.items()}
-        self.lstm = self._direction_stacks(self.vector)
-        self.first_weights = self._first_weights(self.vector)
-        self._gradients: Dict[int, Gradients] = {}
+        self.lstm = self._direction_stacks(_in(self.vector))
+        self.first_weights = self._first_weights(_in(self.vector))
+        self._gradients: Optional[Gradients] = None
         self.pretrained_words = pretrained_words
         self._pre_index = (
             {w: i + 2 for i, w in enumerate(pretrained_words)}
@@ -376,31 +395,34 @@ class Model:
             else None
         )
 
-    def _views(self, vector: np.ndarray) -> Dict[str, np.ndarray]:
+    def arrays_of(self, vector: np.ndarray) -> Dict[str, np.ndarray]:
         """Each trainable array's view into a vector laid out as ``vector``."""
-        return {name: vector[offset:offset + math.prod(shape)].reshape(shape)
+        return self._views(_in(vector))
+
+    def _views(self, place: _Place) -> Dict[str, np.ndarray]:
+        """Each trainable array's view at its ``place``."""
+        return {name: place(offset, math.prod(shape)).reshape(shape)
                 for name, (offset, shape) in self._layout.items()}
 
-    def _direction_stacks(self, vector: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
+    def _direction_stacks(self, place: _Place) -> List[Tuple[np.ndarray, ...]]:
         """Each LSTM layer's (w_x, w_h, b) views with the direction axis first."""
         stacks = []
         for layer in range(self.hp.lstm_layers):
             stack = []
             for kind in ("w_x", "w_h", "b"):
                 offset, shape = self._layout[f"lstm.{layer}.fwd.{kind}"]
-                stack.append(vector[offset:offset + 2 * math.prod(shape)].reshape(
+                stack.append(place(offset, 2 * math.prod(shape)).reshape(
                     (2,) + shape))
             stacks.append(tuple(stack))
         return stacks
 
-    def _first_weights(self, vector: np.ndarray) -> np.ndarray:
-        """``mlp.w1`` over the node columns of ``conj.w1`` in ``vector``, as
-        one C-contiguous (4*(mlp_dim + conj_mlp_dim), 2*lstm_dim) view with
-        one row per (hidden unit, slot)."""
-        offset = self._layout["mlp.w1"][0]
+    def _first_weights(self, place: _Place) -> np.ndarray:
+        """``mlp.w1`` over the node columns of ``conj.w1`` at their
+        ``place``, as one C-contiguous (4*(mlp_dim + conj_mlp_dim),
+        2*lstm_dim) view with one row per (hidden unit, slot)."""
         node_dim = self.feature_dim(self.hp)
         size = (self.hp.mlp_dim + self.hp.conj_mlp_dim) * node_dim
-        return vector[offset:offset + size].reshape(-1, node_dim // 4)
+        return place(self._layout["mlp.w1"][0], size).reshape(-1, node_dim // 4)
 
     def held_columns(self, name: str, stored: np.ndarray
                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -804,22 +826,32 @@ class Model:
 
     # ------------------------------------------------------------------
 
-    def gradients(self, buffer: int = 0) -> Gradients:
-        """Gradient buffer ``buffer`` of the trainable arrays.
+    def gradients(self) -> Gradients:
+        """The gradient buffer of the trainable arrays, region by region.
 
-        A buffer's vector is allocated uninitialised by its first call and
-        returned by every later one; no call writes it.  The backward pass
-        (``training.sentence_loss``) writes every element of the buffer it
-        is given.  ``training.batch_loss`` sums a batch through buffer 1,
-        so buffer 0, the default, is the one to give it.
+        The regions follow the vector's layout, in the order the backward
+        pass (``training.sentence_loss``) finishes them: the scoring MLPs
+        with the padding vector, from ``pad_vec`` to the end; each BiLSTM
+        layer, from the top down; the embedding tables.  The buffer holds
+        the largest region.  It is allocated uninitialised by the first
+        call and returned by every later one; no call writes it.
         """
-        grads = self._gradients.get(buffer)
-        if grads is None:
-            vector = np.empty_like(self.vector)
-            grads = self._gradients[buffer] = Gradients(
-                self._views(vector), vector, self._direction_stacks(vector),
-                self._first_weights(vector))
-        return grads
+        if self._gradients is None:
+            starts = [0] + [self._layout[f"lstm.{layer}.fwd.w_x"][0]
+                            for layer in range(self.hp.lstm_layers)]
+            starts.append(self._layout["pad_vec"][0])
+            bounds = list(zip(starts, starts[1:] + [self.vector.size]))[::-1]
+            buffer = np.empty(max(stop - start for start, stop in bounds))
+
+            def place(offset: int, size: int) -> np.ndarray:
+                start = max(start for start, _ in bounds if start <= offset)
+                return buffer[offset - start:offset - start + size]
+
+            self._gradients = Gradients(
+                self._views(place), buffer,
+                [(buffer[:stop - start], start) for start, stop in bounds],
+                self._direction_stacks(place), self._first_weights(place))
+        return self._gradients
 
     def copy_params(self) -> np.ndarray:
         """A snapshot of the trainable parameters, for ``set_params``."""

@@ -17,18 +17,24 @@ the caller gives, laid out as the weights: it neither adds to them nor
 allocates its own.  It computes the per-step factors that the recurrence
 leaves alone for one block of steps at a time, into one reused buffer.
 
-``Adam`` updates one flat parameter vector in place, on two threads where
-the process may use two CPUs, through one scratch block per thread and
-the gradient itself, which it overwrites with the update; its moment
-buffers ``m`` and ``v`` hold values only after its first step.
+``Adam`` updates one flat parameter vector in place.  An update takes its
+gradient one contiguous region at a time, so a caller can hand over each
+region as soon as it is final and keep no whole-vector gradient.  Each
+region is updated on two threads where the process may use two CPUs,
+through one scratch block per thread and the region's gradient itself,
+which it overwrites with the update; the moment buffers ``m`` and ``v``
+hold values only after the first update.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import os
+import queue
 import threading
-from typing import List, Sequence, Tuple
+from typing import (Callable, ContextManager, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -185,11 +191,15 @@ def bilstm_forward(inputs: np.ndarray, layers: Sequence[Tuple[np.ndarray, ...]]
 
 def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
                     layers: Sequence[Tuple[np.ndarray, ...]],
-                    grads: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
+                    grads: Sequence[Tuple[np.ndarray, ...]],
+                    finished: Optional[Callable[[int], None]] = None
+                    ) -> np.ndarray:
     """Backward through the stacked BiLSTM; returns the inputs' gradient.
 
     ``grads`` holds each layer's (w_x, w_h, b) gradients, laid out as
-    ``layers``; ``lstm_backward`` writes every element of them.
+    ``layers``; ``lstm_backward`` writes every element of them.  The
+    layers run from the top down, and ``finished(layer)`` is called as soon
+    as a layer's gradients are written and its weights are read no more.
     """
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
@@ -198,6 +208,8 @@ def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
         d_hidden = np.stack((d_current[:, :hidden_size],
                              d_current[::-1, hidden_size:]))
         d_in = lstm_backward(d_hidden, caches[layer], w_x, w_h, grads[layer])
+        if finished is not None:
+            finished(layer)
         d_current = d_in[0] + d_in[1, ::-1]
     return d_current
 
@@ -256,15 +268,22 @@ def _run_keeping_errors(context: contextvars.Context, errors: list,
 class Adam:
     """Deterministic Adam over one flat parameter vector, updated in place.
 
-    Every element sees the same operations in the same order as the
-    textbook update; the work runs block by block, in the gradient's own
-    block and one preallocated scratch block per thread, so an update
-    allocates nothing.  Where the process may run on more than one CPU,
-    the caller updates the lower half of the blocks and one worker thread,
-    started for the update and joined before it returns, the upper half:
-    numpy releases the GIL inside each block's operations.  The worker
-    runs in a copy of the caller's context, so ``np.errstate`` reaches it,
-    and what it raises is raised in the caller.
+    An update (``update``) advances the step count once and takes its
+    gradient region by region: each ``step`` inside it updates one
+    contiguous region of the vector, in any order, so a caller can hand
+    over a region as soon as its gradient is final.  A ``step`` outside an
+    update is an update of the whole vector.  Every element sees the same
+    operations in the same order as the textbook update, whatever the
+    regions; the work runs block by block, in the gradient's own block and
+    one preallocated scratch block per thread, so an update allocates no
+    arrays.  Where the process may run on more than one CPU, each region
+    is split into two halves: the caller updates the lower one and the
+    update's worker thread, started by its first region and joined when
+    the update ends, the upper one, and the caller waits for the worker's
+    half before ``step`` returns.  numpy releases the GIL inside each
+    block's operations.  The worker runs each half in a copy of the
+    caller's context, so ``np.errstate`` reaches it, and what it raises is
+    raised in the caller.
 
     ``m`` and ``v`` are allocated uninitialised and hold values only after
     a step: the first update zeroes each of their blocks just before using
@@ -281,59 +300,126 @@ class Adam:
         self.t = 0
         self.m = np.empty_like(params)
         self.v = np.empty_like(params)
-        blocks = -(-params.size // _ADAM_BLOCK)
-        # Where the worker's blocks start; 0 leaves every block to the caller.
-        self._split = (blocks // 2) * _ADAM_BLOCK if _cpu_count() > 1 else 0
-        self._scratch = np.empty((2 if self._split else 1,
+        self._scratch = np.empty((2 if _cpu_count() > 1 else 1,
                                   min(_ADAM_BLOCK, params.size)))
+        # The open update's regions as (start, stop); None between updates.
+        self._regions: Optional[List[Tuple[int, int]]] = None
+        # The open update's worker thread and its two queues, once started.
+        self._worker: Optional[Tuple[threading.Thread, queue.SimpleQueue,
+                                     queue.SimpleQueue]] = None
 
-    def step(self, grads: np.ndarray) -> None:
-        """One update from ``grads``, laid out as ``params``.
+    def update(self) -> ContextManager[None]:
+        """One update, whose gradient ``step`` takes region by region.
 
-        ``grads`` is the update's scratch space: on return it holds the
-        update that was subtracted from ``params``, so that ``params`` fell
-        by exactly ``grads``.  Raises ``ValueError``, changing nothing,
-        when ``grads`` has another shape.  A first update that raises
-        leaves ``t`` at 0, so the next one zeroes the moments again.  An
-        update that raises part-way, e.g. on overflow under
-        ``np.errstate(over="raise")``, is not rolled back: ``params``,
-        ``m``, ``v`` and ``grads`` stay updated or partly overwritten in the
-        blocks it reached and unchanged in the others.  ``train_model``
-        then raises too, and the CLI writes no model.
+        Advances ``t`` once; the regions must cover the vector exactly once.
+        On leaving, joins the worker thread if a region started one, and
+        raises ``ValueError`` if the regions covered less than the whole
+        vector.  Updates do not nest.  A first update that raises leaves
+        ``t`` at 0, so the next one zeroes the moments again.  An update
+        that raises part-way, in a region or between two, is not rolled
+        back: ``params``, ``m``, ``v`` and the gradients handed over stay
+        updated or partly overwritten in the blocks it reached and unchanged
+        in the others.  ``train_model`` then raises too, and the CLI writes
+        no model.
         """
-        if grads.shape != self.params.shape:
-            raise ValueError(f"gradient shape {grads.shape} is not the "
-                             f"parameter shape {self.params.shape}")
+        return self._updating()
+
+    @contextlib.contextmanager
+    def _updating(self) -> Iterator[None]:
+        if self._regions is not None:
+            raise RuntimeError("an Adam update is already open")
         self.t += 1
-        args = (grads, self.t == 1, 1.0 - self.beta1 ** self.t,
-                1.0 - self.beta2 ** self.t)
+        self._regions = []
         try:
-            if not self._split:
-                self._update(0, self.params.size, self._scratch[0], *args)
-                return
-            errors: list = []
-            worker = threading.Thread(target=_run_keeping_errors, args=(
-                contextvars.copy_context(), errors, self._update, self._split,
-                self.params.size, self._scratch[1], *args))
-            worker.start()
-            try:
-                self._update(0, self._split, self._scratch[0], *args)
-            finally:
-                worker.join()
-            if errors:
-                raise errors[0]
+            yield
+            covered = sum(stop - start for start, stop in self._regions)
+            if covered != self.params.size:
+                raise ValueError(f"the update's regions cover {covered} of "
+                                 f"{self.params.size} parameters")
         except BaseException:
             if self.t == 1:
                 self.t = 0
             raise
+        finally:
+            self._regions = None
+            if self._worker is not None:
+                worker, tasks, _ = self._worker
+                self._worker = None
+                tasks.put(None)
+                worker.join()
+
+    def step(self, grads: np.ndarray, offset: int = 0) -> None:
+        """Update ``params[offset:offset + grads.size]`` from ``grads``.
+
+        Inside ``update``, one region of that update: raises
+        ``ValueError``, changing nothing, when ``grads`` is not a 1-D run
+        inside the vector or overlaps a region the update already took.
+        Outside, an update of its own, of the whole vector: raises
+        ``ValueError``, changing nothing, unless ``grads`` is laid out as
+        ``params``.  ``grads`` is the region's scratch space: on return it
+        holds the update that was subtracted from the region, so that the
+        region fell by exactly ``grads``, and no thread reads it any more.
+        """
+        if self._regions is not None:
+            self._step(grads, offset)
+            return
+        if offset or grads.shape != self.params.shape:
+            raise ValueError(f"gradient shape {grads.shape} is not the "
+                             f"parameter shape {self.params.shape}")
+        with self.update():
+            self._step(grads, 0)
+
+    def _step(self, grads: np.ndarray, offset: int) -> None:
+        """Update one region of the open update."""
+        stop = offset + grads.size
+        if grads.ndim != 1 or offset < 0 or stop > self.params.size:
+            raise ValueError(f"gradient region {offset}:{stop} of shape "
+                             f"{grads.shape} is not inside the "
+                             f"{self.params.size} parameters")
+        for start, end in self._regions:
+            if max(start, offset) < min(end, stop):
+                raise ValueError(f"gradient region {offset}:{stop} overlaps "
+                                 f"the update's region {start}:{end}")
+        self._regions.append((offset, stop))
+        args = (grads, offset, self.t == 1, 1.0 - self.beta1 ** self.t,
+                1.0 - self.beta2 ** self.t)
+        # Balanced halves, not whole blocks: the two threads finish together.
+        middle = offset + (grads.size + 1) // 2 if len(self._scratch) > 1 else stop
+        if middle == stop:
+            self._update(offset, stop, self._scratch[0], *args)
+            return
+        if self._worker is None:
+            tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+            worker = threading.Thread(target=self._serve, args=(tasks, done))
+            worker.start()
+            self._worker = worker, tasks, done
+        _, tasks, done = self._worker
+        tasks.put((contextvars.copy_context(), middle, stop, self._scratch[1],
+                   *args))
+        try:
+            self._update(offset, middle, self._scratch[0], *args)
+        finally:
+            errors = done.get()
+        if errors:
+            raise errors[0]
+
+    def _serve(self, tasks: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+        """The worker thread: update each half put in ``tasks`` until None,
+        and put what each raised, as a list, in ``done``."""
+        for context, *args in iter(tasks.get, None):
+            errors: list = []
+            _run_keeping_errors(context, errors, self._update, *args)
+            done.put(errors)
 
     def _update(self, start: int, stop: int, scratch: np.ndarray,
-                grads: np.ndarray, first: bool, correction1: float,
-                correction2: float) -> None:
-        """Update the elements ``start:stop``, through ``scratch`` and ``grads``."""
+                grads: np.ndarray, offset: int, first: bool,
+                correction1: float, correction2: float) -> None:
+        """Update the elements ``start:stop``, through ``scratch`` and their
+        part of ``grads``, the gradient of the region at ``offset``."""
         for low in range(start, stop, _ADAM_BLOCK):
             block = slice(low, min(low + _ADAM_BLOCK, stop))
-            g, m, v = grads[block], self.m[block], self.v[block]
+            g = grads[low - offset:block.stop - offset]
+            m, v = self.m[block], self.v[block]
             root = scratch[:g.size]
             if first:
                 m.fill(0.0)

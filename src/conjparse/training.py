@@ -8,17 +8,22 @@ whenever the "conj" right transition is the gold or the violating one.
 The oracle path's configurations are scored as one batch from the
 sentence's per-node first-layer projections, and their gradients flow
 back through that batch to the first layer and from there to the nodes.
-Each backward step writes its gradient into its place in a
-``Model.gradients`` buffer instead of adding to it, so no buffer needs
-zeroing first.  All gradients are analytic; ``gradient_check`` compares
-them against central finite differences.
+Each backward step writes its gradient into its place in the
+``Model.gradients`` buffer instead of adding to it, so the buffer needs no
+zeroing first.  The buffer holds one region of the parameter vector at a
+time: the loss hands each region's gradient on (to ``Adam.step``, in
+``train_step``) as soon as the step reads that region's parameters no
+more, and the next region is written over it, so no step keeps a gradient
+of the whole vector.  All gradients are analytic; ``gradient_check``
+collects the regions into one vector and compares them against central
+finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,24 +106,38 @@ def dropped_word_ids(sentence: Sentence, model: Model,
     return ids
 
 
+# Takes a finished region's gradient and the region's offset in the vector,
+# as ``network.Adam.step`` does; it may overwrite the gradient.
+HandOver = Callable[[np.ndarray, int], None]
+
+
 def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
-                  grads: Optional[Gradients] = None,
+                  hand_over: Optional[HandOver] = None,
                   word_ids: Optional[np.ndarray] = None) -> float:
     """Total hinge loss along the compiled oracle path.
 
-    With ``grads``, a ``Model.gradients`` buffer, writes the loss's
-    gradient into every element of it, whatever it held: each backward
-    step writes its product into its place, and only what gets no product
+    With ``hand_over``, passes it the loss's gradient region by region, in
+    the order of ``Model.gradients().regions``, each as soon as the step
+    reads the region's parameters no more: the scoring MLPs and the
+    padding vector once ``Model.first_layer_backward`` has returned the
+    nodes' gradient, each BiLSTM layer once its backward pass has returned
+    its inputs' gradient, and the embedding tables once their rows are
+    scattered.  So ``hand_over`` may update a region's parameters before
+    the next region is computed.  Every region is a view of the one
+    ``Model.gradients`` buffer, into which each backward step writes its
+    product in place, whatever the buffer held: only what gets no product
     is zeroed (the embedding tables before their scattered rows are added
-    in, and the whole buffer when the loss is 0).  The sentence's
+    in, and every region when the loss is 0).  An exception part-way
+    leaves the regions handed over before it handed over.  The sentence's
     first-layer projection is dropped once the path is scored, and its
     node table before the BiLSTM backward pass.
     """
     encoded = model.encode(sentence, word_ids=word_ids)
+    grads = None if hand_over is None else model.gradients()
     loss, d_nodes = _path_hinge(model, path, encoded, grads)
     if d_nodes is None:
         if grads is not None:
-            grads.vector.fill(0.0)
+            _hand_over_zeros(grads, hand_over)
         return loss
     word_dim = model.hp.word_dim
     pre_dim = model.hp.pretrained_dim
@@ -130,14 +149,27 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
     # arrays; ``_path_hinge`` dropped the projection.
     del encoded
     grads["pad_vec"][...] = d_nodes[-1]
-    d_inputs = network.bilstm_backward(d_nodes[:-1], caches, model.lstm,
-                                       grads.lstm)
+    regions = grads.regions
+    hand_over(*regions[0])
+    # Layer l's region follows the MLPs' and those of the layers above it.
+    layers = len(model.lstm)
+    d_inputs = network.bilstm_backward(
+        d_nodes[:-1], caches, model.lstm, grads.lstm,
+        lambda layer: hand_over(*regions[layers - layer]))
     # A frozen pre_emb has no gradient.
     for name, ids, columns in tables:
         if name in grads:
             grads[name].fill(0.0)
             np.add.at(grads[name], ids, d_inputs[:, columns])
+    hand_over(*regions[-1])
     return loss
+
+
+def _hand_over_zeros(grads: Gradients, hand_over: HandOver) -> None:
+    """Hand over every region of ``grads`` filled with zeros."""
+    for gradient, offset in grads.regions:
+        gradient.fill(0.0)
+        hand_over(gradient, offset)
 
 
 def _hinge_steps(scores: np.ndarray, gold: np.ndarray, competing: np.ndarray,
@@ -224,25 +256,70 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
 
 
 def batch_loss(model: Model, batch: Sequence[Sentence],
-               paths: Sequence[OraclePath], grads: Optional[Gradients] = None,
+               paths: Sequence[OraclePath], hand_over: Optional[HandOver] = None,
                word_ids: Optional[Sequence[np.ndarray]] = None) -> float:
     """Summed loss of the sentences of ``batch``, along their ``paths``.
 
-    With ``grads``, writes the summed gradient into every element of it:
-    the first sentence's gradient is written into ``grads``, and each later
-    sentence's into ``model.gradients(1)`` and then added to ``grads`` as
-    one vector, so ``grads`` must be another buffer.
+    With ``hand_over``, passes it the summed gradient region by region, as
+    ``sentence_loss`` does.  A batch of one sentence hands over that
+    sentence's regions.  A larger batch sums the gradients of all its
+    sentences but the last into one vector laid out as ``model.vector``,
+    allocated for the batch, and the last sentence adds that sum into each
+    of its regions before handing it on.  No sentences hand over zeros.
     """
-    if grads is not None and not batch:
-        grads.vector.fill(0.0)
+    if hand_over is not None and not batch:
+        _hand_over_zeros(model.gradients(), hand_over)
+        return 0.0
+    summed = (np.empty_like(model.vector)
+              if hand_over is not None and len(batch) > 1 else None)
     total = 0.0
     for index, sentence in enumerate(batch):
-        target = grads if index == 0 or grads is None else model.gradients(1)
+        target = hand_over
+        if summed is not None:
+            target = _summing(summed, index == 0, index == len(batch) - 1,
+                              hand_over)
         total += sentence_loss(model, sentence, paths[index], target,
                                None if word_ids is None else word_ids[index])
-        if target is not grads:
-            grads.vector += target.vector
     return total
+
+
+def _summing(summed: np.ndarray, first: bool, last: bool,
+             hand_over: HandOver) -> HandOver:
+    """The hand-over of one sentence of a batch summed through ``summed``.
+
+    The first sentence's regions are copied into ``summed`` and later ones
+    added to it, except the last, whose regions take the sum and go on to
+    ``hand_over``.  Adding two floats is commutative, so each region ends
+    with the bits of the left-to-right sum over the batch.
+    """
+    def hand(gradient: np.ndarray, offset: int) -> None:
+        part = summed[offset:offset + gradient.size]
+        if last:
+            gradient += part
+            hand_over(gradient, offset)
+        elif first:
+            part[...] = gradient
+        else:
+            part += gradient
+    return hand
+
+
+def batch_gradient(model: Model, batch: Sequence[Sentence],
+                   paths: Sequence[OraclePath],
+                   word_ids: Optional[Sequence[np.ndarray]] = None
+                   ) -> Tuple[float, np.ndarray]:
+    """Summed loss of ``batch`` and its gradient as one vector.
+
+    The regions that ``batch_loss`` hands over, collected into a vector
+    laid out as ``model.vector`` (``Model.arrays_of`` names its arrays).
+    """
+    vector = np.empty_like(model.vector)
+
+    def collect(gradient: np.ndarray, offset: int) -> None:
+        vector[offset:offset + gradient.size] = gradient
+
+    loss = batch_loss(model, batch, paths, hand_over=collect, word_ids=word_ids)
+    return loss, vector
 
 
 def train_step(batch: Sequence[Sentence], model: Model,
@@ -251,16 +328,19 @@ def train_step(batch: Sequence[Sentence], model: Model,
     """One optimizer update on a batch and its paths; returns the pre-update loss.
 
     With ``rng``, words are dropped out (none, and nothing drawn, at alpha 0).
-    The gradient goes into ``model.gradients()``, which ``Adam.step`` then
-    overwrites with the update it subtracted from the parameters.
+    The loss hands each region of its gradient to ``optimizer.step`` inside
+    one ``optimizer.update()``, so each region's parameters are updated as
+    soon as the backward pass is done with them, and only the region-sized
+    ``model.gradients()`` buffer holds a gradient.  An exception part-way
+    leaves the regions handed over before it updated; ``train_model``
+    then raises, and the CLI writes no model.
     """
     ids = None
     if rng is not None:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
-    grads = model.gradients()
-    loss = batch_loss(model, batch, paths, grads=grads, word_ids=ids)
-    optimizer.step(grads.vector)
-    return loss
+    with optimizer.update():
+        return batch_loss(model, batch, paths, hand_over=optimizer.step,
+                          word_ids=ids)
 
 
 @dataclass
@@ -427,8 +507,7 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
             raise ValueError(f"gradient check {name} must be positive and finite, "
                              f"got {value!r}")
     paths = [oracle_path(s, model, resources) for s in sentences]
-    grads = model.gradients()
-    batch_loss(model, sentences, paths, grads=grads)
+    grads = model.arrays_of(batch_gradient(model, sentences, paths)[1])
 
     def loss_at_point() -> float:
         return batch_loss(model, sentences, paths)

@@ -53,15 +53,18 @@ def make_sentence(heads, labels=None, forms=None, pos=None) -> Sentence:
 
 def break_analytic_gradient(monkeypatch, key: str) -> None:
     """Offset the analytic gradient of ``key`` by 0.5 in ``gradient_check``."""
-    real = training.batch_loss
+    real = training.batch_gradient
 
-    def broken(*args, grads=None, **kwargs):
-        loss = real(*args, grads=grads, **kwargs)
-        if grads is not None:
-            grads[key] += 0.5
-        return loss
+    def broken(model, *args, **kwargs):
+        loss, vector = real(model, *args, **kwargs)
+        model.arrays_of(vector)[key] += 0.5
+        return loss, vector
 
-    monkeypatch.setattr(training, "batch_loss", broken)
+    monkeypatch.setattr(training, "batch_gradient", broken)
+
+
+def discard_gradient(gradient, offset) -> None:
+    """A hand-over for ``training.sentence_loss`` that keeps nothing."""
 
 
 def random_tree_sentence(rng: np.random.Generator, n: int) -> Sentence:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     DATA,
     conj_w1,
+    discard_gradient,
     drop_model_array,
     join_model_file,
     make_sentence,
@@ -442,7 +443,8 @@ def test_build_leaves_the_callers_hyperparams_alone(sentences):
     assert (hp.pretrained_dim, first.hp.pretrained_dim,
             second.hp.pretrained_dim) == (0, 2, 4)
     path = oracle_path(sentences[0], first, FeatureResources.empty())
-    assert sentence_loss(first, sentences[0], path, grads=first.gradients()) > 0.0
+    assert sentence_loss(first, sentences[0], path,
+                         hand_over=discard_gradient) > 0.0
     buffer = io.BytesIO()
     first.save(buffer)
     assert Model.load(io.BytesIO(buffer.getvalue())).hp == first.hp
@@ -557,32 +559,52 @@ def test_built_and_jittered_models_save_the_golden_bytes(
     assert sha256() == jittered
 
 
-def test_gradient_vector_is_allocated_on_first_use_and_reused(sentences):
+def test_gradient_buffer_is_allocated_on_first_use_and_reused(sentences):
     model = tiny_model(sentences)
-    assert model._gradients == {}
+    assert model._gradients is None
     grads = model.gradients()
-    vector = grads.vector
-    assert vector.shape == model.vector.shape
+    buffer = grads.buffer
+    # The regions in backward order: the MLPs from the padding vector on,
+    # the LSTM layers from the top down, then the embedding tables.
+    offsets = [offset for _, offset in grads.regions]
+    assert offsets == [model._layout[name][0] for name in (
+        "pad_vec", "lstm.1.fwd.w_x", "lstm.0.fwd.w_x", "word_emb")]
+    sizes = [gradient.size for gradient, _ in grads.regions]
+    assert np.array_equal(np.diff(offsets[::-1]), sizes[:0:-1])
+    assert sum(sizes) == model.vector.size
+    assert buffer.size == max(sizes)
+    for gradient, _ in grads.regions:
+        assert gradient.ctypes.data == buffer.ctypes.data
+    # Each array's gradient lies where the array lies in its region.
     assert sorted(grads) == sorted(model.trainable)
     for key in model.trainable:
-        assert np.shares_memory(grads[key], vector), key
+        at = (model.params[key].ctypes.data - model.vector.ctypes.data) // 8
+        start = max(offset for offset in offsets if offset <= at)
+        assert grads[key].ctypes.data == buffer.ctypes.data + 8 * (at - start), key
+        assert grads[key].shape == model.params[key].shape, key
     for layer, stack in enumerate(grads.lstm):
         for kind, array in zip(("w_x", "w_h", "b"), stack):
             for d, direction in enumerate(network.DIRECTIONS):
                 name = f"lstm.{layer}.{direction}.{kind}"
                 assert np.shares_memory(array[d], grads[name]), name
                 assert array[d].shape == grads[name].shape, name
-    # The loss writes every element, whatever the vector held.
-    vector.fill(np.nan)
+    buffer.fill(0.0)  # uninitialised memory may hold NaN
+    _assert_first_layers_view(grads.first_weights, grads, buffer)
+    # The loss writes every element of every region, whatever the buffer held.
+    buffer.fill(np.nan)
+    handed = []
+
+    def keep(gradient, offset):
+        handed.append(offset)
+        assert np.isfinite(gradient).all() and gradient.any(), offset
+
     path = oracle_path(sentences[0], model, FeatureResources.empty())
-    assert sentence_loss(model, sentences[0], path, grads=grads) > 0.0
-    assert np.isfinite(vector).all() and vector.any()
-    _assert_first_layers_view(grads.first_weights, grads, vector)
-    written = vector.copy()
+    assert sentence_loss(model, sentences[0], path, hand_over=keep) > 0.0
+    assert handed == offsets
+    written = buffer.copy()
     # Asking again neither allocates nor zeroes.
-    assert model.gradients() is grads and grads.vector is vector
-    assert np.array_equal(vector, written)
-    assert not np.shares_memory(model.gradients(1).vector, vector)
+    assert model.gradients() is grads and grads.buffer is buffer
+    assert np.array_equal(buffer, written)
 
 
 def test_load_rejects_a_trainable_list_that_contradicts_the_hyperparameters():

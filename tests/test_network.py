@@ -429,3 +429,103 @@ def test_adam_allocates_its_moments_and_one_block_per_thread(monkeypatch, cpus):
     _, peak = peak_bytes(first_step)
     block = network._ADAM_BLOCK * params.itemsize
     assert peak <= 2 * params.nbytes + cpus * block + 64 * 1024
+
+
+def _regions(rng, size, count):
+    """``count`` (start, stop) regions that cover ``range(size)`` once, shuffled."""
+    cuts = np.sort(rng.choice(np.arange(1, size), size=count - 1, replace=False))
+    bounds = [0, *cuts.tolist(), size]
+    regions = list(zip(bounds, bounds[1:]))
+    return [regions[i] for i in rng.permutation(count)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_update_region_by_region_gives_the_bits_of_one_whole_step(monkeypatch,
+                                                                    cpus):
+    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
+    size = 10 * network._ADAM_BLOCK + 7
+    rng = np.random.default_rng(cpus)
+    hyper = dict(learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
+    start = rng.normal(size=size)
+    regions_by_region = network.Adam(start.copy(), **hyper)
+    whole = network.Adam(start.copy(), **hyper)
+    # A short switch interval: the caller and the worker hand the GIL back
+    # and forth as often as they can.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (1, 2, 5, 9):
+            grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
+            updates = grads.copy()
+            with regions_by_region.update():
+                for low, high in _regions(rng, size, count):
+                    regions_by_region.step(updates[low:high], low)
+            whole.step(grads)
+            for one, other in ((regions_by_region.params, whole.params),
+                               (regions_by_region.m, whole.m),
+                               (regions_by_region.v, whole.v), (updates, grads)):
+                assert np.array_equal(one, other)
+    finally:
+        sys.setswitchinterval(interval)
+    assert regions_by_region.t == whole.t == 4
+
+
+@pytest.mark.parametrize("low, high, ndim", [(-1, 4, 1), (90, 101, 1), (0, 10, 2)],
+                         ids=["before", "past the end", "two-dimensional"])
+def test_an_update_refuses_a_region_outside_the_vector(low, high, ndim):
+    size = 100
+    opt = network.Adam(np.ones(size))
+    opt.step(np.ones(size))
+    before = [opt.params.copy(), opt.m.copy(), opt.v.copy()]
+    grads = np.ones(high - low).reshape((1,) * (ndim - 1) + (-1,))
+    with pytest.raises(ValueError, match="is not inside the 100 parameters"):
+        with opt.update():
+            opt.step(grads, low)
+    for after, saved in zip((opt.params, opt.m, opt.v), before):
+        assert np.array_equal(after, saved)
+
+
+def test_an_update_refuses_regions_that_do_not_cover_the_vector_once():
+    size = 100
+    opt = network.Adam(np.ones(size))
+    with pytest.raises(ValueError, match="overlaps the update's region 0:60"):
+        with opt.update():
+            opt.step(np.ones(60), 0)
+            before = [opt.params.copy(), opt.m.copy(), opt.v.copy()]
+            opt.step(np.ones(41), 59)
+    for after, saved in zip((opt.params, opt.m, opt.v), before):
+        assert np.array_equal(after, saved)
+    # A failed first update counts for nothing.
+    assert opt.t == 0
+    with pytest.raises(ValueError, match="regions cover 99 of 100 parameters"):
+        with opt.update():
+            opt.step(np.ones(60), 40)
+            opt.step(np.ones(39), 1)
+    with pytest.raises(RuntimeError, match="already open"):
+        with opt.update(), opt.update():
+            pass
+    opt.step(np.ones(size))
+    assert opt.t == 1
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker", "between"])
+def test_no_worker_outlives_an_update_that_raises(monkeypatch, failing):
+    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+    block = network._ADAM_BLOCK
+    opt = network.Adam(np.ones(2 * block))
+    grads = np.ones(2 * block)
+    # The second region overflows in its lower half, the caller's, or in
+    # its upper half, the worker's; or the update raises between regions.
+    if failing != "between":
+        grads[block if failing == "caller" else 2 * block - 1] = 1e200
+    before = threading.active_count()
+    error = KeyError if failing == "between" else FloatingPointError
+    with np.errstate(over="raise"), pytest.raises(error):
+        with opt.update():
+            opt.step(grads[:block])
+            assert threading.active_count() == before + 1
+            if failing == "between":
+                raise KeyError("between two regions")
+            opt.step(grads[block:], block)
+    assert threading.active_count() == before

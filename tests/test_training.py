@@ -10,6 +10,7 @@ from conftest import (
     break_analytic_gradient,
     conj_w1,
     data_resources,
+    discard_gradient,
     make_sentence,
     peak_bytes,
     random_projective_sentence,
@@ -21,6 +22,7 @@ from conjparse.model import CONJ_PAIRS, Hyperparams, Model, Vocabulary
 from conjparse.parser import conj_candidate
 from conjparse.resources import EmbeddingTable, FeatureResources
 from conjparse.training import (
+    batch_gradient,
     batch_loss,
     dropped_word_ids,
     gradient_check,
@@ -103,8 +105,7 @@ def test_gradient_check_of_the_conj_pair_columns_is_not_vacuous(sample_sentences
     paths = [oracle_path(s, model, resources) for s in sentences]
     fired = np.any([(p.conj_inputs != 0.0).any(axis=0) for p in paths], axis=0)
     assert fired.all(), fired
-    grads = model.gradients()
-    batch_loss(model, sentences, paths, grads=grads)
+    grads = model.arrays_of(batch_gradient(model, sentences, paths)[1])
     assert (np.abs(grads[CONJ_PAIRS]).sum(axis=0) > 0.0).all()
     report = gradient_check(model, sentences, resources,
                             keys=[CONJ_PAIRS, "conj.b1", "conj.w2", "conj.b2"])
@@ -142,10 +143,10 @@ def test_nan_parameter_gives_a_nan_loss_not_a_zero_one(empty_resources):
     model = tiny_model([sentence])
     jitter_params(model, seed=1)
     model.params["mlp.b1"][0] = np.nan
-    grads = model.gradients()
     paths = [oracle_path(sentence, model, empty_resources)]
-    assert np.isnan(batch_loss(model, [sentence], paths, grads=grads))
-    assert np.isnan(grads["mlp.w2"]).any()
+    loss, vector = batch_gradient(model, [sentence], paths)
+    assert np.isnan(loss)
+    assert np.isnan(model.arrays_of(vector)["mlp.w2"]).any()
     report = gradient_check(model, [sentence], empty_resources,
                             keys=["mlp.b2", "lstm.0.fwd.b"])
     assert not report.passed
@@ -168,9 +169,9 @@ def test_gradient_check_zero_model_vacuous_except_output_biases(empty_resources)
     flat_keys = [k for k in model.trainable if k not in ("mlp.b2", "conj.b2")]
     report = gradient_check(model, sentences, empty_resources, keys=flat_keys)
     assert report.max_rel_error == 0.0
-    grads = model.gradients()
     paths = [oracle_path(s, model, empty_resources) for s in sentences]
-    loss = batch_loss(model, sentences, paths, grads=grads)
+    loss, vector = batch_gradient(model, sentences, paths)
+    grads = model.arrays_of(vector)
     assert loss > 0.0
     for key in flat_keys:
         np.testing.assert_array_equal(grads[key], 0.0)
@@ -477,13 +478,12 @@ def _extract(sentence, pair, resources):
 
 
 def _assert_matches_reference(model, sentences, resources, word_ids):
-    batched = model.gradients()
-    batched.vector.fill(np.nan)  # every element must be written
+    model.gradients().buffer.fill(np.nan)  # every element must be written
     # As stored, with ``conj.w1`` whole.
     reference = {key: np.zeros(shape) for key, shape in model.stored_shapes.items()
                  if key in model.stored_trainable}
     paths = [oracle_path(sentence, model, resources) for sentence in sentences]
-    loss = batch_loss(model, sentences, paths, grads=batched, word_ids=word_ids)
+    loss, vector = batch_gradient(model, sentences, paths, word_ids=word_ids)
     expected = 0.0
     for sentence, ids in zip(sentences, word_ids):
         sentence_expected = _reference_sentence_loss(model, sentence, resources,
@@ -491,6 +491,7 @@ def _assert_matches_reference(model, sentences, resources, word_ids):
         assert sentence_expected > 0.0
         expected += sentence_expected
     assert abs(loss - expected) <= 1e-12 * expected
+    batched = model.arrays_of(vector)
     batched = {**batched, "conj.w1": conj_w1(batched)}
     for key in model.stored_trainable:
         np.testing.assert_allclose(batched[key], reference[key],
@@ -559,13 +560,10 @@ def test_batch_loss_writes_every_gradient_element(conj_sentence, names,
     paths = [oracle_path(sentence, model, resources) for sentence in batch]
     assert [batch_loss(model, [s], [p]) > 0.0 for s, p in zip(batch, paths)] == [
         name == "conj" for name in names.split("+")]
-    grads = model.gradients()
     results = []
     for fill in (np.nan, 0.0):
-        for buffer in (0, 1):
-            model.gradients(buffer).vector.fill(fill)
-        loss = batch_loss(model, batch, paths, grads=grads)
-        results.append((loss, grads.vector.copy()))
+        model.gradients().buffer.fill(fill)
+        results.append(batch_gradient(model, batch, paths))
     (loss, nan_filled), (again, zero_filled) = results
     assert loss == again
     assert np.isfinite(nan_filled).all()
@@ -575,14 +573,15 @@ def test_batch_loss_writes_every_gradient_element(conj_sentence, names,
 
 def test_batch_loss_of_no_sentences_zeroes_the_gradients(conj_sentence):
     model = tiny_model([conj_sentence])
-    model.gradients().vector.fill(np.nan)
-    assert batch_loss(model, [], [], grads=model.gradients()) == 0.0
-    assert not model.gradients().vector.any()
+    model.gradients().buffer.fill(np.nan)
+    loss, vector = batch_gradient(model, [], [])
+    assert loss == 0.0
+    assert not vector.any()
 
 
 def test_sentence_loss_needs_no_gradient_sized_temporaries():
     # Default sizes, 100 tokens.  The backward pass writes into the
-    # gradient vector, so what the loss allocates, its forward state
+    # gradient buffer, so what the loss allocates, its forward state
     # included, peaks well below one more vector's worth on top of it;
     # with the first layers read and written in place, the projection
     # dropped once scored and the LSTM factors made block by block, below
@@ -591,12 +590,28 @@ def test_sentence_loss_needs_no_gradient_sized_temporaries():
     model = Model.build(Hyperparams(), Vocabulary.from_corpus([sentence]),
                         LabelInventory.from_sentences([sentence]), seed=1)
     paths = [oracle_path(sentence, model, FeatureResources.empty())]
-    grads = model.gradients()
+    model.gradients()
     loss, peak = peak_bytes(lambda: batch_loss(model, [sentence], paths,
-                                               grads=grads))
+                                               hand_over=discard_gradient))
     assert loss > 0.0
-    assert peak < 2 * grads.vector.nbytes
+    assert peak < 2 * model.vector.nbytes
     assert peak < 6.2e6
+
+
+def test_a_train_step_peaks_below_one_gradient_vector():
+    # Default sizes, 40 tokens, the first step: the step allocates the
+    # gradient buffer, the largest region of the vector, and hands each
+    # region to Adam as soon as it is final, so on top of the model and
+    # Adam's moments it never holds a whole-vector gradient.
+    sentence = random_projective_sentence(np.random.default_rng(0), 40)
+    model = Model.build(Hyperparams(), Vocabulary.from_corpus([sentence]),
+                        LabelInventory.from_sentences([sentence]), seed=1)
+    paths = [oracle_path(sentence, model, FeatureResources.empty())]
+    optimizer = _optimizer(model)
+    loss, peak = peak_bytes(lambda: train_step([sentence], model, paths,
+                                               optimizer))
+    assert loss > 0.0
+    assert peak < model.vector.nbytes
 
 
 def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
@@ -616,13 +631,13 @@ def test_sentence_loss_scores_the_path_in_one_batch(conj_sentence,
 
     model.first_layer = counting
     path = oracle_path(conj_sentence, model, empty_resources)
-    grads = model.gradients()
+    model.gradients()
     loss, peak = peak_bytes(lambda: sentence_loss(model, conj_sentence, path,
-                                                  grads=grads))
+                                                  hand_over=discard_gradient))
     assert loss > 0.0
     assert calls == [(len(path.gold), 4)]
     # No per-sentence copy of the first-layer weights, and no first-layer
-    # weight gradient outside the gradient vector.
+    # weight gradient outside the gradient buffer.
     assert peak < matrix_bytes
 
 
@@ -647,7 +662,7 @@ def test_sentence_loss_on_a_compiled_path_redoes_none_of_it(
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Model, "feature_slots",
                         counted("feature_slots", Model.feature_slots))
-    loss = sentence_loss(model, conj_sentence, path, grads=model.gradients())
+    loss = sentence_loss(model, conj_sentence, path, hand_over=discard_gradient)
     assert loss > 0.0
     assert calls == []
 
@@ -734,3 +749,83 @@ def test_train_model_leaves_no_thread_running(learning_rate, error, monkeypatch,
                 train_model(model, train, FeatureResources.empty(), epochs=1,
                             seed=1)
     assert threading.active_count() == before
+
+
+def test_an_update_that_raises_in_a_region_leaves_no_thread_running(
+        monkeypatch, sample_sentences):
+    # The first update overflows in its first region, on both threads.
+    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
+    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+    train = sample_sentences[:2]
+    model = tiny_model(train, learning_rate=1e308)
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        train_model(model, train, FeatureResources.empty(), epochs=1, seed=1)
+    assert threading.active_count() == before
+
+
+def _step_models(conj_sentence, count):
+    """``count`` equal jittered models over the labels of ``conj_sentence``."""
+    models = []
+    for _ in range(count):
+        model = tiny_model([conj_sentence], seed=5)
+        jitter_params(model, seed=6)
+        # The one-token sentence's only step with competitors is its gold
+        # right(root); a large bias meets its margin, so its loss is 0.
+        model.params["mlp.b2"][model.codec.right_index("root")] += 50.0
+        models.append(model)
+    return models
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("names", ["conj", "conj+other", "zero", "zero+conj"])
+def test_a_train_step_gives_the_bits_of_one_whole_vector_step(
+        names, cpus, conj_sentence, empty_resources, monkeypatch):
+    # Small blocks: every region has several, and on two CPUs a worker half.
+    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
+    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+    named = {"conj": conj_sentence,
+             "zero": make_sentence([0], labels=["root"], forms=["bonds"],
+                                   pos=["NNS"]),
+             "other": make_sentence([0, 1], labels=["root", "dobj"],
+                                    forms=["run", "fast"], pos=["VB", "RB"])}
+    batch = [named[name] for name in names.split("+")]
+    model, reference = _step_models(conj_sentence, 2)
+    paths = [oracle_path(s, model, empty_resources) for s in batch]
+    optimizer, whole = _optimizer(model), _optimizer(reference)
+    for step in range(3):
+        # The reference: the regions collected into one gradient vector,
+        # then one update of the whole vector.
+        expected, vector = batch_gradient(reference, batch, paths)
+        if step == 0:
+            assert (expected == 0.0) == (names == "zero")
+            assert vector.any() == (names != "zero")
+        whole.step(vector)
+        assert train_step(batch, model, paths, optimizer) == expected
+        for one, other_array in ((model.vector, reference.vector),
+                                 (optimizer.m, whole.m), (optimizer.v, whole.v)):
+            assert np.array_equal(one, other_array)
+    assert optimizer.t == whole.t == 3
+
+
+def test_a_region_is_handed_over_after_the_last_read_of_its_parameters(
+        conj_sentence, empty_resources):
+    # Each region's parameters are updated and then poisoned with NaN as
+    # soon as it is handed over: the loss and every later region must not
+    # notice, so no region goes before the step's last read of it.
+    model, = _step_models(conj_sentence, 1)
+    path = oracle_path(conj_sentence, model, empty_resources)
+    expected, vector = batch_gradient(model, [conj_sentence], [path])
+    optimizer = _optimizer(model)
+    handed = []
+
+    def poison(gradient, offset):
+        handed.append(offset)
+        assert np.array_equal(gradient, vector[offset:offset + gradient.size])
+        optimizer.step(gradient, offset)
+        model.vector[offset:offset + gradient.size] = np.nan
+
+    with optimizer.update():
+        assert sentence_loss(model, conj_sentence, path, hand_over=poison) == expected
+    assert handed == [offset for _, offset in model.gradients().regions]
+    assert np.isnan(model.vector).all()
