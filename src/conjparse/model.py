@@ -41,13 +41,17 @@ import numpy as np
 
 from . import network
 from .resources import EmbeddingTable
-from .transitions import ParseConfiguration, TransitionCodec
+from .transitions import Configuration, TransitionCodec
 from .treebank import LabelInventory, Sentence
 
 MODEL_MAGIC = b"CJPMODEL"
 MODEL_VERSION = 1
 # The pair columns of the stored ``conj.w1``, held as an array of their own.
 CONJ_PAIRS = "conj.w1_pairs"
+# Configurations whose slot rows ``Model.first_layer`` gathers at a time:
+# one gather and sum is fastest for the one-row batches of parsing, and
+# the chunk bounds the (rows, 4, width) gather of a whole oracle path.
+FIRST_LAYER_CHUNK = 32
 
 
 class ModelIOError(ValueError):
@@ -582,7 +586,7 @@ class Model:
     # ------------------------------------------------------------------
     # configuration features and scoring
 
-    def feature_slots(self, config: ParseConfiguration) -> List[int]:
+    def feature_slots(self, config: Configuration) -> List[int]:
         """Node ids feeding the feature vector; -1 marks the padding slot."""
         stack, buffer = config.stack, config.buffer
         return [
@@ -592,7 +596,7 @@ class Model:
             buffer[0] if buffer else -1,
         ]
 
-    def config_feature_vector(self, config: ParseConfiguration,
+    def config_feature_vector(self, config: Configuration,
                               encoded: EncodedSentence
                               ) -> Tuple[np.ndarray, List[int]]:
         slots = self.feature_slots(config)
@@ -619,11 +623,15 @@ class Model:
         one configuration's four rows of that table per row.  Row r is the
         sum of its slots' projections; its first ``mlp_dim`` columns
         belong to the transition MLP and the rest to the coordination MLP.
-        The slots are added left to right into the first one's gather.
+        Gathers the slot rows of up to ``FIRST_LAYER_CHUNK`` configurations
+        at a time and sums each configuration's slots left to right.
         """
-        first = projected[slots[:, 0], :, 0]
-        for slot in range(1, slots.shape[1]):
-            first += projected[slots[:, slot], :, slot]
+        rows, n_slots = slots.shape
+        first = np.empty((rows, projected.shape[1]))
+        each_slot = np.arange(n_slots)
+        for start in range(0, rows, FIRST_LAYER_CHUNK):
+            chunk = slice(start, start + FIRST_LAYER_CHUNK)
+            projected[slots[chunk], :, each_slot].sum(axis=1, out=first[chunk])
         return first
 
     def first_layer_backward(self, encoded: EncodedSentence, slots: np.ndarray,

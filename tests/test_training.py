@@ -829,3 +829,77 @@ def test_a_region_is_handed_over_after_the_last_read_of_its_parameters(
         assert sentence_loss(model, conj_sentence, path, hand_over=poison) == expected
     assert handed == [offset for _, offset in model.gradients().regions]
     assert np.isnan(model.vector).all()
+
+
+def _tuple_oracle_path(sentence, model, resources):
+    """The arrays of ``oracle_path`` built one immutable configuration per
+    transition: (slots, gold, competing, conj rows, conj inputs, gold
+    transitions)."""
+    children = sentence.gold_children()
+    config = transitions.initial_config(len(sentence))
+    configs, sequence = [], []
+    while not transitions.is_terminal(config):
+        configs.append(config)
+        sequence.append(transitions.static_oracle(config, sentence, children))
+        config = transitions.apply(config, sequence[-1])
+    gold = np.array([model.codec.encode(t) for t in sequence])
+    competing = np.array([legal_mask(c, model.codec) for c in configs])
+    competing[np.arange(len(gold)), gold] = False
+    slots = np.array([model.feature_slots(c) for c in configs])
+    conj_rows, conj_inputs = parser.batch_inputs(
+        model, [conj_candidate(c) for c in configs], sentence, resources)
+    return slots, gold, competing, conj_rows, conj_inputs, sequence
+
+
+@pytest.mark.parametrize("use_conj_features", [True, False])
+def test_oracle_path_matches_the_tuple_walk(use_conj_features, sample_sentences):
+    shipped = data_resources()
+    corpus, lexicon = coordination_corpus(6)
+    rng = np.random.default_rng(62)
+    long = [random_projective_sentence(rng, n) for n in (64, 97)]
+    cases = [([s for s in sample_sentences[:80] if is_projective(s)], shipped),
+             (corpus, FeatureResources(lemmas=lexicon, sentiment=shipped.sentiment,
+                                       embeddings=shipped.embeddings)),
+             (long, shipped)]
+    for sentences, resources in cases:
+        model = tiny_model(sentences, use_conj_features=use_conj_features)
+        for sentence in sentences:
+            path = oracle_path(sentence, model, resources)
+            *expected, sequence = _tuple_oracle_path(sentence, model, resources)
+            for name, actual, wanted in zip(
+                    ("slots", "gold", "competing", "conj_rows", "conj_inputs"),
+                    (path.slots, path.gold, path.competing, path.conj_rows,
+                     path.conj_inputs), expected):
+                assert actual.dtype == wanted.dtype, name
+                np.testing.assert_array_equal(actual, wanted, err_msg=name)
+            assert transitions.oracle_sequence(sentence) == sequence
+            assert [model.codec.decode(g) for g in path.gold] == sequence
+
+
+def test_oracle_errors_keep_their_messages(empty_resources):
+    bad = make_sentence([3, 4, 0, 3])
+    model = tiny_model([bad])
+    with pytest.raises(transitions.OracleError,
+                       match="^cannot derive an oracle path for a "
+                             "non-projective sentence$"):
+        oracle_path(bad, model, empty_resources)
+    with pytest.raises(transitions.OracleError,
+                       match="^static oracle undefined for non-projective "
+                             "sentence$"):
+        transitions.oracle_sequence(bad)
+    # Token 2 heads the root, not token 1 below it, and nothing is left to
+    # shift: the oracle is stuck, on either kind of configuration.
+    sentence = make_sentence([2, 0])
+    children = sentence.gold_children()
+    state = transitions.ArcHybridState(2)
+    for _ in range(2):
+        state.take(transitions.Transition(transitions.SHIFT))
+    for config in (transitions.ParseConfiguration((0, 1, 2), ()), state):
+        with pytest.raises(transitions.OracleError,
+                           match=r"^oracle stuck at stack=\[0, 1, 2\] buffer=\[\] "
+                                 r"arcs=0$"):
+            transitions.static_oracle(config, sentence, children)
+    for config in (transitions.initial_config(0), transitions.ArcHybridState(0)):
+        with pytest.raises(transitions.OracleError,
+                           match="^oracle called on terminal configuration$"):
+            transitions.static_oracle(config, make_sentence([]), {0: []})

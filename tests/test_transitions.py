@@ -6,6 +6,7 @@ from conjparse.transitions import (
     LEFT,
     RIGHT,
     SHIFT,
+    ArcHybridState,
     IllegalTransitionError,
     OracleError,
     ParseConfiguration,
@@ -190,3 +191,56 @@ def test_single_head_invariant_under_random_walks():
             assert not (on_stack & attached)
             assert not (in_buffer & attached)
             assert on_stack | in_buffer | attached == set(range(1, n + 1))
+
+
+@pytest.mark.parametrize("index", [-1, CODEC.size])
+def test_codec_decode_rejects_an_index_outside_its_range(index):
+    with pytest.raises(ValueError, match=rf"^transition index {index} is outside "
+                                         r"the valid range 0\.\.6$"):
+        CODEC.decode(index)
+
+
+def test_codec_decode_reuses_its_transitions():
+    assert all(CODEC.decode(i) is CODEC.decode(i) for i in range(CODEC.size))
+
+
+def test_state_walk_follows_apply_on_random_walks():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        n = int(rng.integers(0, 12))
+        single_root = bool(rng.integers(2))
+        configs = []
+
+        def choose(state):
+            config = configs[-1] if configs else initial_config(n)
+            assert (tuple(state.stack), tuple(state.buffer)) == (config.stack,
+                                                                  config.buffer)
+            assert state.attached() == config.attached()
+            mask = legal_mask(state, CODEC, single_root=single_root)
+            np.testing.assert_array_equal(
+                mask, legal_mask(config, CODEC, single_root=single_root))
+            assert not is_terminal(state) and not is_terminal(config)
+            transition = CODEC.decode(int(rng.choice(np.flatnonzero(mask))))
+            configs.append(apply(config, transition))
+            return transition
+
+        state = ArcHybridState(n).walk(choose)
+        final = configs[-1] if configs else initial_config(n)
+        assert is_terminal(state) and is_terminal(final)
+        assert len(configs) == 2 * n
+        heads = {dep: (head, label) for head, dep, label in final.arcs}
+        assert [heads[i] for i in range(1, n + 1)] == list(zip(state.heads,
+                                                               state.labels))
+
+
+@pytest.mark.parametrize("n, transition", [
+    (0, Transition(SHIFT)),
+    (1, Transition(LEFT, "dobj")),
+    (1, Transition(RIGHT, "dobj")),
+])
+def test_state_refuses_what_apply_refuses(n, transition):
+    with pytest.raises(IllegalTransitionError) as from_apply:
+        apply(initial_config(n), transition)
+    with pytest.raises(IllegalTransitionError) as from_state:
+        ArcHybridState(n).take(transition)
+    assert str(from_state.value) == str(from_apply.value)
