@@ -188,8 +188,14 @@ def _projective_sentences(path, fmt: str, purpose: str
     return projective, skipped
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {seed}")
+
+
 def cmd_train(args) -> int:
     # Checked first: training can take long, and the model is saved last.
+    _check_seed(args.seed)
     check_model_path(args.model)
     config = {}
     if args.config:
@@ -302,6 +308,7 @@ def _bundled_gradcheck_fixture() -> str:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     path = args.input or _bundled_gradcheck_fixture()
     sentences, _ = _projective_sentences(path, args.format, "check gradients on")
     hp = Hyperparams(

@@ -256,6 +256,20 @@ def test_train_fewer_than_one_epoch_is_a_one_line_error(tmp_path, train_file,
     assert not (tmp_path / "model.bin").exists()
 
 
+@pytest.mark.parametrize("command, seed", [("train", "-1"), ("gradcheck", "-2")])
+def test_negative_seed_is_a_one_line_error_before_any_input_is_read(
+        tmp_path, capsys, command, seed):
+    # The input does not exist, so a data error would show that it was read.
+    missing = str(tmp_path / "missing.conllx")
+    args = {"train": ["train", "--train", missing,
+                      "--model", str(tmp_path / "model.bin"), *TINY_HYPERS],
+            "gradcheck": ["gradcheck", "--input", missing]}[command]
+    assert main([*args, "--seed", seed]) == EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err == f"error: --seed must be at least 0, got {seed}\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_train_with_a_non_finite_loss_is_a_one_line_error(tmp_path, train_file,
                                                           capsys):
     # A learning rate this large makes the parameters overflow after the

@@ -84,6 +84,43 @@ def test_every_public_definition_is_used():
     assert [qualified for qualified, name in definitions if name not in used] == []
 
 
+def _benchmark_pins():
+    """(module, name) pairs of ``IMPORTED_BY_NAME`` in perfbench's tests.
+
+    The benchmark's tracer wraps these names where they are imported, so
+    a module may import one it does not call.  Read from the source:
+    importing that file puts perfbench's directory on ``sys.path``.
+    """
+    path = REPO / "perfbench" / "test_perfbench.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["IMPORTED_BY_NAME"]):
+            return {(module.id, name.value)
+                    for module, name, _ in (entry.elts for entry in node.value.elts)}
+    return set()
+
+
+def test_every_imported_name_is_used():
+    # An import that nothing reads keeps a dependency alive for nothing.
+    pins = _benchmark_pins()
+    assert pins
+    unused = []
+    for path in sorted((REPO / "src" / "conjparse").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read and (path.stem, bound) not in pins:
+                        unused.append(f"{path.stem}.{bound}")
+    assert unused == []
+
+
 def test_importing_the_package_starts_no_thread():
     # Threads the library starts, such as Adam's worker, live inside a call.
     code = ("import threading, conjparse, conjparse.cli, conjparse.corpus_stats; "

@@ -342,36 +342,59 @@ def test_kink_margin_reports_small_value_at_zero_point(conj_sentence,
     for key in model.trainable:
         model.params[key][...] = 0.0
     paths = [oracle_path(conj_sentence, model, empty_resources)]
-    assert hinge_kink_margin(model, [conj_sentence], empty_resources, paths) == 0.0
+    assert hinge_kink_margin(model, [conj_sentence], paths) == 0.0
 
 
-def _reference_kink_margin(model, sentences, resources):
-    """The per-configuration loop that ``hinge_kink_margin`` ran before it
-    read gold and competitors from the compiled paths."""
+def _rows_kink_margin(model, scores, gold, competing):
+    """Kink margin of scored rows, one row at a time: ``gold[r]`` is row
+    r's gold transition index and ``competing[r]`` masks its competitors."""
     margin = np.inf
-    for sentence in sentences:
-        encoded = model.encode(sentence)
-        for config, gold_index in _gold_walk(sentence, model):
-            scores = parser.score_config(model, config, encoded, sentence,
-                                         resources)
-            mask = legal_mask(config, model.codec)
-            mask[gold_index] = False
-            if not mask.any():
-                continue
-            competitors = np.where(mask, scores, -np.inf)
-            violator = int(np.argmax(competitors))
-            step_loss = model.hp.margin - scores[gold_index] + scores[violator]
-            margin = min(margin, abs(step_loss))
-            competitors[violator] = -np.inf
-            rest = competitors[np.isfinite(competitors)]
-            if rest.size:
-                margin = min(margin, float(scores[violator] - rest.max()))
+    for row, gold_index, mask in zip(scores, gold, competing):
+        if not mask.any():
+            continue
+        competitors = np.where(mask, row, -np.inf)
+        violator = int(np.argmax(competitors))
+        step_loss = model.hp.margin - row[gold_index] + row[violator]
+        margin = min(margin, abs(step_loss))
+        competitors[violator] = -np.inf
+        rest = competitors[np.isfinite(competitors)]
+        if rest.size:
+            margin = min(margin, float(row[violator] - rest.max()))
     return float(margin)
 
 
-@pytest.mark.parametrize("use_conj_features", [True, False])
-def test_kink_margin_matches_the_per_configuration_loop(use_conj_features,
-                                                       sample_sentences):
+def _reference_kink_margin(model, sentences, resources):
+    """The kink margin with gold and competitors taken from a walk of
+    configuration objects, not from the compiled paths.  The walk's
+    configurations are scored as one ``score_batch`` in walk order, the
+    batch the loss reads."""
+    margin = np.inf
+    for sentence in sentences:
+        walk = list(_gold_walk(sentence, model))
+        pairs = [conj_candidate(config) for config, _ in walk]
+        conj_rows = ([row for row, pair in enumerate(pairs) if pair]
+                     if model.conj_transition is not None else [])
+        conj_inputs = [_extract(sentence, pairs[row], resources)
+                       for row in conj_rows]
+        scores = parser.score_batch(
+            model, model.encode(sentence).projected,
+            np.array([model.feature_slots(config) for config, _ in walk]),
+            np.array(conj_rows, dtype=np.intp),
+            np.array(conj_inputs).reshape(len(conj_rows), 6)).scores
+        competing = []
+        for config, gold_index in walk:
+            mask = legal_mask(config, model.codec)
+            mask[gold_index] = False
+            competing.append(mask)
+        margin = min(margin, _rows_kink_margin(
+            model, scores, [gold for _, gold in walk], competing))
+    return float(margin)
+
+
+def _kink_fixture(use_conj_features, sample_sentences):
+    """A small model over the projective sentences of the first 40 samples,
+    with all four resources; returns the model, sentences, resources and
+    compiled paths."""
     resources = data_resources()
     sentences = [s for s in sample_sentences[:40] if is_projective(s)]
     hp = Hyperparams(word_dim=5, pos_dim=3, lstm_layers=1, lstm_dim=4,
@@ -382,11 +405,47 @@ def test_kink_margin_matches_the_per_configuration_loop(use_conj_features,
                         pretrained=resources.embeddings, seed=2)
     assert (model.conj_transition is not None) == use_conj_features
     paths = [oracle_path(s, model, resources) for s in sentences]
+    return model, sentences, resources, paths
+
+
+@pytest.mark.parametrize("use_conj_features", [True, False])
+def test_kink_margin_matches_the_per_configuration_loop(use_conj_features,
+                                                       sample_sentences):
+    model, sentences, resources, paths = _kink_fixture(use_conj_features,
+                                                       sample_sentences)
     for seed in (1, 2, 3):
         jitter_params(model, seed=seed)
         expected = _reference_kink_margin(model, sentences, resources)
         assert 0.0 < expected < np.inf
-        assert hinge_kink_margin(model, sentences, resources, paths) == expected
+        assert hinge_kink_margin(model, sentences, paths) == expected
+
+
+@pytest.mark.parametrize("use_conj_features", [True, False])
+def test_kink_margin_is_taken_over_the_scores_the_loss_reads(
+        use_conj_features, sample_sentences, monkeypatch):
+    # The finite differences probe the loss, so the margin that says
+    # whether they can be trusted must describe the very scores it reads,
+    # to the last bit.
+    model, sentences, _, paths = _kink_fixture(use_conj_features,
+                                               sample_sentences)
+    for seed in (1, 2, 3):
+        jitter_params(model, seed=seed)
+        recorded = []
+
+        def recording(*args):
+            batch = parser.score_batch(*args)
+            recorded.append(batch.scores.copy())
+            return batch
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "score_batch", recording)
+            batch_loss(model, sentences, paths)
+        assert len(recorded) == len(paths)
+        expected = min(_rows_kink_margin(model, scores, path.gold,
+                                         path.competing)
+                       for scores, path in zip(recorded, paths))
+        assert 0.0 < expected < np.inf
+        assert hinge_kink_margin(model, sentences, paths) == expected
 
 
 def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
