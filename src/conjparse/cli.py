@@ -25,7 +25,7 @@ from .model import (
     check_hyperparams,
     check_model_path,
 )
-from .parser import DecodeError, parse_corpus
+from .parser import parse_corpus
 from .resources import (
     EmbeddingTable,
     FeatureResources,
@@ -252,10 +252,11 @@ def cmd_train(args) -> int:
 
 def cmd_parse(args) -> int:
     model = Model.load(args.model)
+    if args.no_single_root:
+        model.hp.single_root = False
     resources = load_resources(args)
     sentences = read_conll(args.input, fmt=args.format)
-    single_root = False if args.no_single_root else None
-    parsed = parse_corpus(sentences, model, resources, single_root=single_root)
+    parsed = parse_corpus(sentences, model, resources)
     write_conll_file(args.output, parsed, use_predicted=True)
     print(f"parsed {len(parsed)} sentences into {args.output}")
     return EXIT_OK
@@ -361,7 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # OSError: a treebank, resource or config path that cannot be used.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, DecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OTHER
 

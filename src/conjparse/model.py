@@ -255,7 +255,8 @@ def _check_meta(meta) -> None:
     for key in ("arrays", "hyperparams", "labels", "vocab", "trainable",
                 "pretrained_words"):
         require(key in meta, f"missing key {key!r}")
-    require(_is_list_of(meta["labels"], str), "'labels' must be a list of strings")
+    require(_is_list_of(meta["labels"], str) and meta["labels"],
+            "'labels' must be a non-empty list of strings")
     require(_is_list_of(meta["trainable"], str),
             "'trainable' must be a list of strings")
     require(meta["pretrained_words"] is None
@@ -367,6 +368,9 @@ class Model:
 
     def __init__(self, hp: Hyperparams, vocab: Vocabulary, labels: LabelInventory,
                  pretrained_words: Optional[List[str]] = None):
+        if not len(labels):
+            # Without a label there is no arc transition, so no parse ends.
+            raise ValueError("a model needs at least one dependency label")
         self.hp = hp
         self.vocab = vocab
         self.labels = labels

@@ -20,19 +20,14 @@ leaves alone for one block of steps at a time, into one reused buffer.
 ``Adam`` updates one flat parameter vector in place.  An update takes its
 gradient one contiguous region at a time, so a caller can hand over each
 region as soon as it is final and keep no whole-vector gradient.  Each
-region is updated on two threads where the process may use two CPUs,
-through one scratch block per thread and the region's gradient itself,
-which it overwrites with the update; the moment buffers ``m`` and ``v``
-hold values only after the first update.
+region is updated on the calling thread, through one scratch block and the
+region's gradient itself, which it overwrites with the update; the moment
+buffers ``m`` and ``v`` hold values only after the first update.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
-import os
-import queue
-import threading
 from typing import (Callable, ContextManager, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -192,14 +187,14 @@ def bilstm_forward(inputs: np.ndarray, layers: Sequence[Tuple[np.ndarray, ...]]
 def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
                     layers: Sequence[Tuple[np.ndarray, ...]],
                     grads: Sequence[Tuple[np.ndarray, ...]],
-                    finished: Optional[Callable[[int], None]] = None
+                    finished: Optional[Callable[[], None]] = None
                     ) -> np.ndarray:
     """Backward through the stacked BiLSTM; returns the inputs' gradient.
 
     ``grads`` holds each layer's (w_x, w_h, b) gradients, laid out as
     ``layers``; ``lstm_backward`` writes every element of them.  The
-    layers run from the top down, and ``finished(layer)`` is called as soon
-    as a layer's gradients are written and its weights are read no more.
+    layers run from the top down, and ``finished()`` is called as soon as
+    each layer's gradients are written and its weights are read no more.
     """
     hidden_size = d_output.shape[1] // 2
     d_current = d_output
@@ -209,7 +204,7 @@ def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
                              d_current[::-1, hidden_size:]))
         d_in = lstm_backward(d_hidden, caches[layer], w_x, w_h, grads[layer])
         if finished is not None:
-            finished(layer)
+            finished()
         d_current = d_in[0] + d_in[1, ::-1]
     return d_current
 
@@ -240,29 +235,12 @@ def mlp_backward(d_out: np.ndarray, hidden: np.ndarray, w2: np.ndarray
 
 
 # Elements per block of an Adam update.  Larger blocks mean fewer numpy
-# calls, so the two threads hand the GIL back and forth less often; each
-# thread's scratch block and the blocks it streams stay in its L2.
+# calls; the scratch block and the blocks an update streams stay in L2.
 _ADAM_BLOCK = 49152
 
 # Steps per block of ``lstm_backward``'s factor table: the factors of a
 # whole 100-step sequence would take 1.4 MB per layer at the default sizes.
 _FACTOR_BLOCK = 16
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_keeping_errors(context: contextvars.Context, errors: list,
-                        function, *args) -> None:
-    """Run ``function(*args)`` in ``context``; append what it raises to ``errors``."""
-    try:
-        context.run(function, *args)
-    except BaseException as error:
-        errors.append(error)
 
 
 class Adam:
@@ -271,19 +249,11 @@ class Adam:
     An update (``update``) advances the step count once and takes its
     gradient region by region: each ``step`` inside it updates one
     contiguous region of the vector, in any order, so a caller can hand
-    over a region as soon as its gradient is final.  A ``step`` outside an
-    update is an update of the whole vector.  Every element sees the same
-    operations in the same order as the textbook update, whatever the
-    regions; the work runs block by block, in the gradient's own block and
-    one preallocated scratch block per thread, so an update allocates no
-    arrays.  Where the process may run on more than one CPU, each region
-    is split into two halves: the caller updates the lower one and the
-    update's worker thread, started by its first region and joined when
-    the update ends, the upper one, and the caller waits for the worker's
-    half before ``step`` returns.  numpy releases the GIL inside each
-    block's operations.  The worker runs each half in a copy of the
-    caller's context, so ``np.errstate`` reaches it, and what it raises is
-    raised in the caller.
+    over a region as soon as its gradient is final.  Every element sees the
+    same operations in the same order as the textbook update, whatever the
+    regions; the work runs on the calling thread, block by block, in the
+    gradient's own block and one preallocated scratch block, so an update
+    allocates no arrays.
 
     ``m`` and ``v`` are allocated uninitialised and hold values only after
     a step: the first update zeroes each of their blocks just before using
@@ -300,27 +270,22 @@ class Adam:
         self.t = 0
         self.m = np.empty_like(params)
         self.v = np.empty_like(params)
-        self._scratch = np.empty((2 if _cpu_count() > 1 else 1,
-                                  min(_ADAM_BLOCK, params.size)))
+        self._scratch = np.empty(min(_ADAM_BLOCK, params.size))
         # The open update's regions as (start, stop); None between updates.
         self._regions: Optional[List[Tuple[int, int]]] = None
-        # The open update's worker thread and its two queues, once started.
-        self._worker: Optional[Tuple[threading.Thread, queue.SimpleQueue,
-                                     queue.SimpleQueue]] = None
 
     def update(self) -> ContextManager[None]:
         """One update, whose gradient ``step`` takes region by region.
 
         Advances ``t`` once; the regions must cover the vector exactly once.
-        On leaving, joins the worker thread if a region started one, and
-        raises ``ValueError`` if the regions covered less than the whole
-        vector.  Updates do not nest.  A first update that raises leaves
-        ``t`` at 0, so the next one zeroes the moments again.  An update
-        that raises part-way, in a region or between two, is not rolled
-        back: ``params``, ``m``, ``v`` and the gradients handed over stay
-        updated or partly overwritten in the blocks it reached and unchanged
-        in the others.  ``train_model`` then raises too, and the CLI writes
-        no model.
+        On leaving, raises ``ValueError`` if the regions covered less than
+        the whole vector.  Updates do not nest.  A first update that raises
+        leaves ``t`` at 0, so the next one zeroes the moments again.  An
+        update that raises part-way, in a region or between two, is not
+        rolled back: ``params``, ``m``, ``v`` and the gradients handed over
+        stay updated or partly overwritten in the blocks it reached and
+        unchanged in the others.  ``train_model`` then raises too, and the
+        CLI writes no model.
         """
         return self._updating()
 
@@ -342,35 +307,20 @@ class Adam:
             raise
         finally:
             self._regions = None
-            if self._worker is not None:
-                worker, tasks, _ = self._worker
-                self._worker = None
-                tasks.put(None)
-                worker.join()
 
-    def step(self, grads: np.ndarray, offset: int = 0) -> None:
-        """Update ``params[offset:offset + grads.size]`` from ``grads``.
+    def step(self, grads: np.ndarray, offset: int) -> None:
+        """Update ``params[offset:offset + grads.size]``, one region of the
+        open update, from ``grads``.
 
-        Inside ``update``, one region of that update: raises
-        ``ValueError``, changing nothing, when ``grads`` is not a 1-D run
-        inside the vector or overlaps a region the update already took.
-        Outside, an update of its own, of the whole vector: raises
-        ``ValueError``, changing nothing, unless ``grads`` is laid out as
-        ``params``.  ``grads`` is the region's scratch space: on return it
-        holds the update that was subtracted from the region, so that the
-        region fell by exactly ``grads``, and no thread reads it any more.
+        Raises ``RuntimeError`` outside ``update``, and ``ValueError`` when
+        ``grads`` is not a 1-D run inside the vector or overlaps a region
+        the update already took; either changes nothing.  ``grads`` is the
+        region's scratch space: on return it holds the update that was
+        subtracted from the region, so that the region fell by exactly
+        ``grads``.
         """
-        if self._regions is not None:
-            self._step(grads, offset)
-            return
-        if offset or grads.shape != self.params.shape:
-            raise ValueError(f"gradient shape {grads.shape} is not the "
-                             f"parameter shape {self.params.shape}")
-        with self.update():
-            self._step(grads, 0)
-
-    def _step(self, grads: np.ndarray, offset: int) -> None:
-        """Update one region of the open update."""
+        if self._regions is None:
+            raise RuntimeError("Adam.step takes a region of an open update()")
         stop = offset + grads.size
         if grads.ndim != 1 or offset < 0 or stop > self.params.size:
             raise ValueError(f"gradient region {offset}:{stop} of shape "
@@ -381,46 +331,14 @@ class Adam:
                 raise ValueError(f"gradient region {offset}:{stop} overlaps "
                                  f"the update's region {start}:{end}")
         self._regions.append((offset, stop))
-        args = (grads, offset, self.t == 1, 1.0 - self.beta1 ** self.t,
-                1.0 - self.beta2 ** self.t)
-        # Balanced halves, not whole blocks: the two threads finish together.
-        middle = offset + (grads.size + 1) // 2 if len(self._scratch) > 1 else stop
-        if middle == stop:
-            self._update(offset, stop, self._scratch[0], *args)
-            return
-        if self._worker is None:
-            tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
-            worker = threading.Thread(target=self._serve, args=(tasks, done))
-            worker.start()
-            self._worker = worker, tasks, done
-        _, tasks, done = self._worker
-        tasks.put((contextvars.copy_context(), middle, stop, self._scratch[1],
-                   *args))
-        try:
-            self._update(offset, middle, self._scratch[0], *args)
-        finally:
-            errors = done.get()
-        if errors:
-            raise errors[0]
-
-    def _serve(self, tasks: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-        """The worker thread: update each half put in ``tasks`` until None,
-        and put what each raised, as a list, in ``done``."""
-        for context, *args in iter(tasks.get, None):
-            errors: list = []
-            _run_keeping_errors(context, errors, self._update, *args)
-            done.put(errors)
-
-    def _update(self, start: int, stop: int, scratch: np.ndarray,
-                grads: np.ndarray, offset: int, first: bool,
-                correction1: float, correction2: float) -> None:
-        """Update the elements ``start:stop``, through ``scratch`` and their
-        part of ``grads``, the gradient of the region at ``offset``."""
-        for low in range(start, stop, _ADAM_BLOCK):
+        first = self.t == 1
+        correction1 = 1.0 - self.beta1 ** self.t
+        correction2 = 1.0 - self.beta2 ** self.t
+        for low in range(offset, stop, _ADAM_BLOCK):
             block = slice(low, min(low + _ADAM_BLOCK, stop))
             g = grads[low - offset:block.stop - offset]
             m, v = self.m[block], self.v[block]
-            root = scratch[:g.size]
+            root = self._scratch[:g.size]
             if first:
                 m.fill(0.0)
                 v.fill(0.0)

@@ -31,10 +31,6 @@ from .transitions import apply  # noqa: F401
 from .treebank import Sentence
 
 
-class DecodeError(RuntimeError):
-    pass
-
-
 @dataclass
 class ScoredBatch:
     """Forward state of scoring a batch of configurations, kept for backprop.
@@ -151,35 +147,34 @@ def augmented_scores(model: Model, config: Configuration,
     return score_config(model, config, encoded, sentence, resources)
 
 
-def greedy_parse(sentence: Sentence, model: Model, resources: FeatureResources,
-                 single_root: Optional[bool] = None) -> Sentence:
+def greedy_parse(sentence: Sentence, model: Model,
+                 resources: FeatureResources) -> Sentence:
     """Parse one sentence; returns a copy carrying predicted heads/labels.
 
     One ``ArcHybridState.walk``.  At each of its 2n states ``score_config``
-    scores the state as a one-row batch, the illegal transitions are
-    masked and the highest score wins, ties going to the lowest
-    transition index.  No configuration or transition object is built
-    per step, and each distinct conj pair is extracted once.
+    scores the state as a one-row batch, the transitions that are illegal
+    under ``model.hp.single_root`` are masked and the highest score wins,
+    ties going to the lowest transition index.  Every state has a legal
+    transition: shift while the buffer holds a token, then a right arc.
+    No configuration or transition object is built per step, and each
+    distinct conj pair is extracted once.
     """
-    if single_root is None:
-        single_root = model.hp.single_root
     encoded = model.encode(sentence)
     codec = model.codec
+    single_root = model.hp.single_root
     extracted: Dict[Tuple[int, int], np.ndarray] = {}
     legal = np.empty(codec.size, dtype=bool)
 
     def best(state: ArcHybridState) -> Transition:
         scores = score_config(model, state, encoded, sentence, resources,
                               extracted)
-        if not legal_mask(state, codec, single_root, out=legal).any():
-            raise DecodeError(f"no legal transition at {state.summary()}")
-        scores[~legal] = -np.inf
+        scores[~legal_mask(state, codec, single_root, out=legal)] = -np.inf
         return codec.decode(int(scores.argmax()))
 
     state = ArcHybridState(len(sentence)).walk(best)
     return sentence.with_predictions(state.heads, state.labels)
 
 
-def parse_corpus(sentences, model: Model, resources: FeatureResources,
-                 single_root: Optional[bool] = None) -> List[Sentence]:
-    return [greedy_parse(s, model, resources, single_root) for s in sentences]
+def parse_corpus(sentences, model: Model,
+                 resources: FeatureResources) -> List[Sentence]:
+    return [greedy_parse(s, model, resources) for s in sentences]

@@ -161,19 +161,17 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
     # arrays; ``_path_hinge`` dropped the projection.
     del encoded
     grads["pad_vec"][...] = d_nodes[-1]
-    regions = grads.regions
-    hand_over(*regions[0])
-    # Layer l's region follows the MLPs' and those of the layers above it.
-    layers = len(model.lstm)
+    regions = iter(grads.regions)
+    hand_over(*next(regions))
     d_inputs = network.bilstm_backward(
         d_nodes[:-1], caches, model.lstm, grads.lstm,
-        lambda layer: hand_over(*regions[layers - layer]))
+        lambda: hand_over(*next(regions)))
     # A frozen pre_emb has no gradient.
     for name, ids, columns in tables:
         if name in grads:
             grads[name].fill(0.0)
             np.add.at(grads[name], ids, d_inputs[:, columns])
-    hand_over(*regions[-1])
+    hand_over(*next(regions))
     return loss
 
 

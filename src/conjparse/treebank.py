@@ -10,7 +10,7 @@ any evaluation run on them.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 ROOT_ID = 0
@@ -57,9 +57,6 @@ class Token:
     pred_head: Optional[int] = None
     pred_label: Optional[str] = None
 
-    def with_prediction(self, head: int, label: str) -> "Token":
-        return replace(self, pred_head=head, pred_label=label)
-
 
 @dataclass(frozen=True)
 class Sentence:
@@ -94,12 +91,10 @@ class Sentence:
     def with_predictions(self, heads: Sequence[int], labels: Sequence[str]) -> "Sentence":
         if len(heads) != len(self.tokens) or len(labels) != len(self.tokens):
             raise ValueError("prediction length does not match sentence length")
-        return Sentence(
-            tuple(
-                tok.with_prediction(h, l)
-                for tok, h, l in zip(self.tokens, heads, labels)
-            )
-        )
+        return Sentence(tuple(
+            Token(tok.id, tok.form, tok.pos, tok.gold_head, tok.gold_label,
+                  tok.lemma, head, label)
+            for tok, head, label in zip(self.tokens, heads, labels)))
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,12 @@ def peak_bytes(fn):
     return result, peak
 
 
+def whole_step(optimizer, grads):
+    """One update of ``optimizer`` that takes ``grads`` as a single region."""
+    with optimizer.update():
+        optimizer.step(grads, 0)
+
+
 @pytest.fixture(scope="session")
 def sample_sentences():
     return read_conll(DATA / "sample_treebank.conllx")

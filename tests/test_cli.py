@@ -12,10 +12,10 @@ from conftest import (
     split_model_file,
 )
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
-from conjparse.model import Hyperparams, Model, Vocabulary
+from conjparse.model import Model
 from conjparse.parser import greedy_parse, parse_corpus
 from conjparse.resources import FeatureResources
-from conjparse.treebank import LabelInventory, is_projective, read_conll, write_conll
+from conjparse.treebank import is_projective, read_conll, write_conll
 
 TINY_HYPERS = [
     "--hyper", "word_dim=8", "--hyper", "pos_dim=4", "--hyper", "lstm_dim=6",
@@ -131,11 +131,13 @@ def test_parse_no_single_root_decodes_without_the_constraint(tmp_path, train_fil
     assert model.hp.single_root is True
     sentences = read_conll(train_file)
     resources = FeatureResources.empty()
-    lifted = write_conll(parse_corpus(sentences, model, resources,
-                                      single_root=False), use_predicted=True)
+    constrained = write_conll(parse_corpus(sentences, model, resources),
+                              use_predicted=True)
+    model.hp.single_root = False
+    lifted = write_conll(parse_corpus(sentences, model, resources),
+                         use_predicted=True)
     assert out_path.read_bytes() == lifted
-    assert lifted != write_conll(parse_corpus(sentences, model, resources),
-                                 use_predicted=True)
+    assert lifted != constrained
 
 
 def test_train_skips_non_projective(tmp_path, capsys):
@@ -330,8 +332,6 @@ def test_train_that_leaves_non_finite_parameters_saves_no_model(tmp_path, capsys
     assert not model_path.exists()
 
 
-# The tiny model fits in one Adam block; the default one spans more than
-# two, so its updates run a worker thread where the machine has two CPUs.
 @pytest.mark.parametrize("hypers", [TINY_HYPERS, []], ids=["tiny", "default"])
 def test_overflowing_training_warns_nothing_before_its_error(hypers, tmp_path,
                                                              train_file, capsys):
@@ -545,19 +545,19 @@ def test_gradcheck_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_decode_error_is_a_one_line_error(tmp_path, train_file, capsys):
-    # A model without labels has no arc transitions, so no parse can end.
-    sentences = read_conll(train_file)
-    model = Model.build(Hyperparams(word_dim=4, pos_dim=2, lstm_layers=1,
-                                    lstm_dim=3, mlp_dim=4, conj_mlp_dim=3),
-                        Vocabulary.from_corpus(sentences), LabelInventory(()),
-                        seed=1)
-    model_path = tmp_path / "model.bin"
-    model.save(model_path)
+def test_model_without_labels_is_a_model_error(tmp_path, train_file, capsys):
+    # A model without labels has no arc transitions, so no parse could end.
+    model_path = _train(tmp_path, train_file, epochs=1)
+    meta, arrays = split_model_file(model_path.read_bytes())
+    meta["labels"] = []
+    model_path.write_bytes(join_model_file(meta, arrays))
+    capsys.readouterr()
     code = main(["parse", "--model", str(model_path), "--input", str(train_file),
                  "--output", str(tmp_path / "out.conllx")])
-    assert code == EXIT_OTHER
-    assert _one_line_error(capsys, "error: no legal transition at ")
+    assert code == EXIT_MODEL
+    assert _one_line_error(capsys, "model error: ") == (
+        "model error: corrupt model metadata: 'labels' must be a non-empty "
+        "list of strings\n")
 
 
 @pytest.mark.parametrize("command, flag, source", [

@@ -258,6 +258,15 @@ def _saved_tiny_model() -> bytes:
     return buffer.getvalue()
 
 
+def test_a_model_needs_a_label():
+    # Without a label there is no arc transition, so no parse could end.
+    sentences = [make_sentence([0], labels=["root"])]
+    with pytest.raises(ValueError, match="^a model needs at least one "
+                                         "dependency label$"):
+        Model.build(Hyperparams(), Vocabulary.from_corpus(sentences),
+                    LabelInventory(()))
+
+
 @pytest.mark.parametrize("key", ["arrays", "hyperparams", "labels", "vocab",
                                  "trainable", "pretrained_words"])
 def test_load_rejects_missing_metadata_key(key):

@@ -1,5 +1,3 @@
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -8,7 +6,7 @@ import pytest
 from conjparse import kernels, network
 
 import reference_nets
-from conftest import peak_bytes
+from conftest import peak_bytes, whole_step
 
 # Golden values below were produced by an independent scalar simulation of
 # the gate equations (plain math.exp/math.tanh loops) and frozen here.
@@ -291,7 +289,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     params = np.array([1.0, -2.0, 3.0])
     opt = network.Adam(params)
     before = params.copy()
-    opt.step(np.zeros(3))
+    whole_step(opt, np.zeros(3))
     np.testing.assert_array_equal(params, before)
 
 
@@ -299,7 +297,7 @@ def test_adam_descends_on_quadratic():
     params = np.array([5.0])
     opt = network.Adam(params, learning_rate=0.1)
     for _ in range(500):
-        opt.step(2.0 * params)
+        whole_step(opt, 2.0 * params)
     assert abs(params[0]) < 0.5
 
 
@@ -315,120 +313,83 @@ def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
     reference = reference_nets.KeyedAdam(keyed, **hyper)
     for _ in range(5):
         grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
-        opt.step(grads.copy())
+        whole_step(opt, grads.copy())
         reference.step(dict(zip(keyed, np.split(grads, cuts))))
         assert np.array_equal(flat, np.concatenate(list(keyed.values())))
         assert np.array_equal(opt.m, np.concatenate(list(reference.m.values())))
         assert np.array_equal(opt.v, np.concatenate(list(reference.v.values())))
 
 
-def test_adam_refuses_a_gradient_of_another_shape():
+def test_adam_step_outside_an_update_raises_and_changes_nothing():
     size = 2 * network._ADAM_BLOCK + 3
     rng = np.random.default_rng(0)
     opt = network.Adam(rng.normal(size=size))
-    opt.step(rng.normal(size=size))
+    whole_step(opt, rng.normal(size=size))
     before = [opt.params.copy(), opt.m.copy(), opt.v.copy()]
-    with pytest.raises(ValueError, match="gradient shape"):
-        opt.step(np.zeros(size - 1))
+    grads = rng.normal(size=size)
+    saved_grads = grads.copy()
+    with pytest.raises(RuntimeError, match="open update"):
+        opt.step(grads, 0)
     assert opt.t == 1
-    for after, saved in zip((opt.params, opt.m, opt.v), before):
+    for after, saved in zip((opt.params, opt.m, opt.v, grads),
+                            before + [saved_grads]):
         assert np.array_equal(after, saved)
 
 
-def _two_threads(monkeypatch):
-    """Make ``Adam`` split its blocks whatever the machine's CPU count."""
-    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
-
-
-def test_a_two_block_update_keeps_the_callers_errstate(monkeypatch):
-    _two_threads(monkeypatch)
+def test_a_two_block_update_keeps_the_callers_errstate():
     size = 2 * network._ADAM_BLOCK
     opt = network.Adam(np.ones(size))
-    # g * g overflows in every block, so in both threads' halves.
+    # g * g overflows in every block.
     with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
         warnings.simplefilter("always")
-        opt.step(np.full(size, 1e200))
+        whole_step(opt, np.full(size, 1e200))
     assert [str(warning.message) for warning in caught] == []
     assert np.isinf(opt.v).all()
 
 
-def test_an_error_in_the_workers_half_reaches_the_caller(monkeypatch):
-    _two_threads(monkeypatch)
+def test_a_first_update_that_raises_counts_for_nothing():
     size = 2 * network._ADAM_BLOCK
     opt = network.Adam(np.ones(size))
     grads = np.ones(size)
-    grads[network._ADAM_BLOCK:] = 1e200  # the worker's block only
+    grads[network._ADAM_BLOCK:] = 1e200  # the second block only
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        opt.step(grads)
-    # The failed first update counts for nothing: the next one zeroes the
-    # moments again.
+        whole_step(opt, grads)
+    # The next update zeroes the moments again.
     assert opt.t == 0
-    opt.step(np.ones(size))
+    whole_step(opt, np.ones(size))
     assert opt.t == 1
     assert np.array_equal(opt.m, np.full(size, 1.0 - opt.beta1))
 
 
-def test_adam_on_one_cpu_starts_no_thread_and_gives_the_same_bits(monkeypatch):
-    run_keeping_errors = network._run_keeping_errors
-    workers = []
-
-    def counting(*args):
-        workers.append(threading.current_thread())
-        run_keeping_errors(*args)
-
-    monkeypatch.setattr(network, "_run_keeping_errors", counting)
-    # Many small blocks and a short switch interval: the two threads hand
-    # the GIL back and forth as often as they can.
-    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
-    size = 101 * network._ADAM_BLOCK + 5
-    rng = np.random.default_rng(1)
-    start = rng.normal(size=size)
-    grads = [rng.normal(size=size) for _ in range(20)]
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2):
-            monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
-            workers.clear()
-            opt = network.Adam(start.copy())
-            for g in grads:
-                opt.step(g.copy())
-            assert len(workers) == (0 if cpus == 1 else len(grads))
-            assert threading.main_thread() not in workers
-            results.append((opt.params, opt.m, opt.v))
-    finally:
-        sys.setswitchinterval(interval)
-    for one, two in zip(*results):
-        assert np.array_equal(one, two)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_adam_leaves_the_update_it_subtracted_in_the_gradient(monkeypatch, cpus):
-    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_adam_leaves_the_update_it_subtracted_in_the_gradient(seed):
     size = 2 * network._ADAM_BLOCK + 3
-    rng = np.random.default_rng(cpus)
+    rng = np.random.default_rng(seed)
     opt = network.Adam(rng.normal(size=size), learning_rate=0.05)
     for _ in range(3):
         before = opt.params.copy()
         grads = rng.normal(size=size)
-        opt.step(grads)
+        whole_step(opt, grads)
         assert np.array_equal(opt.params, before - grads)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_adam_allocates_its_moments_and_one_block_per_thread(monkeypatch, cpus):
-    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+@pytest.mark.parametrize("regions", [1, 2])
+def test_adam_allocates_its_moments_and_one_block_per_thread(regions):
+    # One thread, so one scratch block, however many regions an update has.
     size = 4 * network._ADAM_BLOCK + 5
     rng = np.random.default_rng(0)
     params, grads = rng.normal(size=size), rng.normal(size=size)
+    bounds = np.linspace(0, size, regions + 1).astype(int)
 
     def first_step():
-        network.Adam(params).step(grads)
+        opt = network.Adam(params)
+        with opt.update():
+            for low, high in zip(bounds, bounds[1:]):
+                opt.step(grads[low:high], low)
 
     _, peak = peak_bytes(first_step)
     block = network._ADAM_BLOCK * params.itemsize
-    assert peak <= 2 * params.nbytes + cpus * block + 64 * 1024
+    assert peak <= 2 * params.nbytes + block + 64 * 1024
 
 
 def _regions(rng, size, count):
@@ -439,35 +400,27 @@ def _regions(rng, size, count):
     return [regions[i] for i in rng.permutation(count)]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
 def test_an_update_region_by_region_gives_the_bits_of_one_whole_step(monkeypatch,
-                                                                    cpus):
-    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
+                                                                    seed):
     monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
     size = 10 * network._ADAM_BLOCK + 7
-    rng = np.random.default_rng(cpus)
+    rng = np.random.default_rng(seed)
     hyper = dict(learning_rate=0.05, beta1=0.8, beta2=0.99, eps=1e-6)
     start = rng.normal(size=size)
     regions_by_region = network.Adam(start.copy(), **hyper)
     whole = network.Adam(start.copy(), **hyper)
-    # A short switch interval: the caller and the worker hand the GIL back
-    # and forth as often as they can.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for count in (1, 2, 5, 9):
-            grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
-            updates = grads.copy()
-            with regions_by_region.update():
-                for low, high in _regions(rng, size, count):
-                    regions_by_region.step(updates[low:high], low)
-            whole.step(grads)
-            for one, other in ((regions_by_region.params, whole.params),
-                               (regions_by_region.m, whole.m),
-                               (regions_by_region.v, whole.v), (updates, grads)):
-                assert np.array_equal(one, other)
-    finally:
-        sys.setswitchinterval(interval)
+    for count in (1, 2, 5, 9):
+        grads = rng.normal(size=size) * rng.choice([1e-8, 1.0, 1e3], size=size)
+        updates = grads.copy()
+        with regions_by_region.update():
+            for low, high in _regions(rng, size, count):
+                regions_by_region.step(updates[low:high], low)
+        whole_step(whole, grads)
+        for one, other in ((regions_by_region.params, whole.params),
+                           (regions_by_region.m, whole.m),
+                           (regions_by_region.v, whole.v), (updates, grads)):
+            assert np.array_equal(one, other)
     assert regions_by_region.t == whole.t == 4
 
 
@@ -476,7 +429,7 @@ def test_an_update_region_by_region_gives_the_bits_of_one_whole_step(monkeypatch
 def test_an_update_refuses_a_region_outside_the_vector(low, high, ndim):
     size = 100
     opt = network.Adam(np.ones(size))
-    opt.step(np.ones(size))
+    whole_step(opt, np.ones(size))
     before = [opt.params.copy(), opt.m.copy(), opt.v.copy()]
     grads = np.ones(high - low).reshape((1,) * (ndim - 1) + (-1,))
     with pytest.raises(ValueError, match="is not inside the 100 parameters"):
@@ -505,27 +458,5 @@ def test_an_update_refuses_regions_that_do_not_cover_the_vector_once():
     with pytest.raises(RuntimeError, match="already open"):
         with opt.update(), opt.update():
             pass
-    opt.step(np.ones(size))
+    whole_step(opt, np.ones(size))
     assert opt.t == 1
-
-
-@pytest.mark.parametrize("failing", ["caller", "worker", "between"])
-def test_no_worker_outlives_an_update_that_raises(monkeypatch, failing):
-    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
-    block = network._ADAM_BLOCK
-    opt = network.Adam(np.ones(2 * block))
-    grads = np.ones(2 * block)
-    # The second region overflows in its lower half, the caller's, or in
-    # its upper half, the worker's; or the update raises between regions.
-    if failing != "between":
-        grads[block if failing == "caller" else 2 * block - 1] = 1e200
-    before = threading.active_count()
-    error = KeyError if failing == "between" else FloatingPointError
-    with np.errstate(over="raise"), pytest.raises(error):
-        with opt.update():
-            opt.step(grads[:block])
-            assert threading.active_count() == before + 1
-            if failing == "between":
-                raise KeyError("between two regions")
-            opt.step(grads[block:], block)
-    assert threading.active_count() == before

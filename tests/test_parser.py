@@ -252,9 +252,9 @@ def test_single_root_decoding_yields_one_root_child(empty_resources):
     rng = np.random.default_rng(33)
     sentences = [random_projective_sentence(rng, int(rng.integers(2, 9)))
                  for _ in range(20)]
-    model = tiny_model(sentences, seed=1)
+    model = tiny_model(sentences, seed=1, single_root=True)
     for sentence in sentences:
-        parsed = greedy_parse(sentence, model, empty_resources, single_root=True)
+        parsed = greedy_parse(sentence, model, empty_resources)
         assert sum(t.pred_head == 0 for t in parsed) == 1
 
 
@@ -293,12 +293,13 @@ def test_decoder_matches_the_tuple_walk(use_conj_features, single_root,
                                         sample_sentences):
     for name, sentences, resources in _decoder_cases(sample_sentences):
         assert max(map(len, sentences)) >= (60 if name == "long" else 1)
-        model = tiny_model(sentences, seed=8, use_conj_features=use_conj_features)
+        model = tiny_model(sentences, seed=8, use_conj_features=use_conj_features,
+                           single_root=single_root)
         assert (model.conj_transition is not None) == use_conj_features
         for seed in (1, 2):
             jitter_params(model, seed=seed)
             for sentence in sentences:
-                parsed = greedy_parse(sentence, model, resources, single_root)
+                parsed = greedy_parse(sentence, model, resources)
                 assert [(t.pred_head, t.pred_label) for t in parsed] == \
                     _tuple_parse(sentence, model, resources, single_root), name
 

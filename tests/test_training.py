@@ -15,6 +15,7 @@ from conftest import (
     peak_bytes,
     random_projective_sentence,
     tiny_model,
+    whole_step,
 )
 from conjparse import conj_features, network, parser, training, transitions
 from conjparse.conj_features import extract_forms
@@ -785,6 +786,18 @@ def test_a_run_ends_with_the_parameters_of_its_best_epoch(seed, best,
     assert run(best, None)[1] == selected
 
 
+def _refuse_threads(monkeypatch):
+    """Make starting any thread fail; returns the list of threads tried."""
+    started = []
+
+    def refuse(thread):
+        started.append(thread)
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    return started
+
+
 @pytest.mark.parametrize("learning_rate, error", [
     (1e-3, None),
     # The first update overflows the parameters, so the second sentence's
@@ -793,13 +806,12 @@ def test_a_run_ends_with_the_parameters_of_its_best_epoch(seed, best,
 ])
 def test_train_model_leaves_no_thread_running(learning_rate, error, monkeypatch,
                                               sample_sentences):
-    # Small blocks and two CPUs: every update of the tiny model runs a worker.
+    # Small blocks: every update of the tiny model spans several.
     monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
-    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+    started = _refuse_threads(monkeypatch)
     train = sample_sentences[:2]
     model = tiny_model(train, learning_rate=learning_rate)
     assert model.vector.size > 2 * network._ADAM_BLOCK
-    before = threading.active_count()
     with np.errstate(all="ignore"):
         if error is None:
             train_model(model, train, FeatureResources.empty(), epochs=2, seed=1)
@@ -807,20 +819,19 @@ def test_train_model_leaves_no_thread_running(learning_rate, error, monkeypatch,
             with pytest.raises(ValueError, match=error):
                 train_model(model, train, FeatureResources.empty(), epochs=1,
                             seed=1)
-    assert threading.active_count() == before
+    assert started == []
 
 
 def test_an_update_that_raises_in_a_region_leaves_no_thread_running(
         monkeypatch, sample_sentences):
-    # The first update overflows in its first region, on both threads.
-    monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
-    monkeypatch.setattr(network, "_cpu_count", lambda: 2)
+    # The first update overflows in its first region, under the caller's
+    # np.errstate.
+    started = _refuse_threads(monkeypatch)
     train = sample_sentences[:2]
     model = tiny_model(train, learning_rate=1e308)
-    before = threading.active_count()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         train_model(model, train, FeatureResources.empty(), epochs=1, seed=1)
-    assert threading.active_count() == before
+    assert started == []
 
 
 def _step_models(conj_sentence, count):
@@ -836,19 +847,19 @@ def _step_models(conj_sentence, count):
     return models
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("copies", [1, 2])
 @pytest.mark.parametrize("names", ["conj", "conj+other", "zero", "zero+conj"])
 def test_a_train_step_gives_the_bits_of_one_whole_vector_step(
-        names, cpus, conj_sentence, empty_resources, monkeypatch):
-    # Small blocks: every region has several, and on two CPUs a worker half.
+        names, copies, conj_sentence, empty_resources, monkeypatch):
+    # Small blocks: every region has several. Each sentence of the batch
+    # appears ``copies`` times, so a region sums repeated gradients too.
     monkeypatch.setattr(network, "_ADAM_BLOCK", 64)
-    monkeypatch.setattr(network, "_cpu_count", lambda: cpus)
     named = {"conj": conj_sentence,
              "zero": make_sentence([0], labels=["root"], forms=["bonds"],
                                    pos=["NNS"]),
              "other": make_sentence([0, 1], labels=["root", "dobj"],
                                     forms=["run", "fast"], pos=["VB", "RB"])}
-    batch = [named[name] for name in names.split("+")]
+    batch = [named[name] for name in names.split("+")] * copies
     model, reference = _step_models(conj_sentence, 2)
     paths = [oracle_path(s, model, empty_resources) for s in batch]
     optimizer, whole = _optimizer(model), _optimizer(reference)
@@ -859,7 +870,7 @@ def test_a_train_step_gives_the_bits_of_one_whole_vector_step(
         if step == 0:
             assert (expected == 0.0) == (names == "zero")
             assert vector.any() == (names != "zero")
-        whole.step(vector)
+        whole_step(whole, vector)
         assert train_step(batch, model, paths, optimizer) == expected
         for one, other_array in ((model.vector, reference.vector),
                                  (optimizer.m, whole.m), (optimizer.v, whole.v)):

@@ -220,6 +220,9 @@ def test_state_walk_follows_apply_on_random_walks():
             np.testing.assert_array_equal(
                 mask, legal_mask(config, CODEC, single_root=single_root))
             assert not is_terminal(state) and not is_terminal(config)
+            # Every state of a walk has a legal transition, root rule or not.
+            for either in (True, False):
+                assert legal_mask(state, CODEC, single_root=either).any()
             transition = CODEC.decode(int(rng.choice(np.flatnonzero(mask))))
             configs.append(apply(config, transition))
             return transition
