@@ -151,7 +151,8 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
             kernels.cell_backward(dh_total, dc, cache.gates[t], block[t - start],
                                   d_gates, dc)
             d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
-            dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
+            if t:  # step 0 read the zero initial state: no gradient for it
+                dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
     d_w_x, d_w_h, d_b = out
     np.matmul(d_preacts.transpose(0, 2, 1), cache.inputs, out=d_w_x)
     np.sum(d_preacts, axis=1, out=d_b)

@@ -12,8 +12,9 @@ Loaded resources are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,54 +169,77 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
-        """Read a table; a vector with a value or norm that is not finite
-        raises ``ResourceError`` naming its line."""
-        vectors: Dict[str, np.ndarray] = {}
-        norms: Dict[str, float] = {}
-        dim = None
-        for number, raw in _numbered_lines(path):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if number == 1 and len(parts) == 2:
+        """Read a table; the first line with a fault raises ``ResourceError``
+        naming it.  A fault is a line that is not UTF-8, a vector with the
+        wrong number of values, a value that is not a finite number, or a
+        norm that is not finite.  Whitespace that ends a line is ignored:
+        word2vec writes a space after each vector."""
+        values = array("d")  # every vector read, one after another
+        numbers: List[int] = []  # the line number of each vector
+        first: Dict[str, int] = {}  # each word's first vector, by index
+        dim = 0
+        try:
+            for number, raw in _numbered_lines(path):
+                line = raw.rstrip()
+                if not line:
+                    continue
+                parts = line.split(" ")
+                if number == 1 and len(parts) == 2:
+                    try:
+                        int(parts[0]), int(parts[1])
+                        continue  # "count dim" header
+                    except ValueError:
+                        pass
+                if not dim:
+                    dim = len(parts) - 1
+                    if not dim:
+                        raise ResourceError(f"{path}, line {number}: no vector values")
+                elif len(parts) - 1 != dim:
+                    raise ResourceError(
+                        f"{path}, line {number}: expected {dim} values, "
+                        f"got {len(parts) - 1}"
+                    )
                 try:
-                    int(parts[0]), int(parts[1])
-                    continue  # "count dim" header
+                    values.extend(map(float, parts[1:]))
                 except ValueError:
-                    pass
-            word, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ResourceError(f"{path}, line {number}: no vector values")
-            elif len(values) != dim:
-                raise ResourceError(
-                    f"{path}, line {number}: expected {dim} values, "
-                    f"got {len(values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise ResourceError(
-                    f"{path}, line {number}: non-numeric vector value"
-                ) from None
-            if not np.all(np.isfinite(vec)):
-                raise ResourceError(
-                    f"{path}, line {number}: non-finite vector value"
-                )
-            # Finite values can still square past the float range, and the
-            # embedding similarity feature divides by the norm.
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(vec))
-            if not math.isfinite(norm):
-                raise ResourceError(f"{path}, line {number}: vector norm overflows")
-            if word not in vectors:  # first entry wins
-                vectors[word] = vec
-                norms[word] = norm
-        if dim is None:
+                    raise ResourceError(
+                        f"{path}, line {number}: non-numeric vector value"
+                    ) from None
+                first.setdefault(parts[0], len(numbers))
+                numbers.append(number)
+        except ResourceError:
+            # A fault met while reading is the first one unless a vector
+            # read before it has a value or norm that is not finite.
+            _checked_table(path, values, numbers, dim)
+            raise
+        if not numbers:
             raise ResourceError(f"{path}: no vectors found")
-        return cls(vectors, dim, norms)
+        table, norms = _checked_table(path, values, numbers, dim)
+        if len(first) < len(numbers):  # first entry wins
+            rows = list(first.values())
+            table, norms = table[rows], norms[rows]
+        return cls(dict(zip(first, table)), dim, dict(zip(first, norms.tolist())))
+
+
+def _checked_table(path, values: array, numbers: List[int], dim: int):
+    """The first ``len(numbers)`` vectors of ``values`` as one (vectors,
+    dim) table, and their norms.
+
+    A vector whose norm is not finite raises ``ResourceError`` naming its
+    line: either a value is not finite, or finite values square past the
+    float range (the embedding similarity feature divides by the norm).
+    """
+    table = np.frombuffer(values, count=len(numbers) * dim).reshape(len(numbers), dim)
+    # The product np.linalg.norm takes of a vector.
+    with np.errstate(over="ignore"):
+        norms = np.array([math.sqrt(row.dot(row)) for row in table])
+    finite = np.isfinite(norms)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        fault = ("non-finite vector value" if not np.isfinite(table[row]).all()
+                 else "vector norm overflows")
+        raise ResourceError(f"{path}, line {numbers[row]}: {fault}")
+    return table, norms
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """CoNLL treebank reading, writing and tree validation.
 
-Supports the tabular CoNLL-X and CoNLL-U formats.  Sentences are validated
-on read: gold heads must form a single tree hanging off the artificial
-root node 0, with exactly one token attached to the root.  Non-tree input
-is rejected rather than repaired, because silently repaired trees corrupt
-any evaluation run on them.
+Supports the tabular CoNLL-X and CoNLL-U formats.  A token is an immutable
+named tuple, built from its line in the one pass that reads the file.
+Sentences are validated on read, in time linear in their length: gold
+heads must form a single tree hanging off the artificial root node 0, with
+exactly one token attached to the root.  Non-tree input is rejected rather
+than repaired, because silently repaired trees corrupt any evaluation run
+on them.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT_ID = 0
 ROOT_FORM = "*root*"
@@ -40,12 +42,12 @@ class TreeStructureError(ConllError):
         self.sentence_index = sentence_index
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One word of a sentence with gold and (optional) predicted annotation.
 
     ``id`` is the 1-based position, ``gold_head`` the 0-based head id where
-    0 denotes the artificial root.
+    0 denotes the artificial root.  A token is an immutable named tuple: it
+    compares equal to the tuple of its fields.
     """
 
     id: int
@@ -120,37 +122,49 @@ class LabelInventory:
 
 
 def validate_tree(sentence: Sentence, sentence_index: int = 0) -> None:
-    """Raise TreeStructureError unless gold heads form a single rooted tree."""
-    n = len(sentence)
-    root_children = 0
-    for tok in sentence.tokens:
-        if tok.gold_head == tok.id:
-            raise TreeStructureError(f"token {tok.id} is its own head", sentence_index)
-        if not 0 <= tok.gold_head <= n:
+    """Raise TreeStructureError unless gold heads form a single rooted tree.
+
+    Token ids must run 1..n in order, as ``read_conll`` requires.
+    """
+    _check_tree([-1] + [tok.gold_head for tok in sentence.tokens], sentence_index)
+
+
+def _check_tree(heads: List[int], sentence_index: int) -> None:
+    """``validate_tree`` on ``heads``, where ``heads[i]`` is token i's head.
+
+    The first fault is reported in this order: a token that heads itself
+    or has a head outside 0..n, then the count of root children, then a
+    cycle.  ``heads[0]`` is never read.
+    """
+    n = len(heads) - 1
+    for dep in range(1, n + 1):
+        head = heads[dep]
+        if head == dep:
+            raise TreeStructureError(f"token {dep} is its own head", sentence_index)
+        if not 0 <= head <= n:
             raise TreeStructureError(
-                f"token {tok.id} has head {tok.gold_head} outside 0..{n}",
-                sentence_index,
-            )
-        if tok.gold_head == ROOT_ID:
-            root_children += 1
+                f"token {dep} has head {head} outside 0..{n}", sentence_index)
+    root_children = heads.count(ROOT_ID)
     if n and root_children == 0:
         raise TreeStructureError("no token attached to the root", sentence_index)
     if root_children > 1:
         raise TreeStructureError(
             f"{root_children} tokens attached to the root", sentence_index
         )
-    # Cycle check: every node must reach the root.
-    heads = {tok.id: tok.gold_head for tok in sentence.tokens}
-    for tok in sentence.tokens:
-        seen = set()
-        node = tok.id
-        while node != ROOT_ID:
-            if node in seen:
-                raise TreeStructureError(
-                    f"cycle through token {node}", sentence_index
-                )
-            seen.add(node)
+    # Every node must reach the root.  The walk from each token in turn
+    # marks the nodes it passes with its start, and stops at a marked node:
+    # one marked by an earlier walk, which did reach the root, or one of
+    # its own, a cycle.  So no node is walked twice, and the node named is
+    # the one the walk from each token in turn revisits first.
+    marks = [0] * (n + 1)
+    marks[ROOT_ID] = -1
+    for start in range(1, n + 1):
+        node = start
+        while not marks[node]:
+            marks[node] = start
             node = heads[node]
+        if marks[node] == start:
+            raise TreeStructureError(f"cycle through token {node}", sentence_index)
 
 
 def is_projective(sentence: Sentence) -> bool:
@@ -162,10 +176,6 @@ def is_projective(sentence: Sentence) -> bool:
             if not lo <= heads[inner] <= hi:
                 return False
     return True
-
-
-_CONLLX_MIN_COLUMNS = 8
-_CONLLU_COLUMNS = 10
 
 
 def _iter_lines(source) -> Iterator[str]:
@@ -184,84 +194,77 @@ def _iter_lines(source) -> Iterator[str]:
     return iter(text.split("\n"))
 
 
-def _parse_token_line(parts: List[str], fmt: str, line_number: int) -> Optional[Token]:
-    if fmt == "conllu":
-        if len(parts) != _CONLLU_COLUMNS:
-            raise ConllParseError(
-                f"expected {_CONLLU_COLUMNS} columns, got {len(parts)}", line_number
-            )
-        if "-" in parts[0] or "." in parts[0]:
-            return None  # multiword ranges and empty nodes carry no tree arcs
-    else:
-        if not _CONLLX_MIN_COLUMNS <= len(parts) <= 10:
-            raise ConllParseError(
-                f"expected {_CONLLX_MIN_COLUMNS}-10 columns, got {len(parts)}",
-                line_number,
-            )
-    try:
-        token_id = int(parts[0])
-    except ValueError:
-        raise ConllParseError(f"bad token id {parts[0]!r}", line_number) from None
-    form = parts[1]
-    if not form:
-        raise ConllParseError("empty FORM column", line_number)
-    lemma = None if parts[2] == MISSING else parts[2]
-    coarse, fine = parts[3], parts[4]
-    pos = fine if fine != MISSING else coarse
-    try:
-        head = int(parts[6])
-    except ValueError:
-        raise ConllParseError(f"bad head {parts[6]!r}", line_number) from None
-    label = parts[7]
-    return Token(id=token_id, form=form, pos=pos, gold_head=head,
-                 gold_label=label, lemma=lemma)
+def _sentence(tokens: List[Token], index: int, require_tree: bool) -> Sentence:
+    """The sentence of ``tokens``, checked as ``read_conll`` documents."""
+    n = len(tokens)
+    heads = [-1]
+    for position, tok in enumerate(tokens, start=1):
+        if tok.id != position:
+            raise TreeStructureError(f"token ids not consecutive at {tok.id}", index)
+        heads.append(tok.gold_head)
+    if max(heads) > n:
+        tok = next(tok for tok in tokens if tok.gold_head > n)
+        raise TreeStructureError(
+            f"token {tok.id} has head {tok.gold_head} beyond sentence length {n}",
+            index,
+        )
+    if require_tree:
+        _check_tree(heads, index)
+    return Sentence(tuple(tokens))
 
 
 def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[Sentence]:
     """Parse CoNLL-X or CoNLL-U data from a file path or from ``bytes``.
 
     Comment lines and, in conllu mode, multiword-range / empty-node lines
-    are skipped.  With ``require_tree`` every sentence is validated as a
-    single rooted tree (predicted parses being evaluated may disable it).
+    are skipped.  A line's columns are checked as it is read; a sentence's
+    token ids must run 1..n and no head may exceed n.  With
+    ``require_tree`` every sentence is validated as a single rooted tree
+    (predicted parses being evaluated may disable it).
     """
     if fmt not in ("conllx", "conllu"):
         raise ValueError(f"unknown format {fmt!r}")
+    conllu = fmt == "conllu"
     sentences: List[Sentence] = []
     tokens: List[Token] = []
-
-    def finish():
-        if not tokens:
-            return
-        index = len(sentences)
-        for position, tok in enumerate(tokens, start=1):
-            if tok.id != position:
-                raise TreeStructureError(
-                    f"token ids not consecutive at {tok.id}", index
-                )
-        sent = Sentence(tuple(tokens))
-        for tok in tokens:
-            if tok.gold_head > len(sent):
-                raise TreeStructureError(
-                    f"token {tok.id} has head {tok.gold_head} beyond sentence "
-                    f"length {len(sent)}",
-                    index,
-                )
-        if require_tree:
-            validate_tree(sent, index)
-        sentences.append(sent)
-        tokens.clear()
-
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            finish()
+    for line_number, line in enumerate(_iter_lines(source), start=1):
+        line = line.rstrip("\r")
+        if not line or line.isspace():
+            if tokens:
+                sentences.append(_sentence(tokens, len(sentences), require_tree))
+                tokens = []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             continue
-        tok = _parse_token_line(line.split("\t"), fmt, line_number)
-        if tok is not None:
-            tokens.append(tok)
-    finish()
+        parts = line.split("\t")
+        if conllu:
+            if len(parts) != 10:
+                raise ConllParseError(f"expected 10 columns, got {len(parts)}",
+                                      line_number)
+            if "-" in parts[0] or "." in parts[0]:
+                continue  # multiword ranges and empty nodes carry no tree arcs
+        elif not 8 <= len(parts) <= 10:
+            raise ConllParseError(f"expected 8-10 columns, got {len(parts)}",
+                                  line_number)
+        try:
+            token_id = int(parts[0])
+        except ValueError:
+            raise ConllParseError(f"bad token id {parts[0]!r}", line_number) from None
+        form = parts[1]
+        if not form:
+            raise ConllParseError("empty FORM column", line_number)
+        lemma = parts[2]
+        pos = parts[4]
+        if pos == MISSING:
+            pos = parts[3]
+        try:
+            head = int(parts[6])
+        except ValueError:
+            raise ConllParseError(f"bad head {parts[6]!r}", line_number) from None
+        tokens.append(Token(token_id, form, pos, head, parts[7],
+                            None if lemma == MISSING else lemma))
+    if tokens:
+        sentences.append(_sentence(tokens, len(sentences), require_tree))
     return sentences
 
 

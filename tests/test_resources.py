@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference_readers
 from conftest import DATA
 from conjparse.resources import (
     EmbeddingTable,
@@ -64,6 +69,15 @@ def test_embedding_norm_of_is_the_norm_of_the_looked_up_vector(tmp_path):
     for word in ("word", "Word", "other", "OTHER"):
         assert table.norm_of(word) == np.linalg.norm(table.lookup(word))
     assert table.norm_of("Word") == 5.0  # the first entry's
+
+
+def test_embedding_word2vec_text_with_trailing_spaces(tmp_path):
+    # word2vec writes a space after each vector.
+    path = tmp_path / "vec.txt"
+    path.write_text("2 3\nthe 0.1 0.2 0.3 \ncat 0.4 0.5 0.6 \n")
+    table = EmbeddingTable.load(path)
+    assert table.dim == 3 and len(table) == 2
+    np.testing.assert_array_equal(table.lookup("cat"), [0.4, 0.5, 0.6])
 
 
 def test_embedding_empty_file(tmp_path):
@@ -143,3 +157,106 @@ def test_sentiment_overlap_rejected_at_load(tmp_path):
     neg.write_text("shared\n")
     with pytest.raises(ResourceError, match="shared"):
         SentimentLexicon.load(pos, neg)
+
+
+# Differential tests against the per-line loader in ``reference_readers``:
+# bit-equal vectors and norms from valid files, the first faulty line's
+# error from faulty ones.
+
+_WORDS = ["the", "The", "cat", "x1", "\u00e9t\u00e9", "#c"]
+_VALUE = st.one_of(
+    st.floats(-1e100, 1e100).map(repr),
+    st.sampled_from(["0", "-0.0", "1e-3", "+2.5", "1_0", ".5", "7"]),
+)
+_TAIL = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _vector_lines(draw):
+    """The vector lines of a valid embedding file, as lists of fields."""
+    dim = draw(st.integers(1, 4))
+    return [[draw(st.sampled_from(_WORDS))] + draw(st.lists(_VALUE, min_size=dim, max_size=dim))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+def _embedding_bytes(draw, lines) -> bytes:
+    """The file of ``lines``, with an optional "count dim" header, blank
+    lines, trailing whitespace and LF or CRLF endings."""
+    out = []
+    if draw(st.booleans()):
+        out.append(f"{len(lines)} {len(lines[0]) - 1}\n".encode())
+    for fields in lines:
+        if out and draw(st.integers(0, 5)) == 0:
+            out.append(b"\n")  # a blank line
+        line = fields if isinstance(fields, bytes) else " ".join(fields).encode()
+        out.append(line + draw(_TAIL).encode() + draw(st.sampled_from([b"\n", b"\r\n"])))
+    return b"".join(out)
+
+
+def _load_outcome(path):
+    """The table as (dim, [(word, vector bytes, norm bytes)]), or the error."""
+    try:
+        table = EmbeddingTable.load(path)
+    except ResourceError as exc:
+        return str(exc)
+    return table.dim, [(word, table.lookup(word).tobytes(), struct.pack("<d", table.norm_of(word)))
+                       for word in table.words()]
+
+
+def _reference_outcome(path):
+    try:
+        vectors, dim, norms = reference_readers.load_embeddings(path)
+    except ResourceError as exc:
+        return str(exc)
+    return dim, [(word, vectors[word].tobytes(), struct.pack("<d", norms[word]))
+                 for word in vectors]
+
+
+_DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def vec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("embeddings") / "vec.txt"
+
+
+@_DIFFERENTIAL
+@given(data=st.data())
+def test_valid_embedding_files_load_as_the_reference_loads_them(vec_path, data):
+    vec_path.write_bytes(_embedding_bytes(data.draw, data.draw(_vector_lines())))
+    expected = _reference_outcome(vec_path)
+    assert not isinstance(expected, str)
+    assert _load_outcome(vec_path) == expected
+
+
+def _break(draw, fields, first: bool):
+    """A faulty line in place of the vector line ``fields``; the first
+    vector line sets the dimension, so it faults with no values."""
+    word, values = fields[0], fields[1:]
+    kind = draw(st.sampled_from(
+        ["non_finite", "overflow", "non_numeric", "count", "utf8"]))
+    at = draw(st.integers(0, len(values) - 1))
+    if kind == "non_finite":
+        values[at] = draw(st.sampled_from(["nan", "inf", "-Infinity", "NaN"]))
+    elif kind == "overflow":
+        values[at] = draw(st.sampled_from(["1e200", "-1.5e300"]))
+    elif kind == "non_numeric":
+        values[at] = draw(st.sampled_from(["abc", "1.2.3", "0x1", "1,5"]))
+    elif kind == "count":
+        values = [] if first else values[:at] if draw(st.booleans()) else values + ["1.0"]
+    else:
+        return word.encode() + b" \xff\xfe"
+    return [word] + values
+
+
+@_DIFFERENTIAL
+@given(data=st.data())
+def test_faulty_embedding_files_fail_as_the_reference_fails(vec_path, data):
+    lines = data.draw(_vector_lines())
+    for at in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+        lines[at] = _break(data.draw, lines[at], at == 0)
+    vec_path.write_bytes(_embedding_bytes(data.draw, lines))
+    expected = _reference_outcome(vec_path)
+    assert isinstance(expected, str)
+    assert _load_outcome(vec_path) == expected

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_readers
 from conftest import TESTS_DATA, make_sentence, random_tree_sentence
 from conjparse.treebank import (
+    MISSING,
     ConllError,
     ConllParseError,
     LabelInventory,
@@ -222,3 +224,162 @@ def test_every_accepted_sentence_is_single_rooted(sample_sentences):
     for index, sent in enumerate(sample_sentences):
         validate_tree(sent, index)  # read_conll already enforced this
         assert sum(t.gold_head == 0 for t in sent) == 1
+
+
+def test_token_is_an_immutable_named_tuple():
+    tok = Token(3, "w", "NN", 0, "root")
+    assert tok == (3, "w", "NN", 0, "root", None, None, None)
+    assert tok == Token(id=3, form="w", pos="NN", gold_head=0, gold_label="root")
+    assert tok._fields == ("id", "form", "pos", "gold_head", "gold_label",
+                           "lemma", "pred_head", "pred_label")
+    with pytest.raises(AttributeError):
+        tok.form = "v"
+
+
+def test_cycle_names_the_first_node_the_walks_revisit():
+    # Token 1 leads into the cycle 3 -> 4 -> 3 without being on it.
+    text = "".join(f"{i}\tw\t_\tX\tX\t_\t{h}\tdep\t_\t_\n"
+                   for i, h in enumerate([3, 0, 4, 3], start=1))
+    with pytest.raises(TreeStructureError, match="^sentence 0: cycle through token 3$"):
+        read_conll(text.encode())
+
+
+# Differential tests against the per-line reader in ``reference_readers``:
+# the same records from valid treebanks, the same error from faulty ones.
+
+_column = st.text(
+    alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1, max_size=5,
+)
+_optional = st.one_of(st.just(MISSING), _column)
+_DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _treebank_rows(draw, min_tokens=1, max_sentences=4):
+    """(format, sentences as rows of columns): valid single-rooted trees."""
+    fmt = draw(st.sampled_from(["conllx", "conllu"]))
+    sentences = []
+    for _ in range(draw(st.integers(1, max_sentences))):
+        n = draw(st.integers(min_tokens, 7))
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = [0] * (n + 1)
+        for placed, node in enumerate(order[1:], start=1):
+            heads[node] = order[draw(st.integers(0, placed - 1))]
+        width = 10 if fmt == "conllu" else draw(st.integers(8, 10))
+        sentences.append([
+            [str(i), draw(_column), draw(_optional), draw(_column), draw(_optional),
+             MISSING, str(heads[i]), draw(_column), MISSING, MISSING][:width]
+            for i in range(1, n + 1)])
+    return fmt, sentences
+
+
+def _render(draw, fmt, sentences) -> bytes:
+    """CoNLL bytes with comments, CRLF, blank-ish separators and, in
+    CoNLL-U, multiword ranges and empty nodes."""
+    lines = []
+    for rows in sentences:
+        if draw(st.booleans()):
+            lines.append("# " + draw(_column))
+        for row in rows:
+            if fmt == "conllu" and draw(st.integers(0, 4)) == 0:
+                first = int(row[0]) if row[0].isdigit() else 1
+                extra = draw(st.sampled_from([f"{first}-{first + 1}", f"{first}.1"]))
+                lines.append("\t".join([extra] + [MISSING] * 9))
+            lines.append("\t".join(row))
+        lines.extend([draw(st.sampled_from(["", " ", "\t"]))] * draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        lines.pop()  # no newline after the last sentence
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines).encode()
+
+
+def _outcome(read, data: bytes, fmt: str, require_tree: bool):
+    try:
+        return read(data, fmt=fmt, require_tree=require_tree)
+    except ConllError as exc:
+        return type(exc), str(exc)
+
+
+@_DIFFERENTIAL
+@given(st.data())
+def test_valid_treebanks_read_as_the_reference_reads_them(data):
+    fmt, sentences = data.draw(_treebank_rows())
+    payload = _render(data.draw, fmt, sentences)
+    got = read_conll(payload, fmt=fmt)
+    assert got == reference_readers.read_conll(payload, fmt=fmt)
+    assert all(type(tok) is Token for sent in got for tok in sent)
+    assert sum(map(len, got)) == sum(map(len, sentences))
+
+
+def _mutate(draw, fmt, sentences) -> None:
+    """Put one fault into one token row of ``sentences``."""
+    rows = sentences[draw(st.integers(0, len(sentences) - 1))]
+    n = len(rows)
+    row = rows[draw(st.integers(0, n - 1))]
+    heads = [int(r[6]) if len(r) > 7 and r[6].lstrip("-").isdigit() else None
+             for r in rows]
+    kind = draw(st.sampled_from([
+        "cycle", "self", "two_roots", "no_root", "negative", "beyond",
+        "renumber", "form", "head", "id", "columns"]))
+    if len(row) < 8:  # cut short by an earlier fault
+        return
+    if kind == "columns":
+        width = draw(st.sampled_from([1, 5, 7, 11, 12] + ([8, 9] if fmt == "conllu" else [])))
+        row[:] = (row + [MISSING] * 12)[:width]
+    elif kind == "id":
+        row[0] = draw(st.sampled_from(["x", "", "1a", "2-3", "4.1", "1.5e0"]))
+    elif kind == "head":
+        row[6] = draw(st.sampled_from(["x", "", MISSING, "1.0", "-"]))
+    elif kind == "form":
+        row[1] = ""
+    elif kind == "renumber":
+        row[0] = str(draw(st.sampled_from([0, n + 1, n + 5, -1])))
+    elif kind == "beyond":
+        row[6] = str(n + draw(st.integers(1, 3)))
+    elif kind == "self":
+        row[6] = row[0]
+    elif kind == "negative":
+        row[6] = str(-draw(st.integers(1, 3)))
+    elif kind == "no_root" and 0 in heads and n > 1:
+        root_child = heads.index(0)
+        rows[root_child][6] = str(draw(st.sampled_from(
+            [i for i in range(1, n + 1) if i != root_child + 1])))
+    elif kind == "two_roots":
+        row[6] = "0"
+    elif kind == "cycle":
+        dependents = [i for i in range(n) if heads[i] not in (0, None)]
+        if len(dependents) >= 2:
+            a, b = draw(st.lists(st.sampled_from(dependents), min_size=2, max_size=2,
+                                 unique=True))
+            rows[a][6], rows[b][6] = str(b + 1), str(a + 1)
+
+
+# One sentence gathers several faults, whose order of precedence then shows.
+@pytest.mark.parametrize("max_sentences", [1, 4])
+@_DIFFERENTIAL
+@given(data=st.data())
+def test_faulty_treebanks_fail_as_the_reference_fails(max_sentences, data):
+    fmt, sentences = data.draw(_treebank_rows(min_tokens=3, max_sentences=max_sentences))
+    for _ in range(data.draw(st.integers(1, 4))):
+        _mutate(data.draw, fmt, sentences)
+    payload = _render(data.draw, fmt, sentences)
+    require_tree = data.draw(st.sampled_from([True, False]))
+    assert (_outcome(read_conll, payload, fmt, require_tree)
+            == _outcome(reference_readers.read_conll, payload, fmt, require_tree))
+
+
+@_DIFFERENTIAL
+@given(st.data())
+def test_validate_tree_fails_as_the_reference_fails(data):
+    n = data.draw(st.integers(0, 8))
+    heads = data.draw(st.lists(st.integers(-2, n + 2), min_size=n, max_size=n))
+    sent = make_sentence(heads)
+    outcomes = []
+    for validate in (validate_tree, reference_readers.validate_tree):
+        try:
+            validate(sent, 5)
+            outcomes.append(None)
+        except TreeStructureError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
