@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import network
+from .conj_features import FEATURE_SIZE
 from .resources import EmbeddingTable
 from .transitions import Configuration, TransitionCodec
 from .treebank import LabelInventory, Sentence
@@ -180,15 +181,20 @@ def check_hyperparams(values) -> dict:
 
 
 class Vocabulary:
-    """Form and POS inventories with reserved unknown/root entries."""
+    """Form and POS inventories that start with the ``RESERVED`` entries."""
 
     UNK = 0
     ROOT = 1
+    RESERVED = ("<unk>", "<root>")
 
     def __init__(self, forms: Sequence[str], pos_tags: Sequence[str],
                  counts: Dict[str, int]):
         self.forms = list(forms)
         self.pos_tags = list(pos_tags)
+        for what, entries in (("forms", self.forms), ("POS tags", self.pos_tags)):
+            if tuple(entries[:2]) != self.RESERVED:
+                raise ValueError(f"vocabulary {what} must start with "
+                                 f"{', '.join(self.RESERVED)}")
         self.counts = dict(counts)
         self._form_index = {f: i for i, f in enumerate(self.forms)}
         self._pos_index = {p: i for i, p in enumerate(self.pos_tags)}
@@ -201,8 +207,8 @@ class Vocabulary:
             for tok in sent:
                 counts[tok.form] = counts.get(tok.form, 0) + 1
                 pos_seen.add(tok.pos)
-        forms = ["<unk>", "<root>"] + sorted(counts)
-        pos_tags = ["<unk>", "<root>"] + sorted(pos_seen)
+        forms = [*cls.RESERVED, *sorted(counts)]
+        pos_tags = [*cls.RESERVED, *sorted(pos_seen)]
         return cls(forms, pos_tags, counts)
 
     def word_id(self, form: str) -> int:
@@ -503,8 +509,6 @@ class Model:
         ``pre_emb`` is there when the model has pretrained words; its first
         two rows stand for unknown words and the root.
         """
-        from .conj_features import FEATURE_SIZE
-
         shapes: Dict[str, Tuple[int, ...]] = {
             "word_emb": (vocab.n_forms, hp.word_dim),
             "pos_emb": (vocab.n_pos, hp.pos_dim),
@@ -799,11 +803,10 @@ class Model:
         try:
             hp = Hyperparams.from_dict(meta["hyperparams"])
             labels = LabelInventory(tuple(meta["labels"]))
+            vocab = Vocabulary(meta["vocab"]["forms"], meta["vocab"]["pos_tags"],
+                               meta["vocab"]["counts"])
         except ValueError as exc:
             raise ModelIOError(f"corrupt model metadata: {exc}") from None
-        vocab = Vocabulary(
-            meta["vocab"]["forms"], meta["vocab"]["pos_tags"], meta["vocab"]["counts"]
-        )
         expected = cls.param_shapes(hp, vocab, labels, meta["pretrained_words"])
         for name in [*expected, *sorted(params.keys() - expected.keys())]:
             if name not in params:

@@ -188,8 +188,7 @@ def bilstm_forward(inputs: np.ndarray, layers: Sequence[Tuple[np.ndarray, ...]]
 def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
                     layers: Sequence[Tuple[np.ndarray, ...]],
                     grads: Sequence[Tuple[np.ndarray, ...]],
-                    finished: Optional[Callable[[], None]] = None
-                    ) -> np.ndarray:
+                    finished: Callable[[], None]) -> np.ndarray:
     """Backward through the stacked BiLSTM; returns the inputs' gradient.
 
     ``grads`` holds each layer's (w_x, w_h, b) gradients, laid out as
@@ -204,8 +203,7 @@ def bilstm_backward(d_output: np.ndarray, caches: Sequence[LstmLayerCache],
         d_hidden = np.stack((d_current[:, :hidden_size],
                              d_current[::-1, hidden_size:]))
         d_in = lstm_backward(d_hidden, caches[layer], w_x, w_h, grads[layer])
-        if finished is not None:
-            finished()
+        finished()
         d_current = d_in[0] + d_in[1, ::-1]
     return d_current
 

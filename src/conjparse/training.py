@@ -11,13 +11,13 @@ back through that batch to the first layer and from there to the nodes.
 Each backward step writes its gradient into its place in the
 ``Model.gradients`` buffer instead of adding to it, so the buffer needs no
 zeroing first.  The buffer holds one region of the parameter vector at a
-time: the loss hands each region's gradient on (to ``Adam.step``, in
-``train_step``) as soon as the step reads that region's parameters no
-more, and the next region is written over it, so no step keeps a gradient
-of the whole vector.  All gradients are analytic; ``gradient_check``
-collects the regions into one vector and compares them against central
-finite differences, and ``hinge_kink_margin`` says whether those can be
-trusted from the same batch scores that the loss and its differences read.
+time: a sentence's loss hands each region's gradient on as soon as it reads
+that region's parameters no more, and the next region is written over it.
+A one-sentence ``train_step`` hands them to ``Adam.step``; ``batch_gradient``
+sums them over a batch into one vector, which a larger step hands to Adam
+as one region and ``gradient_check`` compares against central finite
+differences.  ``hinge_kink_margin`` says whether those can be trusted from
+the same batch scores that the loss and its differences read.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def oracle_path(sentence: Sentence, model: Model,
         transition = static_oracle(state, sentence, children)
         slots[row] = model.feature_slots(state)
         gold[row] = codec.encode(transition)
-        legal_mask(state, codec, out=competing[row])
+        # Decoding uses model.hp.single_root; mending that changes trained models.
+        legal_mask(state, codec, single_root=False, out=competing[row])
         pairs.append(conj_candidate(state))
         return transition
 
@@ -149,7 +150,9 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
     loss, d_nodes = _path_hinge(model, path, encoded, grads)
     if d_nodes is None:
         if grads is not None:
-            _hand_over_zeros(grads, hand_over)
+            for gradient, offset in grads.regions:
+                gradient.fill(0.0)
+                hand_over(gradient, offset)
         return loss
     word_dim = model.hp.word_dim
     pre_dim = model.hp.pretrained_dim
@@ -173,13 +176,6 @@ def sentence_loss(model: Model, sentence: Sentence, path: OraclePath,
             np.add.at(grads[name], ids, d_inputs[:, columns])
     hand_over(*next(regions))
     return loss
-
-
-def _hand_over_zeros(grads: Gradients, hand_over: HandOver) -> None:
-    """Hand over every region of ``grads`` filled with zeros."""
-    for gradient, offset in grads.regions:
-        gradient.fill(0.0)
-        hand_over(gradient, offset)
 
 
 def _hinge_steps(scores: np.ndarray, gold: np.ndarray, competing: np.ndarray,
@@ -270,48 +266,19 @@ def batch_loss(model: Model, batch: Sequence[Sentence],
                word_ids: Optional[Sequence[np.ndarray]] = None) -> float:
     """Summed loss of the sentences of ``batch``, along their ``paths``.
 
-    With ``hand_over``, passes it the summed gradient region by region, as
-    ``sentence_loss`` does.  A batch of one sentence hands over that
-    sentence's regions.  A larger batch sums the gradients of all its
-    sentences but the last into one vector laid out as ``model.vector``,
-    allocated for the batch, and the last sentence adds that sum into each
-    of its regions before handing it on.  No sentences hand over zeros.
+    With ``hand_over``, passes it the summed gradient: one sentence's
+    regions, as ``sentence_loss`` does, and any other batch's
+    ``batch_gradient`` vector as one region at offset 0.
     """
-    if hand_over is not None and not batch:
-        _hand_over_zeros(model.gradients(), hand_over)
-        return 0.0
-    summed = (np.empty_like(model.vector)
-              if hand_over is not None and len(batch) > 1 else None)
+    if hand_over is not None and len(batch) != 1:
+        loss, vector = batch_gradient(model, batch, paths, word_ids)
+        hand_over(vector, 0)
+        return loss
     total = 0.0
     for index, sentence in enumerate(batch):
-        target = hand_over
-        if summed is not None:
-            target = _summing(summed, index == 0, index == len(batch) - 1,
-                              hand_over)
-        total += sentence_loss(model, sentence, paths[index], target,
+        total += sentence_loss(model, sentence, paths[index], hand_over,
                                None if word_ids is None else word_ids[index])
     return total
-
-
-def _summing(summed: np.ndarray, first: bool, last: bool,
-             hand_over: HandOver) -> HandOver:
-    """The hand-over of one sentence of a batch summed through ``summed``.
-
-    The first sentence's regions are copied into ``summed`` and later ones
-    added to it, except the last, whose regions take the sum and go on to
-    ``hand_over``.  Adding two floats is commutative, so each region ends
-    with the bits of the left-to-right sum over the batch.
-    """
-    def hand(gradient: np.ndarray, offset: int) -> None:
-        part = summed[offset:offset + gradient.size]
-        if last:
-            gradient += part
-            hand_over(gradient, offset)
-        elif first:
-            part[...] = gradient
-        else:
-            part += gradient
-    return hand
 
 
 def batch_gradient(model: Model, batch: Sequence[Sentence],
@@ -320,16 +287,24 @@ def batch_gradient(model: Model, batch: Sequence[Sentence],
                    ) -> Tuple[float, np.ndarray]:
     """Summed loss of ``batch`` and its gradient as one vector.
 
-    The regions that ``batch_loss`` hands over, collected into a vector
-    laid out as ``model.vector`` (``Model.arrays_of`` names its arrays).
+    Laid out as ``model.vector`` (``Model.arrays_of`` names its arrays),
+    the vector holds zeros for no sentences; the first sentence copies its
+    regions into it and later ones add theirs (a left-to-right sum).
     """
-    vector = np.empty_like(model.vector)
+    vector = np.empty_like(model.vector) if batch else np.zeros_like(model.vector)
 
     def collect(gradient: np.ndarray, offset: int) -> None:
-        vector[offset:offset + gradient.size] = gradient
+        part = vector[offset:offset + gradient.size]
+        if index:
+            part += gradient
+        else:
+            part[...] = gradient
 
-    loss = batch_loss(model, batch, paths, hand_over=collect, word_ids=word_ids)
-    return loss, vector
+    total = 0.0
+    for index, sentence in enumerate(batch):
+        total += sentence_loss(model, sentence, paths[index], collect,
+                               None if word_ids is None else word_ids[index])
+    return total, vector
 
 
 def train_step(batch: Sequence[Sentence], model: Model,
@@ -338,12 +313,11 @@ def train_step(batch: Sequence[Sentence], model: Model,
     """One optimizer update on a batch and its paths; returns the pre-update loss.
 
     With ``rng``, words are dropped out (none, and nothing drawn, at alpha 0).
-    The loss hands each region of its gradient to ``optimizer.step`` inside
-    one ``optimizer.update()``, so each region's parameters are updated as
-    soon as the backward pass is done with them, and only the region-sized
-    ``model.gradients()`` buffer holds a gradient.  An exception part-way
-    leaves the regions handed over before it updated; ``train_model``
-    then raises, and the CLI writes no model.
+    ``batch_loss`` hands the gradient to ``optimizer.step`` inside one
+    ``optimizer.update()``: one sentence's region by region, as soon as the
+    backward pass is done with each, and any other batch's as one vector.
+    An exception part-way leaves the regions handed over before it
+    updated; ``train_model`` then raises, and the CLI writes no model.
     """
     ids = None
     if rng is not None:

@@ -47,6 +47,8 @@ class Transition:
     label: Optional[str] = None
 
     def __post_init__(self):
+        if self.kind not in (SHIFT, LEFT, RIGHT):
+            raise ValueError(f"unknown transition kind {self.kind!r}")
         if self.kind == SHIFT and self.label is not None:
             raise ValueError("shift carries no label")
         if self.kind in (LEFT, RIGHT) and self.label is None:
@@ -240,14 +242,12 @@ def apply(config: ParseConfiguration, transition: Transition) -> ParseConfigurat
         return ParseConfiguration(
             stack=config.stack[:-1], buffer=config.buffer, arcs=config.arcs + (arc,)
         )
-    if transition.kind == RIGHT:
-        if not _right_legal(config):
-            raise IllegalTransitionError(f"{transition} illegal at {config.summary()}")
-        arc = (config.stack[-2], config.stack[-1], transition.label)
-        return ParseConfiguration(
-            stack=config.stack[:-1], buffer=config.buffer, arcs=config.arcs + (arc,)
-        )
-    raise IllegalTransitionError(f"unknown transition kind {transition.kind!r}")
+    if not _right_legal(config):
+        raise IllegalTransitionError(f"{transition} illegal at {config.summary()}")
+    arc = (config.stack[-2], config.stack[-1], transition.label)
+    return ParseConfiguration(
+        stack=config.stack[:-1], buffer=config.buffer, arcs=config.arcs + (arc,)
+    )
 
 
 def static_oracle(config: Configuration, sentence: Sentence,

@@ -12,10 +12,10 @@ from conftest import (
     split_model_file,
 )
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
-from conjparse.model import Model
+from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse, parse_corpus
 from conjparse.resources import FeatureResources
-from conjparse.treebank import is_projective, read_conll, write_conll
+from conjparse.treebank import LabelInventory, is_projective, read_conll, write_conll
 
 TINY_HYPERS = [
     "--hyper", "word_dim=8", "--hyper", "pos_dim=4", "--hyper", "lstm_dim=6",
@@ -453,6 +453,33 @@ def test_model_with_a_pretrained_dim_but_no_words_is_a_model_error(
     assert _one_line_error(capsys, "model error: ") == (
         "model error: corrupt model metadata: 'pretrained_dim' 16 without "
         "'pretrained_words'\n")
+
+
+def test_model_whose_vocabulary_lacks_the_reserved_entries_is_a_model_error(
+        tmp_path, capsys):
+    # Saved with the form inventory ["<unk>"] and a one-row word table, so
+    # the arrays match the header, but the root's row 1 is missing.
+    model = Model.build(
+        Hyperparams(word_dim=4, pos_dim=2, lstm_dim=3, mlp_dim=4, conj_mlp_dim=3),
+        Vocabulary(["<unk>", "<root>"], ["<unk>", "<root>", "NN"], {}),
+        LabelInventory(("dep", "root")), seed=1)
+    model_path = tmp_path / "model.bin"
+    model.save(model_path)
+    meta, arrays = split_model_file(model_path.read_bytes())
+    arrays = drop_model_array(meta, arrays, "word_emb")
+    meta["arrays"].append({"name": "word_emb", "dtype": "float64", "shape": [1, 4]})
+    meta["vocab"]["forms"] = ["<unk>"]
+    model_path.write_bytes(join_model_file(meta, arrays + np.ones(4).tobytes()))
+    input_path = tmp_path / "two.conllx"
+    input_path.write_text("1\tdogs\t_\tNN\tNN\t_\t2\tdep\t_\t_\n"
+                          "2\tbark\t_\tNN\tNN\t_\t0\troot\t_\t_\n\n")
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model_path), "--input", str(input_path),
+                 "--output", str(tmp_path / "out.conllx")])
+    assert code == EXIT_MODEL
+    assert _one_line_error(capsys, "model error: ") == (
+        "model error: corrupt model metadata: vocabulary forms must start "
+        "with <unk>, <root>\n")
 
 
 def _one_line_error(capsys, prefix):

@@ -47,6 +47,20 @@ def test_vocabulary_reserved_entries(sentences):
     assert vocab.word_id("eats") > 1
     assert vocab.word_id("never-seen") == Vocabulary.UNK
     assert vocab.count("eats") == 1
+    # A treebank form may repeat a reserved name.
+    repeated = make_sentence([0], labels=["root"], forms=["<unk>"], pos=["NN"])
+    assert Vocabulary.from_corpus([repeated]).forms == ["<unk>", "<root>", "<unk>"]
+
+
+@pytest.mark.parametrize("forms, pos_tags, message", [
+    (["<unk>"], ["<unk>", "<root>"], "forms"),
+    (["<unk>", "<root>"], ["<root>", "<unk>", "NN"], "POS tags"),
+])
+def test_vocabulary_refuses_inventories_without_the_reserved_entries(
+        forms, pos_tags, message):
+    with pytest.raises(ValueError, match=f"^vocabulary {message} must start "
+                                         "with <unk>, <root>$"):
+        Vocabulary(forms, pos_tags, {})
 
 
 def test_encode_shapes_and_determinism(sentences):

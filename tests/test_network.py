@@ -191,7 +191,8 @@ def test_bilstm_backward_finite_differences():
 
     _, caches = network.bilstm_forward(inputs, layers)
     grads = [tuple(np.full_like(a, np.nan) for a in stack) for stack in layers]
-    d_inputs = network.bilstm_backward(mix.copy(), caches, layers, grads)
+    d_inputs = network.bilstm_backward(mix.copy(), caches, layers, grads,
+                                       lambda: None)
     eps = 1e-6
     checks = [(inputs, d_inputs)] + [
         (weights, grad) for stack, grad_stack in zip(layers, grads)
@@ -225,7 +226,8 @@ def test_bilstm_is_bit_identical_to_the_per_direction_loop(steps, n_layers):
     ref_d_inputs = reference_nets.bilstm_backward(d_output, ref_caches, params,
                                                   ref_grads, n_layers)
     for _ in range(2):  # the second pass overwrites the first
-        d_inputs = network.bilstm_backward(d_output, caches, layers, grads)
+        d_inputs = network.bilstm_backward(d_output, caches, layers, grads,
+                                           lambda: None)
         assert np.array_equal(d_inputs, ref_d_inputs)
         assert all(np.array_equal(grad, expected) for grad, expected
                    in zip(_flat(grads), _flat(_stacks(ref_grads, n_layers))))

@@ -122,7 +122,7 @@ def test_every_imported_name_is_used():
 
 
 def test_importing_the_package_starts_no_thread():
-    # Threads the library starts, such as Adam's worker, live inside a call.
+    # Any thread the library starts must live inside a call.
     code = ("import threading, conjparse, conjparse.cli, conjparse.corpus_stats; "
             "print([thread.name for thread in threading.enumerate()])")
     env = dict(os.environ)

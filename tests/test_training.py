@@ -514,7 +514,7 @@ def _reference_sentence_loss(model, sentence, resources, grads, word_ids=None):
     if loss > 0.0:
         lstm_grads = [tuple(np.empty_like(a) for a in stack) for stack in model.lstm]
         d_inputs = network.bilstm_backward(d_vectors, encoded.lstm_caches,
-                                           model.lstm, lstm_grads)
+                                           model.lstm, lstm_grads, lambda: None)
         for layer, stack in enumerate(lstm_grads):
             for kind, array in zip(("w_x", "w_h", "b"), stack):
                 for d, direction in enumerate(network.DIRECTIONS):
@@ -876,6 +876,76 @@ def test_a_train_step_gives_the_bits_of_one_whole_vector_step(
                                  (optimizer.m, whole.m), (optimizer.v, whole.v)):
             assert np.array_equal(one, other_array)
     assert optimizer.t == whole.t == 3
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_a_train_step_hands_adam_the_regions_of_one_sentence_or_one_vector(
+        size, sample_sentences, empty_resources):
+    batch = [s for s in sample_sentences[:10] if is_projective(s)][:size]
+    model = tiny_model(batch)
+    paths = [oracle_path(s, model, empty_resources) for s in batch]
+    optimizer = _optimizer(model)
+    received = []
+    step = optimizer.step
+
+    def recording(grads, offset):
+        received.append((offset, grads.size))
+        step(grads, offset)
+
+    optimizer.step = recording
+    assert train_step(batch, model, paths, optimizer) > 0.0
+    if size == 1:
+        assert received == [(offset, gradient.size)
+                            for gradient, offset in model.gradients().regions]
+    else:
+        assert received == [(0, model.vector.size)]
+
+
+def test_training_in_batches_of_two_with_dropout_steps_the_summed_gradients(
+        sample_sentences):
+    # Five sentences: two batches of two and one of one per epoch.
+    train = [s for s in sample_sentences[:12] if is_projective(s)][:5]
+    resources = data_resources()
+    model, reference = (tiny_model(train, seed=4, batch_size=2,
+                                   word_dropout_alpha=0.5) for _ in range(2))
+    train_model(model, train, resources, epochs=2, seed=9)
+    # The reference: train_model's draws, each batch's gradient summed into
+    # one vector by batch_gradient, and one whole-vector update per batch.
+    hp = reference.hp
+    rng = np.random.default_rng(9)
+    optimizer = network.Adam(reference.vector, learning_rate=hp.learning_rate,
+                             beta1=hp.beta1, beta2=hp.beta2, eps=hp.adam_eps)
+    paths = [oracle_path(s, reference, resources) for s in train]
+    dropped = 0
+    for _ in range(2):
+        order = list(rng.permutation(len(train)))
+        for start in range(0, len(order), 2):
+            chunk = order[start:start + 2]
+            batch = [train[i] for i in chunk]
+            ids = [dropped_word_ids(s, reference, rng) for s in batch]
+            dropped += sum(int((i == Vocabulary.UNK).sum()) for i in ids)
+            _, vector = batch_gradient(reference, batch, [paths[i] for i in chunk],
+                                       ids)
+            whole_step(optimizer, vector)
+    assert dropped > 0
+    assert np.array_equal(model.vector, reference.vector)
+
+
+def test_a_train_step_on_two_sentences_holds_one_vector_more_than_one_sentence():
+    # Default sizes.  A batch of several sentences sums its gradient into
+    # one vector; a vector per sentence would add another 6.6 MB.
+    rng = np.random.default_rng(0)
+    batch = [random_projective_sentence(rng, n) for n in (40, 60)]
+    model = Model.build(Hyperparams(), Vocabulary.from_corpus(batch),
+                        LabelInventory.from_sentences(batch), seed=1)
+    paths = [oracle_path(s, model, FeatureResources.empty()) for s in batch]
+    optimizer = _optimizer(model)
+    model.gradients()
+    alone = max(peak_bytes(lambda: train_step([s], model, [p], optimizer))[1]
+                for s, p in zip(batch, paths))
+    loss, peak = peak_bytes(lambda: train_step(batch, model, paths, optimizer))
+    assert loss > 0.0
+    assert peak < alone + model.vector.nbytes + 2 ** 16
 
 
 def test_a_region_is_handed_over_after_the_last_read_of_its_parameters(

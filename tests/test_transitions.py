@@ -138,6 +138,8 @@ def test_transition_validation():
         Transition(SHIFT, "x")
     with pytest.raises(ValueError):
         Transition(LEFT)
+    with pytest.raises(ValueError, match="unknown transition kind 'reduce'"):
+        Transition("reduce")
 
 
 def test_oracle_he_eats_apples():
