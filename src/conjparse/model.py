@@ -43,7 +43,7 @@ from . import network
 from .conj_features import FEATURE_SIZE
 from .resources import EmbeddingTable
 from .transitions import Configuration, TransitionCodec
-from .treebank import LabelInventory, Sentence
+from .treebank import LabelInventory, Sentence, write_atomically
 
 MODEL_MAGIC = b"CJPMODEL"
 MODEL_VERSION = 1
@@ -711,14 +711,15 @@ class Model:
     def save(self, sink) -> None:
         """Write the model to a path or binary file object.
 
-        A path that cannot be written raises ``ModelIOError``.
+        A path that cannot be written raises ``ModelIOError``.  A path is
+        written through ``treebank.write_atomically``: a failure leaves a
+        previous file there as it was.
         """
         if hasattr(sink, "write"):
             self._write(sink)
             return
         try:
-            with open(sink, "wb") as handle:
-                self._write(handle)
+            write_atomically(sink, self._write)
         except OSError as exc:
             raise _unusable_path("write", sink, exc) from None
 

@@ -17,17 +17,21 @@ the caller gives, laid out as the weights: it neither adds to them nor
 allocates its own.  It computes the per-step factors that the recurrence
 leaves alone for one block of steps at a time, into one reused buffer.
 
-``Adam`` updates one flat parameter vector in place.  An update takes its
-gradient one contiguous region at a time, so a caller can hand over each
-region as soon as it is final and keep no whole-vector gradient.  Each
-region is updated on the calling thread, through one scratch block and the
-region's gradient itself, which it overwrites with the update; the moment
-buffers ``m`` and ``v`` hold values only after the first update.
+``Adam`` updates one flat parameter vector in place, in the order Kingma &
+Ba (2015, Section 2) give for efficiency: the bias corrections fold into
+the step size and epsilon once per update, so each element takes one
+divide.  An update takes its gradient one contiguous region at a time, so
+a caller can hand over each region as soon as it is final and keep no
+whole-vector gradient.  Each region is updated on the calling thread,
+through one scratch block and the region's gradient itself, which it
+overwrites with the update; the moment buffers ``m`` and ``v`` hold values
+only after the first update.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import (Callable, ContextManager, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -249,10 +253,19 @@ class Adam:
     gradient region by region: each ``step`` inside it updates one
     contiguous region of the vector, in any order, so a caller can hand
     over a region as soon as its gradient is final.  Every element sees the
-    same operations in the same order as the textbook update, whatever the
-    regions; the work runs on the calling thread, block by block, in the
-    gradient's own block and one preallocated scratch block, so an update
-    allocates no arrays.
+    same operations in the same order, whatever the regions; the work runs
+    on the calling thread, block by block, in the gradient's own block and
+    one preallocated scratch block, so an update allocates no arrays.
+
+    The update is Kingma & Ba's (2015, Section 2) efficient form of Adam:
+    with ``t`` the step count, ``step_size = learning_rate *
+    sqrt(1 - beta2**t) / (1 - beta1**t)`` and ``eps_t = eps *
+    sqrt(1 - beta2**t)`` are computed once per ``step``, and each element
+    moves by ``step_size * m / (sqrt(v) + eps_t)``.  That is the textbook
+    ``learning_rate * m_hat / (sqrt(v_hat) + eps)`` with the bias
+    corrections folded in: the same function, rounded differently, with
+    one divide per element instead of three.  ``m`` and ``v`` hold the
+    uncorrected moments.
 
     ``m`` and ``v`` are allocated uninitialised and hold values only after
     a step: the first update zeroes each of their blocks just before using
@@ -331,8 +344,12 @@ class Adam:
                                  f"the update's region {start}:{end}")
         self._regions.append((offset, stop))
         first = self.t == 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        # Kingma & Ba (2015), Section 2: the bias corrections fold into the
+        # step size and epsilon, so that a block divides once.
+        root_correction = math.sqrt(1.0 - self.beta2 ** self.t)
+        step_size = (self.learning_rate * root_correction
+                     / (1.0 - self.beta1 ** self.t))
+        eps_t = self.eps * root_correction
         for low in range(offset, stop, _ADAM_BLOCK):
             block = slice(low, min(low + _ADAM_BLOCK, stop))
             g = grads[low - offset:block.stop - offset]
@@ -349,11 +366,9 @@ class Adam:
             np.multiply(g, g, out=g)
             g *= 1.0 - self.beta2
             v += g
-            # learning_rate * m_hat / (sqrt(v_hat) + eps)
-            np.divide(m, correction1, out=g)
-            g *= self.learning_rate
-            np.divide(v, correction2, out=root)
-            np.sqrt(root, out=root)
-            root += self.eps
-            g /= root
+            # step_size * m / (sqrt(v) + eps_t)
+            np.sqrt(v, out=root)
+            root += eps_t
+            np.divide(m, root, out=g)
+            g *= step_size
             self.params[block] -= g

@@ -11,9 +11,13 @@ on them.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (BinaryIO, Callable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 ROOT_ID = 0
 ROOT_FORM = "*root*"
@@ -168,13 +172,31 @@ def _check_tree(heads: List[int], sentence_index: int) -> None:
 
 
 def is_projective(sentence: Sentence) -> bool:
-    """True iff no token between a head and its dependent escapes their span."""
-    heads = {tok.id: tok.gold_head for tok in sentence.tokens}
+    """True iff no token between a head and its dependent escapes their span.
+
+    For a tree that is the same as no two arcs crossing, the root's arc
+    included, which one left-to-right pass checks in linear time: arcs
+    open at their left end, longest first, and must close at their right
+    end in the reverse order.
+    """
+    n = len(sentence.tokens)
+    left_ends: List[List[int]] = [[] for _ in range(n + 1)]
     for tok in sentence.tokens:
-        lo, hi = sorted((tok.gold_head, tok.id))
-        for inner in range(lo + 1, hi):
-            if not lo <= heads[inner] <= hi:
+        if tok.gold_head < tok.id:
+            left_ends[tok.id].append(tok.gold_head)
+        elif tok.gold_head > tok.id:
+            left_ends[tok.gold_head].append(tok.id)
+    # The arcs' right ends by left end, the farthest first.
+    right_ends: List[List[int]] = [[] for _ in range(n + 1)]
+    for right in range(n, 0, -1):
+        for left in left_ends[right]:
+            right_ends[left].append(right)
+    open_arcs: List[int] = []
+    for position in range(n + 1):
+        for _ in left_ends[position]:
+            if open_arcs.pop() != position:
                 return False
+        open_arcs.extend(right_ends[position])
     return True
 
 
@@ -297,7 +319,43 @@ def write_conll(sentences: Sequence[Sentence], use_predicted: bool = False) -> b
     return out.getvalue().encode("utf-8")
 
 
+def write_atomically(path, write: Callable[[BinaryIO], object]) -> None:
+    """Write the file ``path`` as ``write(handle)`` writes a binary handle.
+
+    ``write`` writes a new file in ``path``'s directory, which then
+    replaces ``path`` in one rename: a failure anywhere leaves a previous
+    file at ``path`` as it was and removes the new one.  An ``OSError``
+    names ``path``, with the reason of the step that failed.  A path that
+    exists and is not a regular file (a device, a pipe, a directory) is
+    opened and written in place, and is never replaced; a symbolic link's
+    target is replaced, not the link.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        in_place = False
+    if in_place:
+        with open(path, "wb") as handle:
+            write(handle)
+        return
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        try:
+            with open(temporary, "xb") as handle:
+                write(handle)
+            os.replace(temporary, target)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def write_conll_file(path, sentences: Sequence[Sentence],
                      use_predicted: bool = False) -> None:
-    with open(path, "wb") as handle:
-        handle.write(write_conll(sentences, use_predicted=use_predicted))
+    """Write ``sentences`` to ``path`` as ``write_conll`` serializes them;
+    a failure leaves a previous file at ``path`` as it was."""
+    data = write_conll(sentences, use_predicted=use_predicted)
+    write_atomically(path, lambda handle: handle.write(data))

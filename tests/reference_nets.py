@@ -7,6 +7,8 @@ operations in the same order, one direction and one parameter array at a
 time, so the tests can require equal bits, not just close values.
 """
 
+import math
+
 import numpy as np
 
 
@@ -132,8 +134,12 @@ class KeyedAdam:
 
     def step(self, grads):
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        # Kingma & Ba (2015), Section 2: bias corrections folded into the
+        # step size and epsilon.
+        root_correction = math.sqrt(1.0 - self.beta2 ** self.t)
+        step_size = (self.learning_rate * root_correction
+                     / (1.0 - self.beta1 ** self.t))
+        eps_t = self.eps * root_correction
         for key, g in grads.items():
             m = self.m[key]
             v = self.v[key]
@@ -141,6 +147,4 @@ class KeyedAdam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / correction1
-            v_hat = v / correction2
-            self.params[key] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[key] -= step_size * (m / (np.sqrt(v) + eps_t))

@@ -5,7 +5,9 @@ sentence in linear time; ``conjparse.resources.EmbeddingTable.load``
 parses a whole file into one table and checks it at once.  The plain
 versions below parse, check and build one line and one record at a time,
 in the order a reader meets them, so the tests can require the same
-records, bits, exception classes and messages from both.
+records, bits, exception classes and messages from both.  The
+projectivity check below scans each arc's span, where the library's makes
+one linear pass.
 
 The embedding reference strips trailing whitespace from each line before
 splitting it, as the library does, so that word2vec's text files (a space
@@ -27,6 +29,20 @@ from conjparse.treebank import (
     TreeStructureError,
     _iter_lines,
 )
+
+
+def is_projective(sentence: Sentence) -> bool:
+    """True iff no token between a head and its dependent escapes their span.
+
+    Scans every token inside each arc's span: quadratic at worst.
+    """
+    heads = {tok.id: tok.gold_head for tok in sentence.tokens}
+    for tok in sentence.tokens:
+        lo, hi = sorted((tok.gold_head, tok.id))
+        for inner in range(lo + 1, hi):
+            if not lo <= heads[inner] <= hi:
+                return False
+    return True
 
 
 def validate_tree(sentence: Sentence, sentence_index: int = 0) -> None:

@@ -319,13 +319,15 @@ def test_embeddings_whose_norm_overflows_are_a_one_line_data_error(
 def test_train_that_leaves_non_finite_parameters_saves_no_model(tmp_path, capsys):
     # One sentence and one epoch: the only update overflows parameters and
     # no later loss sees them.  Such a model used to be written, and
-    # ``parse`` then refused it with exit 4.
+    # ``parse`` then refused it with exit 4.  Adam's step is bounded by
+    # about its step size, so the overflow comes from the step size itself:
+    # learning_rate * sqrt(1 - beta2) / (1 - beta1), about 3e310 here.
     train = tmp_path / "one.conllx"
     train.write_bytes(write_conll(read_conll(DATA / "sample_treebank.conllx")[:1]))
     model_path = tmp_path / "model.bin"
     code = main(["train", "--train", str(train), "--seed", "1", "--epochs", "1",
                  "--model", str(model_path), *TINY_HYPERS,
-                 "--hyper", "learning_rate=1e308"])
+                 "--hyper", "learning_rate=1e308", "--hyper", "beta1=0.999999"])
     assert code == EXIT_OTHER
     assert capsys.readouterr().err == (
         "error: epoch 1: the updates left parameters that are not finite numbers\n")

@@ -1,6 +1,9 @@
+import errno
 import functools
 import hashlib
 import io
+import os
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +224,44 @@ def test_save_load_roundtrip(tmp_path, sentences):
     assert loaded.labels == model.labels
     assert loaded.vocab.forms == model.vocab.forms
     assert loaded.trainable == model.trainable
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                     RuntimeError("stop")], ids=["disk full", "error"])
+def test_a_save_that_fails_part_way_leaves_the_previous_file(tmp_path, sentences,
+                                                             monkeypatch, failure):
+    path = tmp_path / "model.bin"
+    tiny_model(sentences, seed=1).save(path)
+    previous = path.read_bytes()
+    write = Model._write
+
+    def fail_part_way(self, handle):
+        buffer = io.BytesIO()
+        write(self, buffer)
+        handle.write(buffer.getvalue()[:len(previous) // 2])
+        raise failure
+
+    monkeypatch.setattr(Model, "_write", fail_part_way)
+    expected = (pytest.raises(ModelIOError, match=f"^cannot write {re.escape(str(path))}: "
+                                                  "No space left on device$")
+                if isinstance(failure, OSError) else pytest.raises(RuntimeError))
+    with expected:
+        tiny_model(sentences, seed=2).save(path)
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["model.bin"]
+
+
+def test_a_save_through_a_link_replaces_its_target(tmp_path, sentences):
+    target, link = tmp_path / "model.bin", tmp_path / "link.bin"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    model = tiny_model(sentences)
+    model.save(link)
+    assert link.is_symlink()
+    buffer = io.BytesIO()
+    model.save(buffer)
+    assert target.read_bytes() == buffer.getvalue()
+    assert sorted(os.listdir(tmp_path)) == ["link.bin", "model.bin"]
 
 
 def test_save_load_via_file_objects(sentences):

@@ -322,6 +322,33 @@ def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
         assert np.array_equal(opt.v, np.concatenate(list(reference.v.values())))
 
 
+def test_adam_is_the_textbook_update_up_to_rounding():
+    # Kingma & Ba's efficient order against their Algorithm 1, written out:
+    # the same moments, and updates equal to within rounding.
+    size = 2 * network._ADAM_BLOCK + 3
+    rng = np.random.default_rng(11)
+    params = rng.normal(size=size)
+    opt = network.Adam(params.copy())
+    lr, beta1, beta2, eps = opt.learning_rate, opt.beta1, opt.beta2, opt.eps
+    m, v = np.zeros(size), np.zeros(size)
+    idle = rng.random(size) < 0.01  # elements whose gradient is always zero
+    for t in range(1, 61):
+        grads = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 3, size=size)
+        grads[idle] = 0.0
+        m = beta1 * m + (1.0 - beta1) * grads
+        v = beta2 * v + (1.0 - beta2) * (grads * grads)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        textbook = lr * m_hat / (np.sqrt(v_hat) + eps)
+        params -= textbook
+        whole_step(opt, grads)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        assert np.all(np.abs(grads - textbook) <= 1e-11 * np.abs(textbook))
+        assert np.all(np.abs(opt.params - params) <= 1e-11 * np.abs(params))
+        assert np.all(grads[idle] == 0.0)
+    assert np.array_equal(opt.params[idle], params[idle])
+
+
 def test_adam_step_outside_an_update_raises_and_changes_nothing():
     size = 2 * network._ADAM_BLOCK + 3
     rng = np.random.default_rng(0)

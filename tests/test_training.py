@@ -744,9 +744,11 @@ def test_oracle_path_checks_projectivity_once(conj_sentence, monkeypatch):
 
 def test_train_model_fails_on_parameters_that_are_not_finite(sample_sentences):
     # One sentence, one epoch: the only update overflows parameters, and
-    # no later batch loss would notice.
+    # no later batch loss would notice.  Adam's step is bounded by about
+    # its step size, learning_rate * sqrt(1 - beta2) / (1 - beta1): about
+    # 3e310 here, past the largest float.
     train = sample_sentences[:1]
-    model = tiny_model(train, learning_rate=1e308)
+    model = tiny_model(train, learning_rate=1e308, beta1=0.999999)
     with np.errstate(all="ignore"), pytest.raises(
             ValueError, match="^epoch 1: the updates left parameters that are not "
                               "finite numbers$"):

@@ -1,3 +1,8 @@
+import errno
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_readers
 from conftest import TESTS_DATA, make_sentence, random_tree_sentence
+from conjparse import treebank
 from conjparse.treebank import (
     MISSING,
     ConllError,
@@ -17,6 +23,7 @@ from conjparse.treebank import (
     read_conll,
     validate_tree,
     write_conll,
+    write_conll_file,
 )
 
 THREE_TOKENS = (
@@ -165,6 +172,38 @@ def test_write_missing_prediction_error():
     sents = read_conll(THREE_TOKENS.encode())
     with pytest.raises(ValueError, match="token 1"):
         write_conll(sents, use_predicted=True)
+
+
+def test_a_conll_write_that_fails_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.conllx"
+    path.write_text(THREE_TOKENS)
+
+    def refuse(source, target):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), source)
+
+    monkeypatch.setattr(treebank.os, "replace", refuse)
+    sentences = read_conll(THREE_TOKENS.encode())
+    with pytest.raises(OSError) as caught:
+        write_conll_file(path, sentences + sentences)
+    assert str(caught.value) == f"[Errno 18] Invalid cross-device link: {str(path)!r}"
+    assert path.read_text() == THREE_TOKENS
+    assert os.listdir(tmp_path) == ["out.conllx"]
+
+
+def test_a_conll_write_to_a_pipe_writes_into_it(tmp_path):
+    # A target that is not a regular file is written, never replaced.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    sentences = read_conll(THREE_TOKENS.encode())
+    write_conll_file(pipe, sentences)
+    reader.join(timeout=10)
+    assert received == [write_conll(sentences)]
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_projective_examples():
@@ -383,3 +422,10 @@ def test_validate_tree_fails_as_the_reference_fails(data):
         except TreeStructureError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+@_DIFFERENTIAL
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40))
+def test_projectivity_is_the_references_on_random_trees(seed, n):
+    sent = random_tree_sentence(np.random.default_rng(seed), n)
+    assert is_projective(sent) == reference_readers.is_projective(sent)
