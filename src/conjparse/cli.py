@@ -222,6 +222,8 @@ def cmd_train(args) -> int:
     train_sents, skipped = _projective_sentences(args.train, args.format,
                                                  "train on")
     dev_sents = read_conll(args.dev, fmt=args.format) if args.dev else None
+    if dev_sents is not None and not evaluation.has_scored_token(dev_sents):
+        raise ConllError(f"{args.dev}: {training.NOTHING_TO_SCORE}")
 
     vocab = Vocabulary.from_corpus(train_sents)
     labels = LabelInventory.from_sentences(train_sents)
@@ -263,16 +265,17 @@ def cmd_parse(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # Every input is read and scored before anything is printed.
     gold = read_conll(args.gold, fmt=args.format)
     pred = read_conll(args.pred, fmt=args.format, require_tree=False)
     report = evaluation.evaluate(gold, pred)
+    if args.pred_b:
+        pred_b = read_conll(args.pred_b, fmt=args.format, require_tree=False)
+        diff = evaluation.conj_diff(gold, pred, pred_b, load_resources(args),
+                                    label=args.diff_label)
     print(evaluation.report_tsv(report) if args.tsv
           else evaluation.report_table(report), end="")
     if args.pred_b:
-        pred_b = read_conll(args.pred_b, fmt=args.format, require_tree=False)
-        resources = load_resources(args)
-        diff = evaluation.conj_diff(gold, pred, pred_b, resources,
-                                    label=args.diff_label)
         print()
         print(evaluation.diff_table(diff), end="")
         print()
@@ -282,10 +285,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_analyze(args) -> int:
     sentences = read_conll(args.input, fmt=args.format)
+    resources = load_resources(args)
     if not args.sentiment_pos and not args.sentiment_neg:
         print("warning: no sentiment lists given; sentiment columns are "
               "all-neutral", file=sys.stderr)
-    resources = load_resources(args)
     stats = corpus_stats.label_stats(sentences, resources)
     pairs = corpus_stats.top_pairs(sentences, args.label, args.top)
     if args.markdown:

@@ -32,6 +32,11 @@ def is_punctuation(token: Token) -> bool:
     return token.gold_label == "punct" or token.pos in DEFAULT_PUNCT_POS
 
 
+def has_scored_token(sentences: Sequence[Sentence]) -> bool:
+    """Whether any token of ``sentences`` is one the metrics count."""
+    return not all(map(is_punctuation, (tok for s in sentences for tok in s)))
+
+
 def _predicted(token: Token) -> Tuple[int, str]:
     """Predicted (head, label); falls back to the annotation columns.
 

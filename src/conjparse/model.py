@@ -325,20 +325,19 @@ class Gradients(dict):
     ``regions`` holds each region of ``Model.vector`` that the backward
     pass finishes as one, in the order it finishes them, as (gradient,
     offset in the vector); every region's gradient is a view of the start
-    of the one ``buffer``.  So each trainable array's gradient is a view
-    into ``buffer`` at its place in its region, and the gradients of
-    different regions share memory: a region must be handed on before the
-    next one is written.  ``lstm`` holds each BiLSTM layer's (w_x, w_h, b)
-    gradients as views with the direction axis first, as ``Model.lstm``,
-    and ``first_weights`` the first layers' as one view, as
-    ``Model.first_weights``.
+    of one buffer, which the largest region spans.  So each trainable
+    array's gradient is a view into that buffer at its place in its
+    region, and the gradients of different regions share memory: a region
+    must be handed on before the next one is written.  ``lstm`` holds
+    each BiLSTM layer's (w_x, w_h, b) gradients as views with the
+    direction axis first, as ``Model.lstm``, and ``first_weights`` the
+    first layers' as one view, as ``Model.first_weights``.
     """
 
-    def __init__(self, arrays: Dict[str, np.ndarray], buffer: np.ndarray,
+    def __init__(self, arrays: Dict[str, np.ndarray],
                  regions: List[Tuple[np.ndarray, int]],
                  lstm: List[Tuple[np.ndarray, ...]], first_weights: np.ndarray):
         super().__init__(arrays)
-        self.buffer = buffer
         self.regions = regions
         self.lstm = lstm
         self.first_weights = first_weights
@@ -848,8 +847,8 @@ class Model:
         The regions follow the vector's layout, in the order the backward
         pass (``training.sentence_loss``) finishes them: the scoring MLPs
         with the padding vector, from ``pad_vec`` to the end; each BiLSTM
-        layer, from the top down; the embedding tables.  The buffer holds
-        the largest region.  It is allocated uninitialised by the first
+        layer, from the top down; the embedding tables.  Each starts one
+        buffer the size of the largest, allocated uninitialised by the first
         call and returned by every later one; no call writes it.
         """
         if self._gradients is None:
@@ -864,7 +863,7 @@ class Model:
                 return buffer[offset - start:offset - start + size]
 
             self._gradients = Gradients(
-                self._views(place), buffer,
+                self._views(place),
                 [(buffer[:stop - start], start) for start, stop in bounds],
                 self._direction_stacks(place), self._first_weights(place))
         return self._gradients

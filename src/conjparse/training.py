@@ -13,11 +13,11 @@ Each backward step writes its gradient into its place in the
 zeroing first.  The buffer holds one region of the parameter vector at a
 time: a sentence's loss hands each region's gradient on as soon as it reads
 that region's parameters no more, and the next region is written over it.
-A one-sentence ``train_step`` hands them to ``Adam.step``; ``batch_gradient``
-sums them over a batch into one vector, which a larger step hands to Adam
-as one region and ``gradient_check`` compares against central finite
-differences.  ``hinge_kink_margin`` says whether those can be trusted from
-the same batch scores that the loss and its differences read.
+``train_step`` hands one sentence's regions to ``Adam.step``, and
+``batch_gradient`` sums them over a batch into one vector, which a larger
+step hands to Adam and ``gradient_check`` compares against central
+differences of the summed ``sentence_loss``.  ``hinge_kink_margin`` says if
+those can be trusted from the batch scores the loss and its differences read.
 """
 
 from __future__ import annotations
@@ -261,26 +261,6 @@ def _path_hinge(model: Model, path: OraclePath, encoded: EncodedSentence,
     return loss, d_nodes
 
 
-def batch_loss(model: Model, batch: Sequence[Sentence],
-               paths: Sequence[OraclePath], hand_over: Optional[HandOver] = None,
-               word_ids: Optional[Sequence[np.ndarray]] = None) -> float:
-    """Summed loss of the sentences of ``batch``, along their ``paths``.
-
-    With ``hand_over``, passes it the summed gradient: one sentence's
-    regions, as ``sentence_loss`` does, and any other batch's
-    ``batch_gradient`` vector as one region at offset 0.
-    """
-    if hand_over is not None and len(batch) != 1:
-        loss, vector = batch_gradient(model, batch, paths, word_ids)
-        hand_over(vector, 0)
-        return loss
-    total = 0.0
-    for index, sentence in enumerate(batch):
-        total += sentence_loss(model, sentence, paths[index], hand_over,
-                               None if word_ids is None else word_ids[index])
-    return total
-
-
 def batch_gradient(model: Model, batch: Sequence[Sentence],
                    paths: Sequence[OraclePath],
                    word_ids: Optional[Sequence[np.ndarray]] = None
@@ -313,9 +293,9 @@ def train_step(batch: Sequence[Sentence], model: Model,
     """One optimizer update on a batch and its paths; returns the pre-update loss.
 
     With ``rng``, words are dropped out (none, and nothing drawn, at alpha 0).
-    ``batch_loss`` hands the gradient to ``optimizer.step`` inside one
-    ``optimizer.update()``: one sentence's region by region, as soon as the
-    backward pass is done with each, and any other batch's as one vector.
+    Inside one ``optimizer.update()``, a one-sentence batch's loss hands
+    ``optimizer.step`` its regions as soon as the backward pass is done with
+    each, and any other batch steps once with its ``batch_gradient`` vector.
     An exception part-way leaves the regions handed over before it
     updated; ``train_model`` then raises, and the CLI writes no model.
     """
@@ -323,8 +303,12 @@ def train_step(batch: Sequence[Sentence], model: Model,
     if rng is not None:
         ids = [dropped_word_ids(s, model, rng) for s in batch]
     with optimizer.update():
-        return batch_loss(model, batch, paths, hand_over=optimizer.step,
-                          word_ids=ids)
+        if len(batch) == 1:
+            return sentence_loss(model, batch[0], paths[0], optimizer.step,
+                                 None if ids is None else ids[0])
+        loss, vector = batch_gradient(model, batch, paths, ids)
+        optimizer.step(vector, 0)
+        return loss
 
 
 @dataclass
@@ -342,6 +326,10 @@ class TrainResult:
     best_las: Optional[float] = None
 
 
+NOTHING_TO_SCORE = ("the dev set has no token to score (it is empty or all "
+                    "punctuation), so it cannot select an epoch")
+
+
 def train_model(model: Model, train_sentences: Sequence[Sentence],
                 resources: FeatureResources, epochs: int, seed: int,
                 dev_sentences: Optional[Sequence[Sentence]] = None,
@@ -350,14 +338,17 @@ def train_model(model: Model, train_sentences: Sequence[Sentence],
 
     All training sentences must be projective (the CLI filters and counts
     the skipped ones).  Identical seed, data and configuration reproduce
-    the exact same parameters.  Raises ``ValueError`` naming the epoch as
-    soon as a batch loss or, after an epoch's updates, a parameter is not
-    finite.
+    the exact same parameters.  Raises ``ValueError`` before the first
+    epoch when ``dev_sentences`` has no token to score, so that every dev
+    LAS would be 0, and naming the epoch as soon as a batch loss or, after
+    an epoch's updates, a parameter is not finite.
     """
-    from .evaluation import attachment_scores
+    from .evaluation import attachment_scores, has_scored_token
 
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if dev_sentences is not None and not has_scored_token(dev_sentences):
+        raise ValueError(NOTHING_TO_SCORE)
     rng = np.random.default_rng(seed)
     optimizer = network.Adam(
         model.vector, learning_rate=model.hp.learning_rate, beta1=model.hp.beta1,
@@ -494,7 +485,7 @@ def gradient_check(model: Model, sentences: Sequence[Sentence],
     grads = model.arrays_of(batch_gradient(model, sentences, paths)[1])
 
     def loss_at_point() -> float:
-        return batch_loss(model, sentences, paths)
+        return sum(sentence_loss(model, s, p) for s, p in zip(sentences, paths))
 
     entries = []
     for key in keys if keys is not None else model.trainable:

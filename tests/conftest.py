@@ -67,6 +67,11 @@ def discard_gradient(gradient, offset) -> None:
     """A hand-over for ``training.sentence_loss`` that keeps nothing."""
 
 
+def gradient_buffer(grads) -> np.ndarray:
+    """The one buffer under a ``Model.gradients()``: its largest region."""
+    return max((gradient for gradient, _ in grads.regions), key=np.size)
+
+
 def random_tree_sentence(rng: np.random.Generator, n: int) -> Sentence:
     """Arbitrary (often non-projective) single-headed tree over n tokens."""
     order = list(rng.permutation(n))

@@ -561,6 +561,41 @@ def test_train_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
     assert not model_path.exists()
 
 
+def test_evaluate_prints_nothing_when_the_second_prediction_is_misaligned(
+        tmp_path, train_file, capsys):
+    short = tmp_path / "short.conllx"
+    short.write_bytes(write_conll(read_conll(train_file)[:11]))
+    capsys.readouterr()
+    assert main(["evaluate", "--gold", str(train_file), "--pred",
+                 str(train_file), "--pred-b", str(short)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dev", ["empty", "punctuation"])
+def test_a_dev_set_with_nothing_to_score_is_a_data_error(tmp_path, train_file,
+                                                         capsys, dev):
+    # Every epoch would read dev LAS 0, and the first would be kept.
+    dev_path = tmp_path / "dev.conllx"
+    tokens = (b"" if dev == "empty" else
+              b"1\t,\t_\t,\t,\t_\t0\troot\t_\t_\n"
+              b"2\t.\t_\tPUNCT\tPUNCT\t_\t1\tpunct\t_\t_\n\n")
+    dev_path.write_bytes(tokens)
+    model_path = tmp_path / "model.bin"
+    code = main(["train", "--train", str(train_file), "--dev", str(dev_path),
+                 "--model", str(model_path), "--seed", "1", "--epochs", "3",
+                 *TINY_HYPERS])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"data error: {dev_path}: the dev set has no token to score (it is "
+        "empty or all punctuation), so it cannot select an epoch\n")
+    assert captured.out == ""
+    assert not model_path.exists()
+
+
 def test_gradcheck_on_no_projective_sentence_is_a_data_error(tmp_path, capsys):
     corpus = tmp_path / "np.conllx"
     sentences = [s for s in read_conll(DATA / "sample_treebank.conllx")
@@ -596,6 +631,9 @@ def test_model_without_labels_is_a_model_error(tmp_path, train_file, capsys):
     ("evaluate", "--gold", None),
     ("evaluate", "--pred", None),
     ("analyze", "--input", None),
+    ("evaluate", "--pred-b", None),
+    ("evaluate", "--lemma-lexicon", "lemmas.tsv"),
+    ("analyze", "--lemma-lexicon", "lemmas.tsv"),
     ("train", "--embeddings", "embeddings_sample.txt"),
     ("train", "--lemma-lexicon", "lemmas.tsv"),
     ("train", "--sentiment-pos", "sentiment_positive.txt"),
@@ -622,6 +660,9 @@ def test_non_utf8_input_is_a_one_line_data_error(tmp_path, train_file, capsys,
                 "--input", str(train_file), "--output", str(output)]
     elif command == "evaluate":
         base = ["--gold", str(train_file), "--pred", str(train_file)]
+        if flag == "--lemma-lexicon":
+            # Only the two-system diff reads the lexicons.
+            base += ["--pred-b", str(train_file)]
     else:
         base = ["--input", str(train_file)]
     capsys.readouterr()

@@ -15,6 +15,7 @@ from conftest import (
     conj_w1,
     discard_gradient,
     drop_model_array,
+    gradient_buffer,
     join_model_file,
     make_sentence,
     split_model_file,
@@ -627,7 +628,7 @@ def test_gradient_buffer_is_allocated_on_first_use_and_reused(sentences):
     model = tiny_model(sentences)
     assert model._gradients is None
     grads = model.gradients()
-    buffer = grads.buffer
+    buffer = gradient_buffer(grads)
     # The regions in backward order: the MLPs from the padding vector on,
     # the LSTM layers from the top down, then the embedding tables.
     offsets = [offset for _, offset in grads.regions]
@@ -667,7 +668,7 @@ def test_gradient_buffer_is_allocated_on_first_use_and_reused(sentences):
     assert handed == offsets
     written = buffer.copy()
     # Asking again neither allocates nor zeroes.
-    assert model.gradients() is grads and grads.buffer is buffer
+    assert model.gradients() is grads and gradient_buffer(grads) is buffer
     assert np.array_equal(buffer, written)
 
 

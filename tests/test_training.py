@@ -11,6 +11,7 @@ from conftest import (
     conj_w1,
     data_resources,
     discard_gradient,
+    gradient_buffer,
     make_sentence,
     peak_bytes,
     random_projective_sentence,
@@ -24,7 +25,6 @@ from conjparse.parser import conj_candidate
 from conjparse.resources import EmbeddingTable, FeatureResources
 from conjparse.training import (
     batch_gradient,
-    batch_loss,
     dropped_word_ids,
     gradient_check,
     hinge_kink_margin,
@@ -275,6 +275,25 @@ def test_train_model_keeps_best_dev_checkpoint(conj_sentence, empty_resources):
     assert result.best_las == max(recorded)
 
 
+@pytest.mark.parametrize("dev", ["empty", "punctuation"])
+def test_train_model_refuses_a_dev_set_with_nothing_to_score(conj_sentence,
+                                                             empty_resources,
+                                                             dev):
+    # Every epoch would read dev LAS 0, and the first would be kept.
+    punctuation = make_sentence([0, 1], labels=["root", "punct"],
+                                forms=[",", "."], pos=[",", "PUNCT"])
+    model = tiny_model([conj_sentence], seed=2)
+    before = model.copy_params()
+    logged = []
+    with pytest.raises(ValueError, match=r"^the dev set has no token to score "
+                                         r"\(it is empty or all punctuation\)"):
+        train_model(model, [conj_sentence], empty_resources, epochs=3, seed=2,
+                    dev_sentences={"empty": [], "punctuation": [punctuation]}[dev],
+                    log=logged.append)
+    assert logged == []
+    assert np.array_equal(model.vector, before)
+
+
 def test_batched_updates_accumulate_and_stay_deterministic(conj_sentence,
                                                            empty_resources):
     other = make_sentence([0, 1], labels=["root", "dobj"],
@@ -440,7 +459,8 @@ def test_kink_margin_is_taken_over_the_scores_the_loss_reads(
 
         with monkeypatch.context() as patch:
             patch.setattr(training, "score_batch", recording)
-            batch_loss(model, sentences, paths)
+            for sentence, path in zip(sentences, paths):
+                sentence_loss(model, sentence, path)
         assert len(recorded) == len(paths)
         expected = min(_rows_kink_margin(model, scores, path.gold,
                                          path.competing)
@@ -538,7 +558,7 @@ def _extract(sentence, pair, resources):
 
 
 def _assert_matches_reference(model, sentences, resources, word_ids):
-    model.gradients().buffer.fill(np.nan)  # every element must be written
+    gradient_buffer(model.gradients()).fill(np.nan)  # every element must be written
     # As stored, with ``conj.w1`` whole.
     reference = {key: np.zeros(shape) for key, shape in model.stored_shapes.items()
                  if key in model.stored_trainable}
@@ -618,11 +638,11 @@ def test_batch_loss_writes_every_gradient_element(conj_sentence, names,
     model.params["mlp.b2"][model.codec.right_index("root")] += 50.0
     resources = FeatureResources(embeddings=table)
     paths = [oracle_path(sentence, model, resources) for sentence in batch]
-    assert [batch_loss(model, [s], [p]) > 0.0 for s, p in zip(batch, paths)] == [
+    assert [sentence_loss(model, s, p) > 0.0 for s, p in zip(batch, paths)] == [
         name == "conj" for name in names.split("+")]
     results = []
     for fill in (np.nan, 0.0):
-        model.gradients().buffer.fill(fill)
+        gradient_buffer(model.gradients()).fill(fill)
         results.append(batch_gradient(model, batch, paths))
     (loss, nan_filled), (again, zero_filled) = results
     assert loss == again
@@ -633,7 +653,7 @@ def test_batch_loss_writes_every_gradient_element(conj_sentence, names,
 
 def test_batch_loss_of_no_sentences_zeroes_the_gradients(conj_sentence):
     model = tiny_model([conj_sentence])
-    model.gradients().buffer.fill(np.nan)
+    gradient_buffer(model.gradients()).fill(np.nan)
     loss, vector = batch_gradient(model, [], [])
     assert loss == 0.0
     assert not vector.any()
@@ -651,8 +671,8 @@ def test_sentence_loss_needs_no_gradient_sized_temporaries():
                         LabelInventory.from_sentences([sentence]), seed=1)
     paths = [oracle_path(sentence, model, FeatureResources.empty())]
     model.gradients()
-    loss, peak = peak_bytes(lambda: batch_loss(model, [sentence], paths,
-                                               hand_over=discard_gradient))
+    loss, peak = peak_bytes(lambda: sentence_loss(model, sentence, paths[0],
+                                                  hand_over=discard_gradient))
     assert loss > 0.0
     assert peak < 2 * model.vector.nbytes
     assert peak < 6.2e6
