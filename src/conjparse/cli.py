@@ -197,6 +197,8 @@ def cmd_train(args) -> int:
     # Checked first: training can take long, and the model is saved last.
     _check_seed(args.seed)
     check_model_path(args.model)
+    if args.epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {args.epochs}")
     config = {}
     if args.config:
         # Bytes that are not UTF-8 are a data error, as in every input file.
@@ -217,13 +219,14 @@ def cmd_train(args) -> int:
     if args.tune_pretrained:
         hp.tune_pretrained = True
 
-    resources = load_resources(args)
     # A model trained on nothing has no labels and cannot parse.
     train_sents, skipped = _projective_sentences(args.train, args.format,
                                                  "train on")
     dev_sents = read_conll(args.dev, fmt=args.format) if args.dev else None
     if dev_sents is not None and not evaluation.has_scored_token(dev_sents):
         raise ConllError(f"{args.dev}: {training.NOTHING_TO_SCORE}")
+    # Read after the treebanks, so that a bad treebank's error comes alone.
+    resources = load_resources(args)
 
     vocab = Vocabulary.from_corpus(train_sents)
     labels = LabelInventory.from_sentences(train_sents)
@@ -256,8 +259,8 @@ def cmd_parse(args) -> int:
     model = Model.load(args.model)
     if args.no_single_root:
         model.hp.single_root = False
-    resources = load_resources(args)
     sentences = read_conll(args.input, fmt=args.format)
+    resources = load_resources(args)
     parsed = parse_corpus(sentences, model, resources)
     write_conll_file(args.output, parsed, use_predicted=True)
     print(f"parsed {len(parsed)} sentences into {args.output}")

@@ -49,10 +49,6 @@ MODEL_MAGIC = b"CJPMODEL"
 MODEL_VERSION = 1
 # The pair columns of the stored ``conj.w1``, held as an array of their own.
 CONJ_PAIRS = "conj.w1_pairs"
-# Configurations whose slot rows ``Model.first_layer`` gathers at a time:
-# one gather and sum is fastest for the one-row batches of parsing, and
-# the chunk bounds the (rows, 4, width) gather of a whole oracle path.
-FIRST_LAYER_CHUNK = 32
 
 
 class ModelIOError(ValueError):
@@ -630,16 +626,10 @@ class Model:
         one configuration's four rows of that table per row.  Row r is the
         sum of its slots' projections; its first ``mlp_dim`` columns
         belong to the transition MLP and the rest to the coordination MLP.
-        Gathers the slot rows of up to ``FIRST_LAYER_CHUNK`` configurations
-        at a time and sums each configuration's slots left to right.
+        One gather of every configuration's slot rows and one sum, which
+        adds each configuration's slots left to right.
         """
-        rows, n_slots = slots.shape
-        first = np.empty((rows, projected.shape[1]))
-        each_slot = np.arange(n_slots)
-        for start in range(0, rows, FIRST_LAYER_CHUNK):
-            chunk = slice(start, start + FIRST_LAYER_CHUNK)
-            projected[slots[chunk], :, each_slot].sum(axis=1, out=first[chunk])
-        return first
+        return projected[slots, :, np.arange(slots.shape[1])].sum(axis=1)
 
     def first_layer_backward(self, encoded: EncodedSentence, slots: np.ndarray,
                              d_first: np.ndarray, grads: Gradients) -> np.ndarray:

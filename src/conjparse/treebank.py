@@ -242,51 +242,57 @@ def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[S
     are skipped.  A line's columns are checked as it is read; a sentence's
     token ids must run 1..n and no head may exceed n.  With
     ``require_tree`` every sentence is validated as a single rooted tree
-    (predicted parses being evaluated may disable it).
+    (predicted parses being evaluated may disable it).  A line or tree
+    error in a file names the file first: ``PATH, line 3: ...``.
     """
     if fmt not in ("conllx", "conllu"):
         raise ValueError(f"unknown format {fmt!r}")
     conllu = fmt == "conllu"
     sentences: List[Sentence] = []
     tokens: List[Token] = []
-    for line_number, line in enumerate(_iter_lines(source), start=1):
-        line = line.rstrip("\r")
-        if not line or line.isspace():
-            if tokens:
-                sentences.append(_sentence(tokens, len(sentences), require_tree))
-                tokens = []
-            continue
-        if line[0] == "#":
-            continue
-        parts = line.split("\t")
-        if conllu:
-            if len(parts) != 10:
-                raise ConllParseError(f"expected 10 columns, got {len(parts)}",
+    try:
+        for line_number, line in enumerate(_iter_lines(source), start=1):
+            line = line.rstrip("\r")
+            if not line or line.isspace():
+                if tokens:
+                    sentences.append(_sentence(tokens, len(sentences), require_tree))
+                    tokens = []
+                continue
+            if line[0] == "#":
+                continue
+            parts = line.split("\t")
+            if conllu:
+                if len(parts) != 10:
+                    raise ConllParseError(f"expected 10 columns, got {len(parts)}",
+                                          line_number)
+                if "-" in parts[0] or "." in parts[0]:
+                    continue  # multiword ranges and empty nodes carry no tree arcs
+            elif not 8 <= len(parts) <= 10:
+                raise ConllParseError(f"expected 8-10 columns, got {len(parts)}",
                                       line_number)
-            if "-" in parts[0] or "." in parts[0]:
-                continue  # multiword ranges and empty nodes carry no tree arcs
-        elif not 8 <= len(parts) <= 10:
-            raise ConllParseError(f"expected 8-10 columns, got {len(parts)}",
-                                  line_number)
-        try:
-            token_id = int(parts[0])
-        except ValueError:
-            raise ConllParseError(f"bad token id {parts[0]!r}", line_number) from None
-        form = parts[1]
-        if not form:
-            raise ConllParseError("empty FORM column", line_number)
-        lemma = parts[2]
-        pos = parts[4]
-        if pos == MISSING:
-            pos = parts[3]
-        try:
-            head = int(parts[6])
-        except ValueError:
-            raise ConllParseError(f"bad head {parts[6]!r}", line_number) from None
-        tokens.append(Token(token_id, form, pos, head, parts[7],
-                            None if lemma == MISSING else lemma))
-    if tokens:
-        sentences.append(_sentence(tokens, len(sentences), require_tree))
+            try:
+                token_id = int(parts[0])
+            except ValueError:
+                raise ConllParseError(f"bad token id {parts[0]!r}", line_number) from None
+            form = parts[1]
+            if not form:
+                raise ConllParseError("empty FORM column", line_number)
+            lemma = parts[2]
+            pos = parts[4]
+            if pos == MISSING:
+                pos = parts[3]
+            try:
+                head = int(parts[6])
+            except ValueError:
+                raise ConllParseError(f"bad head {parts[6]!r}", line_number) from None
+            tokens.append(Token(token_id, form, pos, head, parts[7],
+                                None if lemma == MISSING else lemma))
+        if tokens:
+            sentences.append(_sentence(tokens, len(sentences), require_tree))
+    except (ConllParseError, TreeStructureError) as exc:
+        if not isinstance(source, bytes):
+            exc.args = (f"{source}, {exc}",)
+        raise
     return sentences
 
 

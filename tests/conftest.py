@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import random
 import struct
 import sys
 import tracemalloc
@@ -104,6 +105,26 @@ def random_projective_sentence(rng: np.random.Generator, n: int,
     forms = [str(rng.choice(_FORM_POOL)) for _ in range(n)]
     pos = [str(rng.choice(_POS_POOL)) for _ in range(n)]
     return make_sentence(heads, out_labels, forms, pos)
+
+
+def sample_tree_sentence(rng: random.Random, tokens, n: int) -> Sentence:
+    """A projective tree over ``n`` of ``tokens``, picked at random.
+
+    Each span picks its root at random and hangs the spans on either side
+    of it off that root, so every subtree is contiguous.
+    """
+    heads = [0] * (n + 1)
+    spans = [(1, n, 0)]
+    while spans:
+        low, high, head = spans.pop()
+        if low <= high:
+            root = rng.randint(low, high)
+            heads[root] = head
+            spans += [(low, root - 1, root), (root + 1, high, root)]
+    picks = [rng.choice(tokens) for _ in range(n)]
+    return Sentence(tuple(
+        Token(i, tok.form, tok.pos, heads[i], tok.gold_label, tok.lemma)
+        for i, tok in enumerate(picks, start=1)))
 
 
 def data_resources() -> FeatureResources:

@@ -15,7 +15,13 @@ from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse, parse_corpus
 from conjparse.resources import FeatureResources
-from conjparse.treebank import LabelInventory, is_projective, read_conll, write_conll
+from conjparse.treebank import (
+    LabelInventory,
+    TreeStructureError,
+    is_projective,
+    read_conll,
+    write_conll,
+)
 
 TINY_HYPERS = [
     "--hyper", "word_dim=8", "--hyper", "pos_dim=4", "--hyper", "lstm_dim=6",
@@ -248,13 +254,15 @@ def test_gradcheck_bad_step_or_tolerance_is_a_one_line_error(capsys, flags):
 
 
 @pytest.mark.parametrize("epochs", ["0", "-2"])
-def test_train_fewer_than_one_epoch_is_a_one_line_error(tmp_path, train_file,
-                                                        capsys, epochs):
-    args = ["train", "--train", str(train_file), "--seed", "1", "--epochs", epochs,
-            "--model", str(tmp_path / "model.bin"), *TINY_HYPERS]
+def test_train_fewer_than_one_epoch_is_a_one_line_error(tmp_path, capsys, epochs):
+    # The input does not exist, so a data error would show that it was read.
+    args = ["train", "--train", str(tmp_path / "missing.conllx"), "--seed", "1",
+            "--epochs", epochs, "--model", str(tmp_path / "model.bin"),
+            *TINY_HYPERS]
     assert main(args) == EXIT_OTHER
-    err = capsys.readouterr().err
-    assert err == f"error: epochs must be at least 1, got {epochs}\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: epochs must be at least 1, got {epochs}\n"
+    assert captured.out == ""
     assert not (tmp_path / "model.bin").exists()
 
 
@@ -672,6 +680,80 @@ def test_non_utf8_input_is_a_one_line_data_error(tmp_path, train_file, capsys,
     assert captured.err == f"data error: {bad}, line 2: not valid UTF-8\n"
     assert captured.out == ""
     assert not output.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--gold"),
+    ("evaluate", "--pred"),
+    ("evaluate", "--pred-b"),
+    ("train", "--train"),
+    ("train", "--dev"),
+    ("parse", "--input"),
+])
+def test_a_malformed_treebank_error_names_its_file(tmp_path, train_file, capsys,
+                                                   command, flag):
+    bad = tmp_path / "bad.conllx"
+    bad.write_text("1\tx\n")
+    output = tmp_path / "out"
+    base = {
+        "evaluate": ["--gold", str(train_file), "--pred", str(train_file),
+                     "--pred-b", str(train_file)],
+        "train": ["--train", str(train_file), "--model", str(output),
+                  "--seed", "1", "--epochs", "1", *TINY_HYPERS],
+        "parse": ["--input", str(train_file), "--output", str(output)],
+    }[command]
+    if command == "parse":
+        base += ["--model", str(_train(tmp_path, train_file))]
+    capsys.readouterr()
+    # argparse keeps the last value of a repeated flag: the bad file.
+    assert main([command, *base, flag, str(bad)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"data error: {bad}, line 1: expected 8-10 columns, got 2\n")
+    assert captured.out == ""
+    assert not output.exists()
+
+
+def test_a_tree_error_names_its_file_and_bytes_keep_the_bare_message(tmp_path,
+                                                                     capsys):
+    cycle = b"1\ta\t_\tNN\tNN\t_\t2\tdep\n2\tb\t_\tNN\tNN\t_\t1\tdep\n"
+    bad = tmp_path / "cycle.conllx"
+    bad.write_bytes(cycle)
+    assert main(["analyze", "--input", str(bad)]) == EXIT_DATA
+    assert _one_line_error(capsys, "data error: ") == (
+        f"data error: {bad}, sentence 0: no token attached to the root\n")
+    with pytest.raises(TreeStructureError) as raised:
+        read_conll(cycle)
+    assert str(raised.value) == "sentence 0: no token attached to the root"
+    assert raised.value.sentence_index == 0
+
+
+@pytest.mark.parametrize("command", ["train", "parse"])
+def test_a_bad_treebank_error_comes_before_any_resource_warning(
+        tmp_path, train_file, capsys, command):
+    bad = tmp_path / "bad.conllx"
+    bad.write_text("1\tx\n")
+    output = tmp_path / "out"
+    one_list = ["--sentiment-pos", str(DATA / "sentiment_positive.txt")]
+    if command == "train":
+        args = ["train", "--train", str(bad), "--model", str(output),
+                "--seed", "1", "--epochs", "1", *TINY_HYPERS]
+    else:
+        args = ["parse", "--model", str(_train(tmp_path, train_file)),
+                "--input", str(bad), "--output", str(output)]
+    capsys.readouterr()
+    assert main([*args, *one_list]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"data error: {bad}, line 1: expected 8-10 columns, got 2\n")
+    assert captured.out == ""
+    assert not output.exists()
+    # With good inputs the run warns, once, and goes on.
+    good = [str(train_file) if part == str(bad) else part for part in args]
+    assert main([*good, *one_list]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: need both sentiment lists; using neutral sentiment\n")
+    assert output.exists()
 
 
 def test_exit_code_malformed_treebank(tmp_path, capsys):

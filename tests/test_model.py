@@ -178,6 +178,29 @@ def test_projection_rows_do_not_depend_on_their_batch(sentences, lstm_dim,
             assert np.array_equal(model.project(nodes[rows]), whole[rows]), (n, rows)
 
 
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 200, 300])
+def test_first_layer_rows_do_not_depend_on_their_batch(sentences, rows):
+    # Decoding asks for one row at a time and training for a whole oracle
+    # path; each row must be its four slot rows summed left to right,
+    # whatever the batch.  The padding slot -1 is the table's last row.
+    lstm_dim, mlp_dim, conj_mlp_dim = PROJECTION_DIMS[0]
+    model = tiny_model(sentences, lstm_dim=lstm_dim, mlp_dim=mlp_dim,
+                       conj_mlp_dim=conj_mlp_dim)
+    rng = np.random.default_rng(rows)
+    projected = model.project(rng.normal(size=(102, 2 * lstm_dim)))
+    slots = rng.integers(-1, len(projected) - 1, size=(rows, 4))
+    slots[rng.random(slots.shape) < 0.2] = -1
+    batch = model.first_layer(projected, slots)
+    assert batch.shape == (rows, mlp_dim + conj_mlp_dim)
+    for row, row_slots in enumerate(slots):
+        alone = model.first_layer(projected, slots[row:row + 1])[0]
+        summed = projected[row_slots[0], :, 0]
+        for slot in range(1, 4):
+            summed = summed + projected[row_slots[slot], :, slot]
+        assert np.array_equal(batch[row], alone), (rows, row)
+        assert np.array_equal(batch[row], summed), (rows, row)
+
+
 def test_conj_score_golden(sentences):
     # Hand-set weights; expected value frozen from a scalar simulation.
     model = tiny_model(sentences, lstm_dim=1, conj_mlp_dim=3)

@@ -1,4 +1,5 @@
 import io
+import random
 import threading
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     make_sentence,
     peak_bytes,
     random_projective_sentence,
+    sample_tree_sentence,
     tiny_model,
     whole_step,
 )
@@ -123,6 +125,53 @@ def test_gradient_check_detects_corruption(empty_resources, monkeypatch):
     assert not report.passed
     worst = {e.key: e.max_rel_error for e in report.entries}
     assert worst["mlp.w2"] > 0.9
+
+
+def _directional_errors(model, batches, directions, step):
+    """Relative error of ``batch_gradient``'s g . d against a central
+    difference of the summed ``sentence_loss`` along d, per batch and d."""
+    errors = []
+    origin = model.vector.copy()
+    for batch, paths in batches:
+        gradient = batch_gradient(model, batch, paths)[1]
+        for direction in directions:
+            losses = []
+            for sign in (1.0, -1.0):
+                np.add(origin, sign * step * direction, out=model.vector)
+                losses.append(sum(sentence_loss(model, s, p)
+                                  for s, p in zip(batch, paths)))
+            model.vector[...] = origin
+            numeric = (losses[0] - losses[1]) / (2 * step)
+            analytic = gradient @ direction
+            errors.append(abs(numeric - analytic) / abs(analytic))
+    return errors
+
+
+def test_gradient_along_directions_at_the_default_sizes(sample_sentences):
+    # The element-wise check runs on tiny models and short sentences; this
+    # one runs where training runs: default sizes, all four resources, and
+    # 45- and 100-token sentences whose oracle paths (90 and 200 rows) and
+    # LSTM backward passes (46 and 101 steps) cross ``network._FACTOR_BLOCK``.
+    # The seeds were picked for a point clear of the hinge's kinks (both
+    # margins are above 0.015), which the margin check confirms.
+    resources = data_resources()
+    projective = [s for s in sample_sentences if is_projective(s)]
+    tokens = [tok for s in projective[:40] for tok in s]
+    rng = random.Random(1)
+    long_sentences = [sample_tree_sentence(rng, tokens, n) for n in (45, 100)]
+    model = Model.build(Hyperparams(), Vocabulary.from_corpus(long_sentences),
+                        LabelInventory.from_sentences(long_sentences),
+                        pretrained=resources.embeddings, seed=1)
+    jitter_params(model, seed=6)
+    paths = [oracle_path(s, model, resources) for s in long_sentences]
+    step = 1e-4
+    for sentence, path in zip(long_sentences, paths):
+        assert hinge_kink_margin(model, [sentence], [path]) > 50 * step
+    directions = np.random.default_rng(0).normal(size=(4, model.vector.size))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    batches = [(long_sentences[1:], paths[1:]), (long_sentences, paths)]
+    errors = _directional_errors(model, batches, directions, step)
+    assert max(errors) < 1e-6, errors
 
 
 def test_gradient_check_fails_on_a_nan_relative_error(empty_resources):

@@ -4,9 +4,9 @@ One short, fixed run of the library at its default sizes, with all four
 lexical resources of data/:
 
 - ``train_model`` on six sample sentences and one generated 24-token
-  sentence, whose 48 oracle steps cross ``FIRST_LAYER_CHUNK`` and whose
-  24 LSTM steps cross ``network._FACTOR_BLOCK``, at batch sizes 1 and 2,
-  with word dropout on, two epochs with dev selection;
+  sentence, whose 24 LSTM steps cross ``network._FACTOR_BLOCK`` (the
+  sample's longest sentence has 7 tokens), at batch sizes 1 and 2, with
+  word dropout on, two epochs with dev selection;
 - a parse of four dev sentences by each trained model;
 - ``conjparse gradcheck`` on its bundled fixture.
 
