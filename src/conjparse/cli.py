@@ -23,7 +23,6 @@ from .model import (
     ModelIOError,
     Vocabulary,
     check_hyperparams,
-    check_model_path,
 )
 from .parser import parse_corpus
 from .resources import (
@@ -37,11 +36,13 @@ from .transitions import OracleError
 from .treebank import (
     ConllError,
     LabelInventory,
+    OutputError,
+    OutputFile,
     Sentence,
-    _iter_lines,
+    decode_text,
     is_projective,
     read_conll,
-    write_conll_file,
+    write_conll,
 )
 
 EXIT_OK = 0
@@ -194,15 +195,23 @@ def _check_seed(seed: int) -> None:
 
 
 def cmd_train(args) -> int:
-    # Checked first: training can take long, and the model is saved last.
     _check_seed(args.seed)
-    check_model_path(args.model)
+    try:  # opened first: training can take long, and the model is written last
+        with OutputFile(args.model) as output:
+            _trained_model(args).save(output)
+    except OutputError as exc:
+        raise ModelIOError(f"cannot write {args.model}: {exc.strerror}") from None
+    print(f"model written to {args.model}")
+    return EXIT_OK
+
+
+def _trained_model(args) -> Model:
     if args.epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {args.epochs}")
     config = {}
     if args.config:
         # Bytes that are not UTF-8 are a data error, as in every input file.
-        text = "\n".join(_iter_lines(args.config))
+        text = decode_text(args.config)
         try:
             config = check_hyperparams(json.loads(text))
         except ValueError as exc:
@@ -250,9 +259,7 @@ def cmd_train(args) -> int:
     if result.best_epoch is not None:
         print(f"best dev LAS {result.best_las:.2f} at epoch {result.best_epoch}; "
               "saving that checkpoint")
-    model.save(args.model)
-    print(f"model written to {args.model}")
-    return EXIT_OK
+    return model
 
 
 def cmd_parse(args) -> int:
@@ -261,8 +268,9 @@ def cmd_parse(args) -> int:
         model.hp.single_root = False
     sentences = read_conll(args.input, fmt=args.format)
     resources = load_resources(args)
-    parsed = parse_corpus(sentences, model, resources)
-    write_conll_file(args.output, parsed, use_predicted=True)
+    with OutputFile(args.output) as output:
+        parsed = parse_corpus(sentences, model, resources)
+        output.write(write_conll(parsed, use_predicted=True))
     print(f"parsed {len(parsed)} sentences into {args.output}")
     return EXIT_OK
 
@@ -365,7 +373,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_MODEL
     except (ConllError, ResourceError, OracleError,
             evaluation.MisalignedCorporaError, OSError) as exc:
-        # OSError: a treebank, resource or config path that cannot be used.
+        # OSError: an input or output path that cannot be used.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

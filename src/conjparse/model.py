@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -43,7 +42,7 @@ from . import network
 from .conj_features import FEATURE_SIZE
 from .resources import EmbeddingTable
 from .transitions import Configuration, TransitionCodec
-from .treebank import LabelInventory, Sentence, write_atomically
+from .treebank import LabelInventory, OutputFile, Sentence
 
 MODEL_MAGIC = b"CJPMODEL"
 MODEL_VERSION = 1
@@ -53,26 +52,6 @@ CONJ_PAIRS = "conj.w1_pairs"
 
 class ModelIOError(ValueError):
     pass
-
-
-def _unusable_path(action: str, path, exc: OSError) -> ModelIOError:
-    return ModelIOError(f"cannot {action} {path}: {exc.strerror or exc}")
-
-
-def check_model_path(path) -> None:
-    """Raise ``ModelIOError`` unless ``Model.save`` can write to ``path``.
-
-    Opens the path for appending, which changes no existing file, and
-    removes the file again if this made it.
-    """
-    existed = os.path.lexists(path)
-    try:
-        with open(path, "ab"):
-            pass
-    except OSError as exc:
-        raise _unusable_path("write", path, exc) from None
-    if not existed:
-        os.remove(path)
 
 
 @dataclass
@@ -701,16 +680,17 @@ class Model:
         """Write the model to a path or binary file object.
 
         A path that cannot be written raises ``ModelIOError``.  A path is
-        written through ``treebank.write_atomically``: a failure leaves a
+        written through a ``treebank.OutputFile``: a failure leaves a
         previous file there as it was.
         """
         if hasattr(sink, "write"):
             self._write(sink)
             return
         try:
-            write_atomically(sink, self._write)
+            with OutputFile(sink) as output:
+                self._write(output)
         except OSError as exc:
-            raise _unusable_path("write", sink, exc) from None
+            raise ModelIOError(f"cannot write {sink}: {exc.strerror or exc}") from None
 
     def _write(self, handle) -> None:
         order = sorted(self.stored_shapes)
@@ -758,7 +738,7 @@ class Model:
                 with open(source, "rb") as handle:
                     data = handle.read()
             except OSError as exc:
-                raise _unusable_path("read", source, exc) from None
+                raise ModelIOError(f"cannot read {source}: {exc.strerror}") from None
         if len(data) < len(MODEL_MAGIC) + 12 or not data.startswith(MODEL_MAGIC):
             raise ModelIOError("not a parser model file (bad magic bytes)")
         offset = len(MODEL_MAGIC)

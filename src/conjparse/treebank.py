@@ -1,4 +1,4 @@
-"""CoNLL treebank reading, writing and tree validation.
+"""CoNLL treebank reading, writing and tree validation; output files.
 
 Supports the tabular CoNLL-X and CoNLL-U formats.  A token is an immutable
 named tuple, built from its line in the one pass that reads the file.
@@ -14,10 +14,9 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import stat
 from dataclasses import dataclass
-from typing import (BinaryIO, Callable, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 ROOT_ID = 0
 ROOT_FORM = "*root*"
@@ -200,8 +199,8 @@ def is_projective(sentence: Sentence) -> bool:
     return True
 
 
-def _iter_lines(source) -> Iterator[str]:
-    """The lines of ``source``: CoNLL data as ``bytes``, else a file path."""
+def decode_text(source) -> str:
+    """The text of ``bytes`` or of a file; not UTF-8 is a ``ConllError``."""
     if isinstance(source, bytes):
         data, where = source, ""
     else:
@@ -209,11 +208,10 @@ def _iter_lines(source) -> Iterator[str]:
             data = handle.read()
         where = f"{source}, "
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_number = data.count(b"\n", 0, exc.start) + 1
         raise ConllError(f"{where}line {line_number}: not valid UTF-8") from None
-    return iter(text.split("\n"))
 
 
 def _sentence(tokens: List[Token], index: int, require_tree: bool) -> Sentence:
@@ -251,7 +249,7 @@ def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[S
     sentences: List[Sentence] = []
     tokens: List[Token] = []
     try:
-        for line_number, line in enumerate(_iter_lines(source), start=1):
+        for line_number, line in enumerate(decode_text(source).split("\n"), start=1):
             line = line.rstrip("\r")
             if not line or line.isspace():
                 if tokens:
@@ -325,43 +323,55 @@ def write_conll(sentences: Sequence[Sentence], use_predicted: bool = False) -> b
     return out.getvalue().encode("utf-8")
 
 
-def write_atomically(path, write: Callable[[BinaryIO], object]) -> None:
-    """Write the file ``path`` as ``write(handle)`` writes a binary handle.
+class OutputError(OSError):
+    """An output file that could not be opened, written or committed."""
 
-    ``write`` writes a new file in ``path``'s directory, which then
-    replaces ``path`` in one rename: a failure anywhere leaves a previous
-    file at ``path`` as it was and removes the new one.  An ``OSError``
-    names ``path``, with the reason of the step that failed.  A path that
-    exists and is not a regular file (a device, a pipe, a directory) is
-    opened and written in place, and is never replaced; a symbolic link's
-    target is replaced, not the link.
+
+class OutputFile:
+    """``with OutputFile(path) as output:`` opens a new file beside ``path``,
+    which the block writes through ``output.write``; it replaces ``path`` in
+    one rename when the block ends, and is removed when the block raises,
+    Ctrl-C included.  An ``OSError`` in opening, writing or renaming is
+    raised as an ``OutputError`` naming ``path``.  A path that exists and
+    is not a regular file (a device, a pipe, a directory) is opened in
+    place; a symbolic link's target is replaced, not the link.
     """
-    try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:
-        in_place = False
-    if in_place:
-        with open(path, "wb") as handle:
-            write(handle)
-        return
-    target = os.path.realpath(path)
-    temporary = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    try:
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self) -> "OutputFile":
+        in_place = os.path.exists(self.path) and not os.path.isfile(self.path)
+        self._target = os.path.realpath(self.path)
+        self._temporary = (None if in_place else
+                           f"{self._target}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
         try:
-            with open(temporary, "xb") as handle:
-                write(handle)
-            os.replace(temporary, target)
+            self._handle = open(self._temporary or self.path, "wb" if in_place else "xb")
         except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(temporary)
-        raise
+            raise self._error(exc) from None
+        return self
 
+    def write(self, data) -> int:
+        try:
+            return self._handle.write(data)
+        except OSError as exc:
+            raise self._error(exc) from None
 
-def write_conll_file(path, sentences: Sequence[Sentence],
-                     use_predicted: bool = False) -> None:
-    """Write ``sentences`` to ``path`` as ``write_conll`` serializes them;
-    a failure leaves a previous file at ``path`` as it was."""
-    data = write_conll(sentences, use_predicted=use_predicted)
-    write_atomically(path, lambda handle: handle.write(data))
+    def __exit__(self, kind, value, traceback) -> None:
+        try:
+            if kind is None:
+                self._handle.close()
+                if self._temporary is not None:
+                    os.replace(self._temporary, self._target)
+                    self._temporary = None
+        except OSError as exc:
+            raise self._error(exc) from None
+        finally:
+            if self._temporary is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(self._temporary)
+            with contextlib.suppress(OSError):
+                self._handle.close()
+
+    def _error(self, exc: OSError) -> OutputError:
+        return OutputError(exc.errno, exc.strerror, os.fspath(self.path))

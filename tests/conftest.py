@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
@@ -28,6 +29,12 @@ from conjparse.resources import (
 )
 from conjparse.transitions import TransitionCodec, apply, initial_config, is_terminal, legal_mask
 from conjparse.treebank import LabelInventory, Sentence, Token, read_conll
+
+# Every property test draws the same examples on every run, and keeps none
+# between runs: a test's result depends on the code alone.  Each test still
+# sets its own example count and deadline.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DATA = REPO / "data"

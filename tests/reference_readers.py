@@ -27,7 +27,7 @@ from conjparse.treebank import (
     Sentence,
     Token,
     TreeStructureError,
-    _iter_lines,
+    decode_text,
 )
 
 
@@ -145,7 +145,7 @@ def read_conll(source, fmt: str = "conllx", require_tree: bool = True) -> List[S
         sentences.append(sent)
         tokens.clear()
 
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
+    for line_number, raw in enumerate(decode_text(source).split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             finish()

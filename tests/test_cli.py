@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,11 +9,13 @@ import pytest
 
 from conftest import (
     DATA,
+    REPO,
     break_analytic_gradient,
     drop_model_array,
     join_model_file,
     split_model_file,
 )
+from conjparse import cli
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
 from conjparse.model import Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse, parse_corpus
@@ -532,6 +537,98 @@ def test_train_checks_the_model_path_without_leaving_a_file(tmp_path, train_file
                  "--model", str(tmp_path / "new.bin"), "--epochs", "0"])
     assert code == EXIT_OTHER
     assert not (tmp_path / "new.bin").exists()
+
+
+def test_train_with_a_model_name_too_long_fails_before_training(tmp_path,
+                                                               train_file, capsys):
+    # The name itself fits, but the new file beside it, with its
+    # ".<pid>.<hex>.tmp" suffix, does not.
+    model = tmp_path / ("m" * 250)
+    code = main(["train", "--train", str(train_file), "--model", str(model),
+                 "--seed", "1", "--epochs", "1", *TINY_HYPERS])
+    assert code == EXIT_MODEL
+    captured = capsys.readouterr()
+    assert captured.err == f"model error: cannot write {model}: File name too long\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_parse_with_an_output_name_too_long_fails_before_parsing(
+        tmp_path, train_file, capsys, monkeypatch):
+    model = _train(tmp_path, train_file)
+    parsed = []
+    monkeypatch.setattr(cli, "parse_corpus",
+                        lambda *args: parsed.append(args) or [])
+    directory = tmp_path / "out"
+    directory.mkdir()
+    output = directory / ("o" * 250)
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model), "--input", str(train_file),
+                 "--output", str(output)])
+    assert code == EXIT_DATA
+    assert _one_line_error(capsys, "data error: ") == (
+        f"data error: [Errno 36] File name too long: {str(output)!r}\n")
+    assert parsed == []
+    assert os.listdir(directory) == []
+
+
+# Run from the test's directory by a user that cannot write into ``ro/``.
+# Everything it needs is imported first: after ``setuid`` it may not read
+# the interpreter's own library.  Exit 99: this user can write there.
+_AS_NOBODY = """
+import locale, os, sys
+import numpy.random
+from conjparse import cli
+cli.build_arg_parser()
+try:
+    os.setuid(65534)
+except PermissionError:
+    sys.exit(99)
+try:
+    open("ro/probe", "xb").close()
+except PermissionError:
+    sys.exit(cli.main(sys.argv[1:]))
+sys.exit(99)
+"""
+
+
+def test_train_into_a_read_only_directory_fails_before_training(
+        tmp_path, train_file, capsys, monkeypatch):
+    # The model file can be written, but not the new file beside it.
+    (tmp_path / "train.conllx").write_bytes(train_file.read_bytes())
+    directory = tmp_path / "ro"
+    directory.mkdir()
+    model = directory / "model.bin"
+    model.write_bytes(b"kept")
+    model.chmod(0o666)
+    tmp_path.chmod(0o755)
+    directory.chmod(0o555)
+    argv = ["train", "--train", "train.conllx", "--model", "ro/model.bin",
+            "--seed", "1", "--epochs", "1", *TINY_HYPERS]
+    try:
+        if os.geteuid() == 0:
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+            run = subprocess.run([sys.executable, "-c", _AS_NOBODY, *argv],
+                                 cwd=tmp_path, env=env, capture_output=True,
+                                 text=True, timeout=120)
+            code, out, err = run.returncode, run.stdout, run.stderr
+        else:
+            monkeypatch.chdir(tmp_path)
+            try:
+                open("ro/probe", "xb").close()
+                code = 99
+            except PermissionError:
+                code = main(argv)
+            out, err = capsys.readouterr()
+        if code == 99:
+            pytest.skip("this user can write into a directory of mode 0o555")
+        assert code == EXIT_MODEL, err
+        assert err == "model error: cannot write ro/model.bin: Permission denied\n"
+        assert out == ""
+        assert model.read_bytes() == b"kept"
+        assert os.listdir(directory) == ["model.bin"]
+    finally:
+        directory.chmod(0o755)
 
 
 @pytest.mark.parametrize("flag", ["--gold", "--pred"])

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA,
@@ -171,6 +173,57 @@ def test_gradient_along_directions_at_the_default_sizes(sample_sentences):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     batches = [(long_sentences[1:], paths[1:]), (long_sentences, paths)]
     errors = _directional_errors(model, batches, directions, step)
+    assert max(errors) < 1e-6, errors
+
+
+@pytest.fixture(scope="module")
+def all_resources():
+    return data_resources()
+
+
+# Layer widths that no block of 4 or 16 divides.
+_ODD_WIDTH = st.sampled_from([width for width in range(1, 14) if width % 4])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gradient_along_directions_at_odd_small_shapes(data, sample_sentences,
+                                                       all_resources):
+    # Odd widths, 1-3 LSTM layers, and batches of one or two sentences of
+    # 1-40 tokens, whose LSTM backward passes (2-41 steps) fall on either
+    # side of ``network._FACTOR_BLOCK``; the scorer on, with all four
+    # resources, or off.
+    conj = data.draw(st.booleans(), label="use_conj_features")
+    resources = all_resources if conj else FeatureResources.empty()
+    hp = Hyperparams(
+        word_dim=data.draw(_ODD_WIDTH, label="word_dim"),
+        pos_dim=data.draw(_ODD_WIDTH, label="pos_dim"),
+        lstm_layers=data.draw(st.integers(1, 3), label="lstm_layers"),
+        lstm_dim=data.draw(_ODD_WIDTH, label="lstm_dim"),
+        mlp_dim=data.draw(_ODD_WIDTH, label="mlp_dim"),
+        conj_mlp_dim=data.draw(_ODD_WIDTH, label="conj_mlp_dim"),
+        use_conj_features=conj,
+    )
+    lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=2),
+                        label="lengths")
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    rng = random.Random(seed)
+    tokens = [tok for s in sample_sentences[:40] if is_projective(s) for tok in s]
+    batch = [sample_tree_sentence(rng, tokens, n) for n in lengths]
+    model = Model.build(hp, Vocabulary.from_corpus(batch),
+                        LabelInventory.from_sentences(batch),
+                        pretrained=resources.embeddings, seed=seed)
+    jitter_params(model, seed=seed + 1)
+    paths = [oracle_path(s, model, resources) for s in batch]
+    step = 1e-4
+    # Clear of the hinge's kinks, and not flat: a zero loss has a zero
+    # gradient, which no relative error measures.
+    assume(hinge_kink_margin(model, batch, paths) > 50 * step)
+    assume(sum(sentence_loss(model, s, p) for s, p in zip(batch, paths)) > 0)
+    count = data.draw(st.integers(2, 4), label="directions")
+    directions = np.random.default_rng(seed).normal(size=(count, model.vector.size))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    errors = _directional_errors(model, [(batch, paths)], directions, step)
     assert max(errors) < 1e-6, errors
 
 

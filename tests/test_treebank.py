@@ -16,6 +16,8 @@ from conjparse.treebank import (
     ConllError,
     ConllParseError,
     LabelInventory,
+    OutputError,
+    OutputFile,
     Sentence,
     Token,
     TreeStructureError,
@@ -23,7 +25,6 @@ from conjparse.treebank import (
     read_conll,
     validate_tree,
     write_conll,
-    write_conll_file,
 )
 
 THREE_TOKENS = (
@@ -183,8 +184,9 @@ def test_a_conll_write_that_fails_leaves_the_previous_file(tmp_path, monkeypatch
 
     monkeypatch.setattr(treebank.os, "replace", refuse)
     sentences = read_conll(THREE_TOKENS.encode())
-    with pytest.raises(OSError) as caught:
-        write_conll_file(path, sentences + sentences)
+    with pytest.raises(OutputError) as caught:
+        with OutputFile(path) as output:
+            output.write(write_conll(sentences + sentences))
     assert str(caught.value) == f"[Errno 18] Invalid cross-device link: {str(path)!r}"
     assert path.read_text() == THREE_TOKENS
     assert os.listdir(tmp_path) == ["out.conllx"]
@@ -199,11 +201,55 @@ def test_a_conll_write_to_a_pipe_writes_into_it(tmp_path):
                               daemon=True)
     reader.start()
     sentences = read_conll(THREE_TOKENS.encode())
-    write_conll_file(pipe, sentences)
+    with OutputFile(pipe) as output:
+        output.write(write_conll(sentences))
     reader.join(timeout=10)
     assert received == [write_conll(sentences)]
     assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_an_output_file_is_new_until_the_block_ends(tmp_path):
+    path = tmp_path / "out.conllx"
+    path.write_text(THREE_TOKENS)
+    with OutputFile(path) as output:
+        output.write(b"new")
+        (temporary,) = set(os.listdir(tmp_path)) - {"out.conllx"}
+        assert temporary.startswith(f"out.conllx.{os.getpid()}.")
+        assert temporary.endswith(".tmp")
+        assert path.read_text() == THREE_TOKENS
+    assert path.read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["out.conllx"]
+
+
+@pytest.mark.parametrize("failure", [
+    FileNotFoundError(errno.ENOENT, "No such file or directory", "train.conllx"),
+    ValueError("epoch 1: training loss is nan"),
+    KeyboardInterrupt(),
+], ids=["missing input", "bad value", "ctrl-c"])
+def test_an_output_block_that_raises_keeps_its_error_and_the_previous_file(
+        tmp_path, failure):
+    path = tmp_path / "out.conllx"
+    path.write_text(THREE_TOKENS)
+    with pytest.raises(type(failure)) as caught:
+        with OutputFile(path) as output:
+            output.write(b"part")
+            raise failure
+    assert caught.value is failure
+    assert path.read_text() == THREE_TOKENS
+    assert os.listdir(tmp_path) == ["out.conllx"]
+
+
+def test_an_output_file_that_cannot_be_opened_names_its_path(tmp_path):
+    path = tmp_path / "missing" / "out.conllx"
+    entered = []
+    with pytest.raises(OutputError) as caught:
+        with OutputFile(path):
+            entered.append(True)
+    assert str(caught.value) == (
+        f"[Errno 2] No such file or directory: {str(path)!r}")
+    assert entered == []
+    assert os.listdir(tmp_path) == []
 
 
 def test_projective_examples():
