@@ -28,7 +28,6 @@ from .resources import (
 )
 from .training import gradient_check, train_model, train_step
 from .transitions import (
-    ParseConfiguration,
     Transition,
     TransitionCodec,
     apply,

@@ -51,8 +51,8 @@ def cell_backward(dh: np.ndarray, dc: np.ndarray, cache: np.ndarray,
 
     ``dh`` and ``dc`` are (D, H); ``cache`` (5, D, H) and ``factors``
     (7, D, H) are the step's forward cache and factors; ``dpreact_out`` is
-    (4, D, H).  ``dc_prev_out`` may be ``dc`` itself, which is read before
-    it is written.
+    (4, D, H), and may be a strided view.  ``dc_prev_out`` may be ``dc``
+    itself, which is read before it is written.
     """
     i, f, o, _, c_tanh = cache
     dc_total = dh * o

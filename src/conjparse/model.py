@@ -41,7 +41,7 @@ import numpy as np
 from . import network
 from .conj_features import FEATURE_SIZE
 from .resources import EmbeddingTable
-from .transitions import Configuration, TransitionCodec
+from .transitions import ArcHybridState, TransitionCodec
 from .treebank import LabelInventory, OutputFile, Sentence
 
 MODEL_MAGIC = b"CJPMODEL"
@@ -568,7 +568,7 @@ class Model:
     # ------------------------------------------------------------------
     # configuration features and scoring
 
-    def feature_slots(self, config: Configuration) -> List[int]:
+    def feature_slots(self, config: ArcHybridState) -> List[int]:
         """Node ids feeding the feature vector; -1 marks the padding slot."""
         stack, buffer = config.stack, config.buffer
         return [
@@ -578,7 +578,7 @@ class Model:
             buffer[0] if buffer else -1,
         ]
 
-    def config_feature_vector(self, config: Configuration,
+    def config_feature_vector(self, config: ArcHybridState,
                               encoded: EncodedSentence
                               ) -> Tuple[np.ndarray, List[int]]:
         slots = self.feature_slots(config)

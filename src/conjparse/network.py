@@ -15,7 +15,9 @@ inputs and flip its states and gradients back into sequence order.  The
 backward pass writes each weight gradient with ``out=`` into the arrays
 the caller gives, laid out as the weights: it neither adds to them nor
 allocates its own.  It computes the per-step factors that the recurrence
-leaves alone for one block of steps at a time, into one reused buffer.
+leaves alone for one block of steps at a time, into one reused buffer, and
+the cell kernel writes each step's preactivation gradient straight into
+the array that the weight gradients are summed from.
 
 ``Adam`` updates one flat parameter vector in place, in the order Kingma &
 Ba (2015, Section 2) give for efficiency: the bias corrections fold into
@@ -142,7 +144,6 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
     factors = np.empty((min(_FACTOR_BLOCK, steps), 7, stack, hidden_size))
     d_preacts = np.empty((stack, steps, 4 * hidden_size))
     d_preact_gates = d_preacts.reshape(stack, steps, 4, hidden_size)
-    d_gates = np.empty((4, stack, hidden_size))
     w_h_t = w_h.transpose(0, 2, 1)
     dc = np.zeros((stack, hidden_size))
     dh_rec = np.zeros((stack, hidden_size))
@@ -153,8 +154,7 @@ def lstm_backward(d_hidden: np.ndarray, cache: LstmLayerCache, w_x: np.ndarray,
         for t in range(stop - 1, start - 1, -1):
             dh_total = d_hidden[:, t] + dh_rec
             kernels.cell_backward(dh_total, dc, cache.gates[t], block[t - start],
-                                  d_gates, dc)
-            d_preact_gates[:, t] = d_gates.transpose(1, 0, 2)
+                                  d_preact_gates[:, t].transpose(1, 0, 2), dc)
             if t:  # step 0 read the zero initial state: no gradient for it
                 dh_rec = np.matmul(w_h_t, d_preacts[:, t, :, np.newaxis])[:, :, 0]
     d_w_x, d_w_h, d_b = out

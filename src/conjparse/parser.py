@@ -25,7 +25,7 @@ import numpy as np
 from .conj_features import FEATURE_SIZE, extract_forms
 from .model import EncodedSentence, Model
 from .resources import FeatureResources
-from .transitions import ArcHybridState, Configuration, Transition, legal_mask
+from .transitions import ArcHybridState, Transition, legal_mask
 # Not called here; perfbench's tests check that its tracer wraps this name.
 from .transitions import apply  # noqa: F401
 from .treebank import Sentence
@@ -46,7 +46,7 @@ class ScoredBatch:
     conj_hidden: Optional[np.ndarray] = None
 
 
-def conj_candidate(config: Configuration) -> Optional[Tuple[int, int]]:
+def conj_candidate(config: ArcHybridState) -> Optional[Tuple[int, int]]:
     """(head, modifier) pair a right transition would connect, if any."""
     if len(config.stack) < 2:
         return None
@@ -80,7 +80,7 @@ for _array in (_NO_ROWS, _NO_INPUTS, _FIRST_ROW):
     _array.flags.writeable = False
 
 
-def score_config(model: Model, config: Configuration,
+def score_config(model: Model, config: ArcHybridState,
                  encoded: EncodedSentence, sentence: Sentence,
                  resources: FeatureResources,
                  extracted: Optional[Dict[Tuple[int, int], np.ndarray]] = None
@@ -140,7 +140,7 @@ def pair_inputs(pair: Tuple[int, int], sentence: Sentence,
     return inputs
 
 
-def augmented_scores(model: Model, config: Configuration,
+def augmented_scores(model: Model, config: ArcHybridState,
                      encoded: EncodedSentence, sentence: Sentence,
                      resources: FeatureResources) -> np.ndarray:
     """Public name of ``score_config``."""

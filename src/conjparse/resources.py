@@ -94,9 +94,6 @@ class LemmaLexicon:
     def __init__(self, entries: Optional[Dict[Tuple[str, str], str]] = None):
         self._entries = dict(entries or {})
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def items(self):
         """(form, pos class, lemma) triples in deterministic order."""
         return sorted(

@@ -10,19 +10,21 @@ A sentence of n tokens is parsed in exactly 2n transitions.  The system
 derives projective trees only; ``oracle_sequence`` refuses non-projective
 input outright.
 
-Every derivation the library walks, the greedy decoder's and the static
-oracle's, is one ``ArcHybridState.walk``: 2n transitions applied in place
-to one mutable state, with no configuration copied per transition.  The
-state reads as a ``ParseConfiguration`` does, so the legality rules
-(``legal_mask``), ``static_oracle`` and the feature readers take either.
-The immutable ``ParseConfiguration`` and ``apply`` remain for stepping
-through a derivation one configuration at a time.
+The automaton has one state, ``ArcHybridState``, and one place that
+applies a transition, ``ArcHybridState.take``.  Every derivation the
+library walks, the greedy decoder's and the static oracle's, is one
+``ArcHybridState.walk``: 2n transitions applied in place to one mutable
+state, with no configuration copied per transition.  ``initial_config``
+and ``apply`` step through a derivation one configuration at a time:
+``apply`` takes the transition on a copy and leaves its argument as it
+was.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,25 +63,6 @@ class Transition:
 _SHIFT = Transition(SHIFT)
 
 
-@dataclass(frozen=True)
-class ParseConfiguration:
-    """Immutable automaton state: stack, buffer and collected arcs.
-
-    Arcs are (head id, dependent id, label) triples.  The stack bottom is
-    always the root node 0.
-    """
-
-    stack: Tuple[int, ...]
-    buffer: Tuple[int, ...]
-    arcs: Tuple[Tuple[int, int, str], ...] = ()
-
-    def attached(self) -> Set[int]:
-        return {dep for _, dep, _ in self.arcs}
-
-    def summary(self) -> str:
-        return f"stack={list(self.stack)} buffer={list(self.buffer)} arcs={len(self.arcs)}"
-
-
 class TransitionCodec:
     """Fixed indexing of the 2*|labels|+1 transitions.
 
@@ -116,20 +99,16 @@ class TransitionCodec:
         return 1 + len(self.labels) + pos
 
 
-def initial_config(n: int) -> ParseConfiguration:
-    return ParseConfiguration(stack=(ROOT_ID,), buffer=tuple(range(1, n + 1)))
-
-
 @dataclass(eq=False)
 class ArcHybridState:
     """Mutable automaton state of one derivation of an n-token sentence.
 
     ``stack`` is a list with the root node 0 at its bottom and ``buffer``
-    the range of token ids not yet shifted, so the state reads as a
-    ``ParseConfiguration`` does.  Each transition is applied in place:
-    ``heads`` and ``labels`` take the attachment of token i at position
-    i - 1, and ``attached()`` grows by the attached token, so no arc set
-    is copied.
+    the range of token ids not yet shifted.  Each transition is applied in
+    place: ``heads`` and ``labels`` take the attachment of token i at
+    position i - 1, and ``attached()`` grows by the attached token, so no
+    arc set is copied.  ``arcs`` reads the attachments as (head id,
+    dependent id, label) triples.
     """
 
     n: int
@@ -149,6 +128,12 @@ class ArcHybridState:
     def attached(self) -> Set[int]:
         """Ids of the attached tokens; the live set, not a copy."""
         return self._attached
+
+    @property
+    def arcs(self) -> Tuple[Tuple[int, int, str], ...]:
+        """(head, dependent, label) of each attached token, by dependent id."""
+        return tuple((self.heads[dep - 1], dep, self.labels[dep - 1])
+                     for dep in sorted(self._attached))
 
     def summary(self) -> str:
         return (f"stack={list(self.stack)} buffer={list(self.buffer)} "
@@ -184,23 +169,23 @@ class ArcHybridState:
         return self
 
 
-# What the legality rules, the static oracle and the feature readers read.
-Configuration = Union[ParseConfiguration, ArcHybridState]
+def initial_config(n: int) -> ArcHybridState:
+    return ArcHybridState(n)
 
 
-def is_terminal(config: Configuration) -> bool:
+def is_terminal(config: ArcHybridState) -> bool:
     return not config.buffer and len(config.stack) == 1 and config.stack[0] == ROOT_ID
 
 
-def _shift_legal(config: Configuration) -> bool:
+def _shift_legal(config: ArcHybridState) -> bool:
     return bool(config.buffer)
 
 
-def _left_legal(config: Configuration) -> bool:
+def _left_legal(config: ArcHybridState) -> bool:
     return bool(config.buffer) and bool(config.stack) and config.stack[-1] != ROOT_ID
 
 
-def _right_legal(config: Configuration, single_root: bool = False) -> bool:
+def _right_legal(config: ArcHybridState, single_root: bool = False) -> bool:
     if len(config.stack) < 2 or config.stack[-1] == ROOT_ID:
         return False
     if single_root and config.stack[-2] == ROOT_ID and config.buffer:
@@ -210,7 +195,7 @@ def _right_legal(config: Configuration, single_root: bool = False) -> bool:
     return True
 
 
-def legal_mask(config: Configuration, codec: TransitionCodec,
+def legal_mask(config: ArcHybridState, codec: TransitionCodec,
                single_root: bool = False,
                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean legality vector aligned with the codec's transition indices.
@@ -225,43 +210,27 @@ def legal_mask(config: Configuration, codec: TransitionCodec,
     return mask
 
 
-def apply(config: ParseConfiguration, transition: Transition) -> ParseConfiguration:
-    """Apply a legal transition, returning the successor configuration."""
-    if transition.kind == SHIFT:
-        if not _shift_legal(config):
-            raise IllegalTransitionError(f"{transition} illegal at {config.summary()}")
-        return ParseConfiguration(
-            stack=config.stack + (config.buffer[0],),
-            buffer=config.buffer[1:],
-            arcs=config.arcs,
-        )
-    if transition.kind == LEFT:
-        if not _left_legal(config):
-            raise IllegalTransitionError(f"{transition} illegal at {config.summary()}")
-        arc = (config.buffer[0], config.stack[-1], transition.label)
-        return ParseConfiguration(
-            stack=config.stack[:-1], buffer=config.buffer, arcs=config.arcs + (arc,)
-        )
-    if not _right_legal(config):
-        raise IllegalTransitionError(f"{transition} illegal at {config.summary()}")
-    arc = (config.stack[-2], config.stack[-1], transition.label)
-    return ParseConfiguration(
-        stack=config.stack[:-1], buffer=config.buffer, arcs=config.arcs + (arc,)
-    )
+def apply(state: ArcHybridState, transition: Transition) -> ArcHybridState:
+    """The successor of ``state`` under a legal transition.
+
+    A copy of ``state`` takes ``transition``; ``state`` is left unchanged.
+    """
+    successor = copy.deepcopy(state)
+    successor.take(transition)
+    return successor
 
 
-def static_oracle(config: Configuration, sentence: Sentence,
+def static_oracle(config: ArcHybridState, sentence: Sentence,
                   gold_children: Dict[int, List[int]]) -> Transition:
     """Gold transition for a configuration on the oracle path.
 
     Reduce the stack top as soon as its gold head is reachable and all of
-    its gold dependents are attached; otherwise shift.  ``config`` is a
-    ``ParseConfiguration`` or the live ``ArcHybridState`` of a walk, whose
-    attached set grows in place, so each call costs the top's number of
-    gold dependents.  Undefined for non-projective sentences, which it
-    does not check: a caller walks a whole derivation, checks once that
-    the sentence is projective, and passes ``gold_children``, which is
-    ``sentence.gold_children()``.
+    its gold dependents are attached; otherwise shift.  ``config`` may be
+    the live state of a walk, whose attached set grows in place, so each
+    call costs the top's number of gold dependents.  Undefined for
+    non-projective sentences, which it does not check: a caller walks a
+    whole derivation, checks once that the sentence is projective, and
+    passes ``gold_children``, which is ``sentence.gold_children()``.
     """
     if is_terminal(config):
         raise OracleError("oracle called on terminal configuration")

@@ -115,9 +115,6 @@ class LabelInventory:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.labels)
-
     @classmethod
     def from_sentences(cls, sentences: Iterable[Sentence]) -> "LabelInventory":
         seen = {tok.gold_label for sent in sentences for tok in sent}

@@ -27,7 +27,14 @@ from conjparse.resources import (
     LemmaLexicon,
     SentimentLexicon,
 )
-from conjparse.transitions import TransitionCodec, apply, initial_config, is_terminal, legal_mask
+from conjparse.transitions import (
+    ArcHybridState,
+    TransitionCodec,
+    apply,
+    initial_config,
+    is_terminal,
+    legal_mask,
+)
 from conjparse.treebank import LabelInventory, Sentence, Token, read_conll
 
 # Every property test draws the same examples on every run, and keeps none
@@ -57,6 +64,20 @@ def make_sentence(heads, labels=None, forms=None, pos=None) -> Sentence:
               gold_label=labels[i])
         for i in range(n)
     ))
+
+
+def state_at(stack, buffer) -> ArcHybridState:
+    """An ``ArcHybridState`` with the given stack and buffer and no arcs.
+
+    The sentence ends with the largest id given, and ``buffer`` is the run
+    of ids from its first to that last one.
+    """
+    n = max((*stack, *buffer))
+    state = ArcHybridState(n)
+    state.stack = list(stack)
+    state.buffer = range(buffer[0] if buffer else n + 1, n + 1)
+    assert tuple(state.buffer) == tuple(buffer)
+    return state
 
 
 def break_analytic_gradient(monkeypatch, key: str) -> None:

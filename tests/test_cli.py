@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -17,11 +19,12 @@ from conftest import (
 )
 from conjparse import cli
 from conjparse.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_OTHER, main
-from conjparse.model import Hyperparams, Model, Vocabulary
+from conjparse.model import MODEL_MAGIC, MODEL_VERSION, Hyperparams, Model, Vocabulary
 from conjparse.parser import greedy_parse, parse_corpus
 from conjparse.resources import FeatureResources
 from conjparse.treebank import (
     LabelInventory,
+    Sentence,
     TreeStructureError,
     is_projective,
     read_conll,
@@ -390,6 +393,26 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     assert code == EXIT_MODEL
 
 
+@pytest.mark.parametrize("version, meta_len, meta, expected", [
+    (2, 2, b"{}", r"unsupported model version 2"),
+    (MODEL_VERSION, 3, b"{}", r"truncated model file \(metadata\)"),
+    (MODEL_VERSION, 4, b"junk", r"corrupt model metadata: .+"),
+], ids=["version", "truncated", "not-json"])
+def test_parse_with_a_bad_model_header_is_a_one_line_model_error(
+        tmp_path, train_file, capsys, version, meta_len, meta, expected):
+    model_path = tmp_path / "model.bin"
+    model_path.write_bytes(MODEL_MAGIC + struct.pack("<IQ", version, meta_len) + meta)
+    out = tmp_path / "out.conllx"
+    capsys.readouterr()
+    code = main(["parse", "--model", str(model_path), "--input", str(train_file),
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MODEL
+    assert re.fullmatch(f"model error: {expected}\n", captured.err), captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, hyper, key", [
     ({"lstm_dim": "8"}, [], "lstm_dim"),
     ({"lstm_size": 8}, [], "lstm_size"),
@@ -404,6 +427,7 @@ def test_exit_code_bad_model(tmp_path, train_file, capsys):
     (None, ["--hyper", "margin=0"], "margin"),
     (None, ["--hyper", "pretrained_dim=7"], "pretrained_dim"),
     ({"pretrained_dim": 7}, [], "pretrained_dim"),
+    (None, ["--hyper", "lstm_dim"], "lstm_dim"),
 ])
 def test_bad_hyperparameter_is_a_one_line_error(tmp_path, train_file, capsys,
                                                 config, hyper, key):
@@ -676,6 +700,24 @@ def test_evaluate_prints_nothing_when_the_second_prediction_is_misaligned(
     captured = capsys.readouterr()
     assert captured.err.startswith("data error: ")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_evaluate_with_a_changed_form_is_a_one_line_data_error(tmp_path,
+                                                              train_file, capsys):
+    sentences = read_conll(train_file)
+    form = sentences[0].token(2).form
+    changed = Sentence(tuple(
+        tok._replace(form=form + "x") if tok.id == 2 else tok
+        for tok in sentences[0]))
+    pred = tmp_path / "pred.conllx"
+    pred.write_bytes(write_conll([changed, *sentences[1:]]))
+    capsys.readouterr()
+    assert main(["evaluate", "--gold", str(train_file), "--pred",
+                 str(pred)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: sentence 0, token 2: form {form!r} "
+                            f"vs {form + 'x'!r}\n")
     assert captured.out == ""
 
 

@@ -19,6 +19,7 @@ from conftest import (
     join_model_file,
     make_sentence,
     split_model_file,
+    state_at,
     tiny_model,
 )
 from conjparse import model as model_module
@@ -32,7 +33,6 @@ from conjparse.model import (
 )
 from conjparse.resources import EmbeddingTable, FeatureResources
 from conjparse.training import jitter_params, oracle_path, sentence_loss
-from conjparse.transitions import ParseConfiguration
 from conjparse.treebank import LabelInventory
 
 
@@ -112,11 +112,11 @@ def test_unknown_words_use_unk_row(sentences):
 def test_feature_slots():
     model_sentences = [make_sentence([0], labels=["root"])]
     model = tiny_model(model_sentences)
-    initial = ParseConfiguration(stack=(0,), buffer=(1,))
+    initial = state_at((0,), (1,))
     assert model.feature_slots(initial) == [0, -1, -1, 1]
-    terminal = ParseConfiguration(stack=(0,), buffer=())
+    terminal = state_at((0,), ())
     assert model.feature_slots(terminal) == [0, -1, -1, -1]
-    deep = ParseConfiguration(stack=(0, 1, 2), buffer=(3,))
+    deep = state_at((0, 1, 2), (3,))
     assert model.feature_slots(deep) == [2, 1, 0, 3]
 
 
@@ -124,9 +124,7 @@ def test_config_feature_vector_uses_padding(sentences):
     model = tiny_model(sentences)
     model.params["pad_vec"][...] = 7.5
     enc = model.encode(sentences[1])
-    features, slots = model.config_feature_vector(
-        ParseConfiguration(stack=(0,), buffer=()), enc
-    )
+    features, slots = model.config_feature_vector(state_at((0,), ()), enc)
     width = 2 * model.hp.lstm_dim
     assert slots == [0, -1, -1, -1]
     np.testing.assert_array_equal(features[width:], 7.5)

@@ -322,6 +322,32 @@ def test_flat_adam_is_bit_identical_to_the_per_key_loop(size):
         assert np.array_equal(opt.v, np.concatenate(list(reference.v.values())))
 
 
+def test_adam_keeps_the_bits_of_signed_zeros_and_subnormals():
+    # The first update writes the moments without reading them: whatever
+    # the buffers held, they come out as moments that started at zero, down
+    # to the sign of a zero that a tiny negative gradient rounds to.
+    size = 2 * network._ADAM_BLOCK + 3
+    rng = np.random.default_rng(29)
+    flat = rng.normal(size=size)
+    keyed = {"all": flat.copy()}
+    opt = network.Adam(flat)
+    opt.m.fill(np.nan)
+    opt.v.fill(np.nan)
+    reference = reference_nets.KeyedAdam(keyed)
+    tiny = -np.finfo(float).smallest_subnormal * np.arange(1, 9)
+    for _ in range(3):
+        grads = rng.normal(size=size)
+        grads[rng.random(size) < 0.2] = -0.0
+        subnormal = rng.random(size) < 0.2
+        grads[subnormal] = rng.choice(tiny, size=subnormal.sum())
+        assert (grads == -0.0).any() and (grads == tiny[0]).any()
+        whole_step(opt, grads.copy())
+        reference.step({"all": grads})
+        for mine, theirs in ((flat, keyed["all"]), (opt.m, reference.m["all"]),
+                             (opt.v, reference.v["all"])):
+            assert mine.tobytes() == theirs.tobytes()
+
+
 def test_adam_is_the_textbook_update_up_to_rounding():
     # Kingma & Ba's efficient order against their Algorithm 1, written out:
     # the same moments, and updates equal to within rounding.

@@ -6,6 +6,7 @@ from conftest import (
     data_resources,
     make_sentence,
     random_projective_sentence,
+    state_at,
     tiny_model,
 )
 from conjparse import parser
@@ -21,7 +22,7 @@ from conjparse.parser import (
 from conjparse.training import jitter_params, oracle_path
 from conjparse.resources import FeatureResources
 from conjparse.transitions import (
-    ParseConfiguration,
+    ArcHybridState,
     Transition,
     apply,
     initial_config,
@@ -172,8 +173,8 @@ def test_parse_extracts_each_conj_pair_once(sample_sentences, monkeypatch):
 
 
 def test_conj_candidate():
-    assert conj_candidate(ParseConfiguration((0,), (1,))) is None
-    assert conj_candidate(ParseConfiguration((0, 2, 5), ())) == (2, 5)
+    assert conj_candidate(state_at((0,), (1,))) is None
+    assert conj_candidate(state_at((0, 2, 5), ())) == (2, 5)
 
 
 def test_baseline_equivalence_bitwise(conj_sentences, empty_resources):
@@ -218,7 +219,7 @@ def test_large_conj_bias_forces_right_conj(conj_sentences, empty_resources):
     model.params["conj.b2"][0] = 10.0
     sentence = conj_sentences[0]
     encoded = model.encode(sentence)
-    config = ParseConfiguration(stack=(0, 3, 5), buffer=())
+    config = state_at((0, 3, 5), ())
     scores = score_config(model, config, encoded, sentence, empty_resources)
     mask = legal_mask(config, model.codec)
     winner = int(np.argmax(np.where(mask, scores, -np.inf)))
@@ -259,8 +260,8 @@ def test_single_root_decoding_yields_one_root_child(empty_resources):
 
 
 def _tuple_parse(sentence, model, resources, single_root):
-    """Heads and labels of the greedy parse, one immutable configuration
-    per transition, through the public tuple API."""
+    """Heads and labels of the greedy parse, one new configuration per
+    transition, through the public ``apply``."""
     encoded = model.encode(sentence)
     config = initial_config(len(sentence))
     while not is_terminal(config):
@@ -319,8 +320,8 @@ def test_decoding_builds_no_configuration_or_transition(conj_sentences,
             original(self, *args, **kwargs)
         return init
 
-    for cls in (ParseConfiguration, Transition):
+    for cls in (ArcHybridState, Transition):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     parsed = greedy_parse(conj_sentences[0], model, resources)
     assert len(parsed) == 5
-    assert built == []
+    assert built == ["ArcHybridState"]  # the walk's one state

@@ -19,6 +19,7 @@ from conftest import (
     peak_bytes,
     random_projective_sentence,
     sample_tree_sentence,
+    state_at,
     tiny_model,
     whole_step,
 )
@@ -1096,9 +1097,9 @@ def test_a_region_is_handed_over_after_the_last_read_of_its_parameters(
 
 
 def _tuple_oracle_path(sentence, model, resources):
-    """The arrays of ``oracle_path`` built one immutable configuration per
-    transition: (slots, gold, competing, conj rows, conj inputs, gold
-    transitions)."""
+    """The arrays of ``oracle_path`` built one new configuration per
+    transition, through ``apply``: (slots, gold, competing, conj rows,
+    conj inputs, gold transitions)."""
     children = sentence.gold_children()
     config = transitions.initial_config(len(sentence))
     configs, sequence = [], []
@@ -1152,13 +1153,13 @@ def test_oracle_errors_keep_their_messages(empty_resources):
                              "sentence$"):
         transitions.oracle_sequence(bad)
     # Token 2 heads the root, not token 1 below it, and nothing is left to
-    # shift: the oracle is stuck, on either kind of configuration.
+    # shift: the oracle is stuck, on a walked state and on a built one.
     sentence = make_sentence([2, 0])
     children = sentence.gold_children()
     state = transitions.ArcHybridState(2)
     for _ in range(2):
         state.take(transitions.Transition(transitions.SHIFT))
-    for config in (transitions.ParseConfiguration((0, 1, 2), ()), state):
+    for config in (state_at((0, 1, 2), ()), state):
         with pytest.raises(transitions.OracleError,
                            match=r"^oracle stuck at stack=\[0, 1, 2\] buffer=\[\] "
                                  r"arcs=0$"):

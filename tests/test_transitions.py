@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_sentence, random_projective_sentence
+import reference_transitions as reference
+from conftest import make_sentence, random_projective_sentence, state_at
 from conjparse.transitions import (
     LEFT,
     RIGHT,
@@ -9,7 +10,6 @@ from conjparse.transitions import (
     ArcHybridState,
     IllegalTransitionError,
     OracleError,
-    ParseConfiguration,
     Transition,
     TransitionCodec,
     apply,
@@ -30,10 +30,11 @@ def _legal(config, single_root=False):
 
 
 def test_initial_config_shapes():
-    assert initial_config(3) == ParseConfiguration((0,), (1, 2, 3))
+    config = initial_config(3)
+    assert (config.stack, list(config.buffer), config.arcs) == ([0], [1, 2, 3], ())
     zero = initial_config(0)
     assert is_terminal(zero)
-    assert initial_config(1).buffer == (1,)
+    assert list(initial_config(1).buffer) == [1]
 
 
 def test_legal_initial_only_shift():
@@ -42,25 +43,25 @@ def test_legal_initial_only_shift():
 
 
 def test_legal_empty_buffer_only_right():
-    config = ParseConfiguration(stack=(0, 1, 2), buffer=())
+    config = state_at((0, 1, 2), ())
     expected = {Transition(RIGHT, l) for l in LABELS}
     assert _legal(config) == expected
 
 
 def test_legal_terminal_empty():
-    config = ParseConfiguration(stack=(0,), buffer=())
+    config = state_at((0,), ())
     assert _legal(config) == set()
 
 
 def test_single_root_restriction():
     # With material left in the buffer, the root arc must wait.
-    config = ParseConfiguration(stack=(0, 2), buffer=(3,))
+    config = state_at((0, 2), (3,))
     plain = _legal(config)
     restricted = _legal(config, single_root=True)
     assert any(t.kind == RIGHT for t in plain)
     assert not any(t.kind == RIGHT for t in restricted)
     # Once the buffer is empty the single root arc is the only way out.
-    final = ParseConfiguration(stack=(0, 2), buffer=())
+    final = state_at((0, 2), ())
     assert any(t.kind == RIGHT for t in _legal(final, single_root=True))
 
 
@@ -80,7 +81,7 @@ def test_legal_mask_matches_set():
                     continue
                 applicable.add(transition)
             assert _legal(config) == applicable
-            early_root = config.stack[-2:-1] == (0,) and bool(config.buffer)
+            early_root = config.stack[-2:-1] == [0] and bool(config.buffer)
             assert _legal(config, single_root=True) == {
                 t for t in applicable if not (early_root and t.kind == RIGHT)}
             legal = sorted(np.flatnonzero(legal_mask(config, CODEC)))
@@ -88,29 +89,53 @@ def test_legal_mask_matches_set():
 
 
 def test_apply_left():
-    config = ParseConfiguration(stack=(0, 1), buffer=(2, 3))
+    config = state_at((0, 1), (2, 3))
     result = apply(config, Transition(LEFT, "nsubj"))
     assert result.arcs == ((2, 1, "nsubj"),)
-    assert result.stack == (0,)
-    assert result.buffer == (2, 3)
+    assert result.stack == [0]
+    assert list(result.buffer) == [2, 3]
 
 
 def test_apply_right():
-    config = ParseConfiguration(stack=(0, 2, 3), buffer=())
+    config = state_at((0, 2, 3), ())
     result = apply(config, Transition(RIGHT, "dobj"))
     assert result.arcs == ((2, 3, "dobj"),)
-    assert result.stack == (0, 2)
+    assert result.stack == [0, 2]
 
 
 def test_apply_shift():
-    config = ParseConfiguration(stack=(0,), buffer=(1,))
+    config = state_at((0,), (1,))
     result = apply(config, Transition(SHIFT))
-    assert result.stack == (0, 1)
-    assert result.buffer == ()
+    assert result.stack == [0, 1]
+    assert list(result.buffer) == []
+
+
+def _snapshot(state):
+    return (tuple(state.stack), tuple(state.buffer), tuple(state.heads),
+            tuple(state.labels), frozenset(state.attached()), state.arcs)
+
+
+def test_apply_leaves_its_argument_unchanged():
+    # Every transition, legal or not, is applied to each state of random
+    # walks: a successor that shared a list or set with its argument would
+    # change it.
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        config = initial_config(int(rng.integers(1, 9)))
+        while not is_terminal(config):
+            before = _snapshot(config)
+            successors = []
+            for transition in map(CODEC.decode, range(CODEC.size)):
+                try:
+                    successors.append(apply(config, transition))
+                except IllegalTransitionError:
+                    pass
+                assert _snapshot(config) == before
+            config = successors[int(rng.integers(len(successors)))]
 
 
 def test_apply_illegal_names_transition():
-    config = ParseConfiguration(stack=(0,), buffer=())
+    config = state_at((0,), ())
     with pytest.raises(IllegalTransitionError, match="shift"):
         apply(config, Transition(SHIFT))
     with pytest.raises(IllegalTransitionError, match="left"):
@@ -118,9 +143,9 @@ def test_apply_illegal_names_transition():
 
 
 def test_is_terminal_cases():
-    assert is_terminal(ParseConfiguration((0,), ()))
-    assert not is_terminal(ParseConfiguration((0, 3), ()))
-    assert not is_terminal(ParseConfiguration((0,), (5,)))
+    assert is_terminal(state_at((0,), ()))
+    assert not is_terminal(state_at((0, 3), ()))
+    assert not is_terminal(state_at((0,), (5,)))
 
 
 def test_codec_enumeration():
@@ -207,6 +232,7 @@ def test_codec_decode_reuses_its_transitions():
 
 
 def test_state_walk_follows_apply_on_random_walks():
+    # The library's in-place walk against the immutable reference automaton.
     rng = np.random.default_rng(17)
     for _ in range(100):
         n = int(rng.integers(0, 12))
@@ -214,10 +240,11 @@ def test_state_walk_follows_apply_on_random_walks():
         configs = []
 
         def choose(state):
-            config = configs[-1] if configs else initial_config(n)
+            config = configs[-1] if configs else reference.initial_config(n)
             assert (tuple(state.stack), tuple(state.buffer)) == (config.stack,
                                                                   config.buffer)
             assert state.attached() == config.attached()
+            assert state.arcs == tuple(sorted(config.arcs, key=lambda arc: arc[1]))
             mask = legal_mask(state, CODEC, single_root=single_root)
             np.testing.assert_array_equal(
                 mask, legal_mask(config, CODEC, single_root=single_root))
@@ -226,11 +253,11 @@ def test_state_walk_follows_apply_on_random_walks():
             for either in (True, False):
                 assert legal_mask(state, CODEC, single_root=either).any()
             transition = CODEC.decode(int(rng.choice(np.flatnonzero(mask))))
-            configs.append(apply(config, transition))
+            configs.append(reference.apply(config, transition))
             return transition
 
         state = ArcHybridState(n).walk(choose)
-        final = configs[-1] if configs else initial_config(n)
+        final = configs[-1] if configs else reference.initial_config(n)
         assert is_terminal(state) and is_terminal(final)
         assert len(configs) == 2 * n
         heads = {dep: (head, label) for head, dep, label in final.arcs}
@@ -244,8 +271,11 @@ def test_state_walk_follows_apply_on_random_walks():
     (1, Transition(RIGHT, "dobj")),
 ])
 def test_state_refuses_what_apply_refuses(n, transition):
-    with pytest.raises(IllegalTransitionError) as from_apply:
-        apply(initial_config(n), transition)
+    with pytest.raises(IllegalTransitionError) as from_reference:
+        reference.apply(reference.initial_config(n), transition)
     with pytest.raises(IllegalTransitionError) as from_state:
         ArcHybridState(n).take(transition)
-    assert str(from_state.value) == str(from_apply.value)
+    with pytest.raises(IllegalTransitionError) as from_apply:
+        apply(initial_config(n), transition)
+    assert str(from_state.value) == str(from_reference.value)
+    assert str(from_apply.value) == str(from_reference.value)
